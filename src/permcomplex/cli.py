@@ -2,9 +2,10 @@
 
 Every subcommand emits a JSON report to stdout (or --out) of the form
 {"command", "input_digest", "checks", "payload"}.  Exit codes: 0 all
-checks passed, 1 a verification check failed, 2 usage error (argparse),
-3 malformed JSON input, 4 invalid input complex.  Reports are byte-stable
-for fixed inputs; wall-clock timing is only attached with --timing.
+checks passed, 1 a verification check failed, 2 usage error (argparse, or
+a --coeff that is not Z, Q or a prime), 3 malformed JSON input, 4 invalid
+input complex.  Reports are byte-stable for fixed inputs; wall-clock
+timing is only attached with --timing.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import sys
 import time
 
 from . import bar, cubes, diagonals, permutohedron, projection, simplicial
-from .homology import HomologySummary, complex_from_boundary
+from .homology import HomologySummary, complex_from_boundary, is_prime
 from .homology import homology as compute_homology
 
 EXIT_CHECK_FAILED = 1
+EXIT_USAGE = 2
 EXIT_BAD_JSON = 3
 EXIT_BAD_COMPLEX = 4
 
@@ -32,9 +34,10 @@ class CliError(Exception):
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
-            return json.load(fh), hashlib.sha256(open(path, "rb").read()).hexdigest()
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
         raise CliError(f"cannot read JSON from {path}: {exc}", EXIT_BAD_JSON)
 
 
@@ -57,8 +60,10 @@ def _coeff(value: str):
     try:
         p = int(value)
     except ValueError:
+        p = 0
+    if not is_prime(p):
         raise CliError(f"--coeff must be Z, Q, or a prime, got {value}",
-                       EXIT_BAD_JSON)
+                       EXIT_USAGE)
     return p
 
 
@@ -83,10 +88,11 @@ def cmd_build(args, report):
 
 def cmd_homology(args, report):
     K, report["input_digest"] = _load_complex(args.complex)
+    coeff = _coeff(args.coeff)
     X = (permutohedron.build_perm_complex_C(K) if args.doubled
          else permutohedron.build_perm_complex(K))
     C = complex_from_boundary(X.by_dim, permutohedron.boundary)
-    summary = compute_homology(C, _coeff(args.coeff))
+    summary = compute_homology(C, coeff)
     report["payload"] = _summary_payload(summary)
     return []
 
@@ -111,7 +117,6 @@ def cmd_diagonal(args, report):
 
 def _load_perm_cochain(path: str, m: int):
     data, _ = _load_json(path)
-    chain = permutohedron.PartitionFace  # noqa: F841  (kept for clarity)
     from .chains import FormalChain
     result = FormalChain()
     degrees = set()

@@ -157,7 +157,7 @@ def cochain_complex(m: int, L: SimplicialComplex | None = None) -> ChainComplexD
             for b, coeff in cochain_differential(a, L):
                 M[index[d - 1][b]][j] = coeff
         diff[d] = M
-    return ChainComplexData(basis, diff, shift=-1)
+    return ChainComplexData(basis, diff)
 
 
 def inversion_count(A, B) -> int:

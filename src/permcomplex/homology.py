@@ -1,13 +1,16 @@
 """Integer chain complexes, Smith normal form, and (co)homology.
 
-All linear algebra is exact: Python integers for Smith normal form,
-Fractions only transiently when inverting unimodular matrices.  Matrices
-are lists of rows.
+All linear algebra is exact: Python integers for elimination and Smith
+normal form, Fractions only transiently when inverting unimodular
+matrices.  Matrices are lists of rows.  `homology` reduces each boundary
+matrix by sparse unit-pivot elimination and runs the dense Smith normal
+form only on the block that has no unit pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .chains import FormalChain
 
@@ -35,10 +38,6 @@ def mat_mult(A: list, B: list) -> list:
     Bt = transpose(B)
     return [[sum(A[i][t] * Bt[j][t] for t in range(k)) for j in range(p)]
             for i in range(n)]
-
-def is_zero_matrix(M: list) -> bool:
-    return all(all(x == 0 for x in row) for row in M)
-
 
 def integer_inverse(U: list) -> list:
     """Inverse of a unimodular integer matrix (exact, via Fractions)."""
@@ -113,36 +112,29 @@ def smith_normal_form(M: list, pivot: str = "min_abs"):
         pos = select_pivot(k)
         if pos is None:
             break
-        swap_rows(k, pos[0])
-        swap_cols(k, pos[1])
-        # clear row and column k; pivoting may reintroduce entries, so loop
+        # clear row and column k; the least nonzero remainder becomes the
+        # pivot at once, since reducing by a larger pivot first lets the
+        # entries grow exponentially
         while True:
-            dirty = False
+            swap_rows(k, pos[0])
+            swap_cols(k, pos[1])
             for i in range(k + 1, rows):
                 if D[i][k] != 0:
-                    q = -(D[i][k] // D[k][k])
-                    add_row(k, i, q)
-                    if D[i][k] != 0:  # remainder became the smaller pivot
-                        swap_rows(k, i)
-                        dirty = True
+                    add_row(k, i, -(D[i][k] // D[k][k]))
             for j in range(k + 1, cols):
                 if D[k][j] != 0:
-                    q = -(D[k][j] // D[k][k])
-                    add_col(k, j, q)
-                    if D[k][j] != 0:
-                        swap_cols(k, j)
-                        dirty = True
-            if not dirty:
+                    add_col(k, j, -(D[k][j] // D[k][k]))
+            rest = ([(i, k) for i in range(k + 1, rows) if D[i][k] != 0]
+                    + [(k, j) for j in range(k + 1, cols) if D[k][j] != 0])
+            if not rest:
                 break
+            pos = min(rest, key=lambda ij: abs(D[ij[0]][ij[1]]))
         # enforce divisibility of the remaining block by the pivot
-        if D[k][k] != 0:
-            for i in range(k + 1, rows):
-                bad = next((j for j in range(k + 1, cols)
-                            if D[i][j] % D[k][k] != 0), None)
-                if bad is not None:
-                    add_row(i, k, 1)
-                    k -= 1
-                    break
+        bad = next((i for i in range(k + 1, rows)
+                    if any(D[i][j] % D[k][k] for j in range(k + 1, cols))), None)
+        if bad is not None:
+            add_row(bad, k, 1)
+            continue
         k += 1
 
     for i in range(min(rows, cols)):
@@ -151,33 +143,90 @@ def smith_normal_form(M: list, pivot: str = "min_abs"):
     return S, D, T
 
 
+def _eliminate(M: list, p: int = 0):
+    """Sparse unit-pivot elimination of the integer matrix M.
+
+    Over Z (p = 0) only an entry +-1 is a pivot; over GF(p) entries are
+    reduced mod p and every nonzero entry is one.  Each step takes the pivot
+    of least Markowitz cost (row nnz - 1) * (col nnz - 1), clears its column
+    with exact row operations and deletes its row and column, which leaves
+    M equivalent to diag(pivots) + the rest.  Returns the number of pivots
+    and the leftover block as a dense list of rows (always empty mod p).
+    """
+    rows = {}             # row index -> {col index: nonzero entry}
+    cols = {}             # col index -> set of row indices
+    for i, row in enumerate(M):
+        entries = ({j: v % p for j, v in enumerate(row) if v % p} if p
+                   else {j: v for j, v in enumerate(row) if v})
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+
+    pivots = 0
+    while True:
+        best, best_cost = None, None
+        for i, row in rows.items():
+            r = len(row) - 1
+            for j, v in row.items():
+                if p or v == 1 or v == -1:
+                    cost = r * (len(cols[j]) - 1)
+                    if best_cost is None or cost < best_cost:
+                        best, best_cost = (i, j), cost
+                        if not cost:
+                            break
+            if best_cost == 0:
+                break
+        if best is None:
+            break
+        i, j = best
+        prow = rows.pop(i)
+        for c in prow:
+            cols[c].discard(i)
+        inv = pow(prow.pop(j), -1, p) if p else prow.pop(j)
+        for k in cols.pop(j):
+            row = rows[k]
+            f = row.pop(j) * inv
+            if p:
+                f %= p
+            for c, v in prow.items():
+                new = row.get(c, 0) - f * v
+                if p:
+                    new %= p
+                if not new:
+                    del row[c]
+                    cols[c].discard(k)
+                else:
+                    if c not in row:
+                        cols[c].add(k)
+                    row[c] = new
+            if not row:
+                del rows[k]
+        pivots += 1
+
+    left = sorted(c for c, members in cols.items() if members)
+    return pivots, [[row.get(c, 0) for c in left] for row in rows.values()]
+
+
 def invariant_factors(M: list) -> list:
-    _, D, _ = smith_normal_form(M)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))
-            if D[i][i] != 0]
+    """Nonzero invariant factors of M: one 1 per unit pivot, then the Smith
+    normal form of the block the unit pivots leave behind."""
+    pivots, rest = _eliminate(M)
+    factors = [1] * pivots
+    if rest:
+        _, D, _ = smith_normal_form(rest)
+        factors += [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
+    return factors
 
 
 def rank_mod_p(M: list, p: int) -> int:
     """Rank of an integer matrix over the prime field GF(p)."""
-    A = [[x % p for x in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if A else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if A[r][col] % p), None)
-        if pivot is None:
-            continue
-        A[rank], A[pivot] = A[pivot], A[rank]
-        inv = pow(A[rank][col], p - 2, p)
-        A[rank] = [(x * inv) % p for x in A[rank]]
-        for r in range(rows):
-            if r != rank and A[r][col]:
-                factor = A[r][col]
-                A[r] = [(x - factor * y) % p for x, y in zip(A[r], A[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return _eliminate(M, p)[0]
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is a prime, by trial division."""
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +240,9 @@ class ChainComplexData:
     cochain duals, where degree -q holds the q-cochains).
     """
 
-    def __init__(self, basis: dict, diff: dict, shift: int = 0):
+    def __init__(self, basis: dict, diff: dict):
         self.basis = {d: list(labels) for d, labels in basis.items()}
         self.diff = diff
-        self.shift = shift  # records the cochain regrading, if any
         self.index = {d: {label: i for i, label in enumerate(labels)}
                       for d, labels in self.basis.items()}
 
@@ -273,7 +321,7 @@ def cochain_dual(C: ChainComplexData) -> ChainComplexData:
         # d on q-cochains is the transpose of the boundary out of q+1
         if C.dim(q + 1) and C.dim(q):
             diff[-q] = transpose(C.matrix(q + 1))
-    return ChainComplexData(basis, diff, shift=0 if C.shift else -1)
+    return ChainComplexData(basis, diff)
 
 
 class HomologySummary:
@@ -312,26 +360,29 @@ def homology(C: ChainComplexData, coefficients="Z") -> HomologySummary:
     """Homology of an integer chain complex.
 
     `coefficients` is "Z", "Q", or a prime p.  Over Z the torsion list per
-    degree holds the invariant factors > 1 of the incoming boundary.
+    degree holds the invariant factors > 1 of the incoming boundary.  Each
+    boundary matrix is eliminated once; its factors give both the rank out
+    of its source degree and the factors into its target degree.
     """
+    if coefficients in ("Z", "Q"):
+        eliminate = invariant_factors
+    else:
+        p = int(coefficients)
+        if not is_prime(p):
+            raise ValueError("coefficients must be Z, Q or a prime, "
+                             f"got {coefficients!r}")
+
+        def eliminate(M):  # over a field every pivot is a unit factor
+            return [1] * rank_mod_p(M, p)
     C.check_dd_zero()
+    factors = {d: eliminate(C.matrix(d)) for d in C.degrees
+               if C.dim(d) and C.dim(d - 1)}
     data = {}
     for d in C.degrees:
-        n = C.dim(d)
-        out_m = C.matrix(d)
-        in_m = C.matrix(d + 1)
-        if coefficients == "Z" or coefficients == "Q":
-            out_rank = len(invariant_factors(out_m)) if C.dim(d - 1) else 0
-            in_factors = invariant_factors(in_m) if C.dim(d + 1) else []
-            betti = n - out_rank - len(in_factors)
-            torsion = [f for f in in_factors if f > 1] if coefficients == "Z" else []
-        else:
-            p = int(coefficients)
-            out_rank = rank_mod_p(out_m, p) if C.dim(d - 1) else 0
-            in_rank = rank_mod_p(in_m, p) if C.dim(d + 1) else 0
-            betti = n - out_rank - in_rank
-            torsion = []
-        data[d] = (betti, torsion)
+        out_rank = len(factors.get(d, []))
+        in_factors = factors.get(d + 1, [])
+        torsion = [f for f in in_factors if f > 1] if coefficients == "Z" else []
+        data[d] = (C.dim(d) - out_rank - len(in_factors), torsion)
     return HomologySummary(data)
 
 

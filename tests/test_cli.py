@@ -91,3 +91,18 @@ def test_report_is_byte_stable(capsys):
     _, first = run(capsys, "verify", "--theorem", "su-cai", "--m", "3")
     _, second = run(capsys, "verify", "--theorem", "su-cai", "--m", "3")
     assert first == second
+
+
+@pytest.mark.parametrize("coeff", ["4", "1", "0", "-2", "x"])
+@pytest.mark.parametrize("command", ["homology", "tor"])
+def test_bad_coeff_is_a_usage_error(capsys, k1_path, command, coeff):
+    code, report = run(capsys, command, "--coeff", coeff, "--complex", k1_path)
+    assert code == 2
+    assert coeff in report["error"]
+    assert report["payload"] is None
+
+
+def test_prime_coeff(capsys, k1_path):
+    code, report = run(capsys, "homology", "--coeff", "3", "--complex", k1_path)
+    assert code == 0
+    assert report["payload"]["betti"] == [1, 7]

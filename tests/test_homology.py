@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permcomplex import simplicial
 from permcomplex.homology import (
     BoundaryError,
     ChainComplexData,
@@ -14,6 +15,11 @@ from permcomplex.homology import (
     invariant_factors,
     rank_mod_p,
     smith_normal_form,
+)
+from permcomplex.permutohedron import (
+    boundary,
+    build_perm_complex,
+    full_permutohedron,
 )
 
 
@@ -142,3 +148,62 @@ def test_snf_transforms_are_unimodular(M):
                 + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
     assert det3(U) in (1, -1)
     assert det3(V) in (1, -1)
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination engine against the dense Smith normal form
+
+small_matrices = st.integers(1, 7).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-4, 4), min_size=cols,
+                                   max_size=cols),
+                          min_size=1, max_size=7))
+
+
+def snf_factors(M):
+    D = smith_normal_form(M)[1]
+    return [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_invariant_factors_match_dense_snf(M):
+    assert invariant_factors(M) == snf_factors(M)
+
+
+@pytest.mark.parametrize("M, factors", [
+    (rp2_complex().matrix(2), [2]),
+    (rp2_complex().matrix(1), []),
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+])
+def test_invariant_factors_torsion_cases(M, factors):
+    assert invariant_factors(M) == snf_factors(M) == factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices)
+def test_rank_mod_p_counts_factors_prime_to_p(M):
+    factors = snf_factors(M)
+    for p in (2, 3, 5):
+        assert rank_mod_p(M, p) == sum(1 for f in factors if f % p)
+
+
+@pytest.mark.parametrize("coefficients", [4, 1, 0, -2])
+def test_homology_rejects_a_modulus_that_is_not_prime(coefficients):
+    with pytest.raises(ValueError):
+        homology(circle_complex(), coefficients)
+
+
+def test_perm_of_graph_skeleton_six():
+    # Perm(skeleton(6,1)) models the real no-3-equal space for n = 6;
+    # Bjoerner-Welker: free homology of ranks 1, 111, 20
+    X = build_perm_complex(simplicial.skeleton(6, 1))
+    h = homology(complex_from_boundary(X.by_dim, boundary))
+    assert h.betti_vector() == [1, 111, 20]
+    assert all(not h.torsion(d) for d in range(3))
+
+
+def test_full_permutohedron_six_is_a_point():
+    X = full_permutohedron(6)
+    h = homology(complex_from_boundary(X.by_dim, boundary))
+    assert h.betti_vector() == [1]
+    assert all(not h.torsion(d) for d in range(6))
