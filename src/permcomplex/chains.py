@@ -66,21 +66,6 @@ class FormalChain:
     def __getitem__(self, label):
         return self.terms.get(label, 0)
 
-    def map_basis(self, f) -> "FormalChain":
-        """Apply a linear map given on basis labels.  `f` returns a label,
-        a FormalChain, or None (meaning zero)."""
-        result = FormalChain()
-        for label, coeff in self.terms.items():
-            image = f(label)
-            if image is None:
-                continue
-            if isinstance(image, FormalChain):
-                for l2, c2 in image:
-                    result.add_term(l2, coeff * c2)
-            else:
-                result.add_term(image, coeff)
-        return result
-
     def __repr__(self):
         if not self.terms:
             return "0"

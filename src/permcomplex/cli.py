@@ -2,9 +2,9 @@
 
 Every subcommand emits a JSON report to stdout (or --out) of the form
 {"command", "input_digest", "checks", "payload"}.  Exit codes: 0 all
-checks passed, 1 a verification check failed, 2 usage error (argparse, or
-a --coeff that is not Z, Q or a prime), 3 malformed JSON input, 4 invalid
-input complex.  Reports are byte-stable for fixed inputs; wall-clock
+checks passed, 1 a verification check failed, 2 usage error (argparse, a
+--coeff that is not Z, Q or a prime, or an --m below 1), 3 malformed JSON
+input, 4 invalid input complex.  Reports are byte-stable for fixed inputs; wall-clock
 timing is only attached with --timing.
 """
 
@@ -15,9 +15,10 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 from . import bar, cubes, diagonals, permutohedron, projection, simplicial
-from .homology import HomologySummary, complex_from_boundary, is_prime
+from .homology import PRIME_TEST_BOUND, HomologySummary, complex_from_boundary, is_prime
 from .homology import homology as compute_homology
 
 EXIT_CHECK_FAILED = 1
@@ -61,10 +62,19 @@ def _coeff(value: str):
         p = int(value)
     except ValueError:
         p = 0
+    if p >= PRIME_TEST_BOUND:
+        raise CliError(f"--coeff {value} is too large: primes are only tested "
+                       f"below {PRIME_TEST_BOUND}", EXIT_USAGE)
     if not is_prime(p):
         raise CliError(f"--coeff must be Z, Q, or a prime, got {value}",
                        EXIT_USAGE)
     return p
+
+
+def _positive_m(m: int) -> int:
+    if m < 1:
+        raise CliError(f"--m must be at least 1, got {m}", EXIT_USAGE)
+    return m
 
 
 def _summary_payload(summary: HomologySummary) -> dict:
@@ -105,7 +115,7 @@ def cmd_tor(args, report):
 
 
 def cmd_diagonal(args, report):
-    top = diagonals.su_top_diagonal(args.m)
+    top = diagonals.su_top_diagonal(_positive_m(args.m))
     terms = [{"sign": sign,
               "left": permutohedron.face_to_json(left),
               "right": permutohedron.face_to_json(right)}
@@ -189,7 +199,7 @@ def cmd_verify(args, report):
     if args.theorem == "su-cai":
         if args.m is None:
             raise CliError("--theorem su-cai needs --m", EXIT_BAD_JSON)
-        result = projection.verify_su_cai(args.m)
+        result = projection.verify_su_cai(_positive_m(args.m))
         report["payload"] = result
         return [("su-cai", result["passed"])]
     if args.theorem == "image":
@@ -301,12 +311,11 @@ def main(argv=None) -> int:
 
 
 def _emit(report, args):
-    text = json.dumps(report, indent=1, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # json.dumps with an indent would hold the whole text, and every chunk
+    # of it, in memory at once; json.dump streams the same bytes
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -70,14 +70,14 @@ def cochain(m: int, sigma, tau) -> CubeCochain:
 
 def all_cells(m: int) -> list:
     result = []
-    for sigma in _subsets(range(1, m + 1)):
+    for sigma in subsets(range(1, m + 1)):
         rest = [i for i in range(1, m + 1) if i not in sigma]
-        for tau in _subsets(rest):
+        for tau in subsets(rest):
             result.append(CubeCell(m, sigma, tau))
     return result
 
 
-def _subsets(elements):
+def subsets(elements):
     elements = tuple(elements)
     for k in range(len(elements) + 1):
         yield from itertools.combinations(elements, k)
@@ -140,24 +140,11 @@ def cochain_complex(m: int, L: SimplicialComplex | None = None) -> ChainComplexD
     container differential lowers the degree; homology at -q is H^q."""
     basis = {}
     for c in all_cells(m):
-        a = CubeCochain(m, c.sigma, c.tau)
-        if L is not None and a.sigma not in L.simplices:
-            continue
-        basis.setdefault(-a.degree, []).append(a)
+        if L is None or c.sigma in L.simplices:
+            basis.setdefault(-c.dim, []).append(CubeCochain(m, c.sigma, c.tau))
     for labels in basis.values():
         labels.sort(key=lambda a: (a.sigma, a.tau))
-    # regrade: the map out of degree -q lands in -(q+1)
-    diff = {}
-    index = {d: {a: i for i, a in enumerate(labels)} for d, labels in basis.items()}
-    for d, labels in basis.items():
-        if d - 1 not in basis:
-            continue
-        M = [[0] * len(labels) for _ in basis[d - 1]]
-        for j, a in enumerate(labels):
-            for b, coeff in cochain_differential(a, L):
-                M[index[d - 1][b]][j] = coeff
-        diff[d] = M
-    return ChainComplexData(basis, diff)
+    return complex_from_boundary(basis, lambda a: cochain_differential(a, L))
 
 
 def inversion_count(A, B) -> int:

@@ -13,8 +13,8 @@ import itertools
 from functools import lru_cache
 
 from .chains import FormalChain, tensor
-from .cubes import CubeCell, CubeCochain, cup_whitney_basis, inversion_count, pair
-from .permutohedron import PartitionFace, PermComplex, boundary
+from .cubes import CubeCell, inversion_count
+from .permutohedron import PartitionFace, PermComplex
 from .sumatrix import columns_partition, csgn, enumerate_configurations, rows_partition
 
 
@@ -152,22 +152,3 @@ def cup_su(a: FormalChain, b: FormalChain, X: PermComplex,
         if value:
             result.add_term(F, value)
     return result
-
-
-def perm_cochain_differential(a: FormalChain, X: PermComplex, deg: int) -> FormalChain:
-    """Transpose of the cellular boundary of X on a degree-`deg` cochain."""
-    result = FormalChain()
-    for F in X.faces(deg + 1):
-        value = sum(coeff * a[G] for G, coeff in boundary(F))
-        if value:
-            result.add_term(F, value)
-    return result
-
-
-def cup_whitney_pairing_check(a: CubeCochain, b: CubeCochain, c: CubeCell) -> bool:
-    """<a cup b, c> = <a (x) b, cai_diagonal(c)> for basis elements."""
-    product = cup_whitney_basis(a, b)
-    lhs = 0 if product is None else product[0] * pair(product[1], c)
-    rhs = sum(sign * pair(a, left) * pair(b, right)
-              for (left, right), sign in cai_diagonal(c))
-    return lhs == rhs

@@ -2,15 +2,18 @@
 
 All linear algebra is exact: Python integers for elimination and Smith
 normal form, Fractions only transiently when inverting unimodular
-matrices.  Matrices are lists of rows.  `homology` reduces each boundary
+matrices.  A chain complex holds each boundary matrix as sparse columns,
+one {row index: nonzero coefficient} dict per column, from assembly
+through the d o d check to elimination.  `homology` reduces each boundary
 matrix by sparse unit-pivot elimination and runs the dense Smith normal
-form only on the block that has no unit pivot.
+form only on the block that has no unit pivot.  Dense matrices (lists of
+rows) appear only at the edges: `ChainComplexData.matrix`, the Smith
+normal form, `invariant_factors` and `rank_mod_p`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .chains import FormalChain
 
@@ -143,8 +146,9 @@ def smith_normal_form(M: list, pivot: str = "min_abs"):
     return S, D, T
 
 
-def _eliminate(M: list, p: int = 0):
-    """Sparse unit-pivot elimination of the integer matrix M.
+def _eliminate(columns: list, p: int = 0):
+    """Sparse unit-pivot elimination of the integer matrix whose columns are
+    the {row index: entry} dicts `columns`.
 
     Over Z (p = 0) only an entry +-1 is a pivot; over GF(p) entries are
     reduced mod p and every nonzero entry is one.  Each step takes the pivot
@@ -154,14 +158,17 @@ def _eliminate(M: list, p: int = 0):
     and the leftover block as a dense list of rows (always empty mod p).
     """
     rows = {}             # row index -> {col index: nonzero entry}
+    for j, column in enumerate(columns):
+        for i, v in column.items():
+            if p:
+                v %= p
+            if v:
+                rows.setdefault(i, {})[j] = v
+    rows = {i: rows[i] for i in sorted(rows)}  # pivot ties break by row index
     cols = {}             # col index -> set of row indices
-    for i, row in enumerate(M):
-        entries = ({j: v % p for j, v in enumerate(row) if v % p} if p
-                   else {j: v for j, v in enumerate(row) if v})
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                cols.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
 
     pivots = 0
     while True:
@@ -208,10 +215,19 @@ def _eliminate(M: list, p: int = 0):
     return pivots, [[row.get(c, 0) for c in left] for row in rows.values()]
 
 
-def invariant_factors(M: list) -> list:
-    """Nonzero invariant factors of M: one 1 per unit pivot, then the Smith
-    normal form of the block the unit pivots leave behind."""
-    pivots, rest = _eliminate(M)
+def _columns(M: list, ncols: int) -> list:
+    """The sparse columns of a dense matrix with `ncols` columns."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(M):
+        for j, v in enumerate(row):
+            if v:
+                columns[j][i] = v
+    return columns
+
+
+def _factors(columns: list) -> list:
+    """Nonzero invariant factors of a matrix given by sparse columns."""
+    pivots, rest = _eliminate(columns)
     factors = [1] * pivots
     if rest:
         _, D, _ = smith_normal_form(rest)
@@ -219,14 +235,47 @@ def invariant_factors(M: list) -> list:
     return factors
 
 
+def invariant_factors(M: list) -> list:
+    """Nonzero invariant factors of M: one 1 per unit pivot, then the Smith
+    normal form of the block the unit pivots leave behind."""
+    return _factors(_columns(M, len(M[0]) if M else 0))
+
+
 def rank_mod_p(M: list, p: int) -> int:
     """Rank of an integer matrix over the prime field GF(p)."""
-    return _eliminate(M, p)[0]
+    return _eliminate(_columns(M, len(M[0]) if M else 0), p)[0]
+
+
+# Miller-Rabin on the 13 primes 2..41 is exact below the least strong
+# pseudoprime to all of them, psi_13 (Sorenson and Webster, Math. Comp. 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is a prime, by trial division."""
-    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+    """Whether n is a prime, by deterministic Miller-Rabin.  Exact for
+    n < PRIME_TEST_BOUND (about 3.3e24); larger n raise ValueError."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is too large for the prime test")
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +284,26 @@ def is_prime(n: int) -> bool:
 class ChainComplexData:
     """Graded basis labels plus integer boundary matrices.
 
-    `diff[d]` maps degree-d chains to degree-(d-1) chains; its shape is
-    len(basis[d-1]) x len(basis[d]).  Degrees may be negative (used for
-    cochain duals, where degree -q holds the q-cochains).
+    `cols[d]` is the boundary out of degree d as sparse columns: one
+    {row index: nonzero coefficient} dict per degree-d basis element, the
+    row indices into the degree-(d-1) basis.  The constructor also takes a
+    matrix as a dense list of len(basis[d-1]) rows.  Degrees may be
+    negative (used for cochain duals, where degree -q holds the
+    q-cochains).
     """
 
     def __init__(self, basis: dict, diff: dict):
         self.basis = {d: list(labels) for d, labels in basis.items()}
-        self.diff = diff
         self.index = {d: {label: i for i, label in enumerate(labels)}
                       for d, labels in self.basis.items()}
+        self.cols = {d: M if M and isinstance(M[0], dict)
+                     else _columns(M, self.dim(d)) for d, M in diff.items()}
+
+    @property
+    def diff(self) -> dict:
+        """{degree: dense list of rows}, built on every read, for code that
+        reads the dense form (perfbench/tracer.py)."""
+        return {d: self.matrix(d) for d in self.cols}
 
     @property
     def degrees(self) -> list:
@@ -254,27 +313,23 @@ class ChainComplexData:
         return len(self.basis.get(d, []))
 
     def matrix(self, d: int) -> list:
-        """Boundary matrix out of degree d (zero matrix if absent)."""
-        M = self.diff.get(d)
-        if M is None:
-            return zeros(self.dim(d - 1), self.dim(d))
+        """Boundary matrix out of degree d as a dense list of rows (a zero
+        matrix if absent)."""
+        M = zeros(self.dim(d - 1), self.dim(d))
+        for j, column in enumerate(self.cols.get(d, ())):
+            for i, v in column.items():
+                M[i][j] = v
         return M
 
     def check_dd_zero(self) -> bool:
         for d in self.degrees:
-            outer = self.matrix(d)
-            inner = self.matrix(d + 1)
+            outer, inner = self.cols.get(d), self.cols.get(d + 1)
             if not outer or not inner:
                 continue
-            outer_cols = [{i: row[k] for i, row in enumerate(outer) if row[k]}
-                          for k in range(len(outer[0]))]
-            for j in range(len(inner[0])):
+            for column in inner:
                 acc = {}
-                for k in range(len(inner)):
-                    v = inner[k][j]
-                    if not v:
-                        continue
-                    for i, w in outer_cols[k].items():
+                for k, v in column.items():
+                    for i, w in outer[k].items():
                         acc[i] = acc.get(i, 0) + v * w
                 if any(acc.values()):
                     raise BoundaryError(f"D_{d} * D_{d + 1} != 0")
@@ -292,23 +347,25 @@ class ChainComplexData:
 
 def complex_from_boundary(cells_by_dim: dict, boundary_fn) -> ChainComplexData:
     """Assemble a ChainComplexData from graded cells and a boundary map
-    returning FormalChain.  Cell order within a degree is preserved."""
-    basis = {d: list(cells) for d, cells in cells_by_dim.items()}
-    index = {d: {c: i for i, c in enumerate(cells)} for d, cells in basis.items()}
-    diff = {}
-    for d in sorted(basis):
-        if d - 1 not in basis:
+    returning FormalChain, straight into sparse columns.  Cell order within
+    a degree is preserved."""
+    C = ChainComplexData(cells_by_dim, {})
+    for d in C.degrees:
+        index = C.index.get(d - 1)
+        if index is None:
             continue
-        M = zeros(len(basis[d - 1]), len(basis[d]))
-        for j, cell in enumerate(basis[d]):
+        columns = []
+        for cell in C.basis[d]:
+            column = {}
             for label, coeff in boundary_fn(cell):
-                i = index[d - 1].get(label)
+                i = index.get(label)
                 if i is None:
                     raise BoundaryError(
                         f"boundary of {cell} leaves the complex at {label}")
-                M[i][j] = coeff
-        diff[d] = M
-    return ChainComplexData(basis, diff)
+                column[i] = coeff
+            columns.append(column)
+        C.cols[d] = columns
+    return C
 
 
 def cochain_dual(C: ChainComplexData) -> ChainComplexData:
@@ -320,7 +377,11 @@ def cochain_dual(C: ChainComplexData) -> ChainComplexData:
     for q in C.degrees:
         # d on q-cochains is the transpose of the boundary out of q+1
         if C.dim(q + 1) and C.dim(q):
-            diff[-q] = transpose(C.matrix(q + 1))
+            columns = [{} for _ in range(C.dim(q))]
+            for j, column in enumerate(C.cols.get(q + 1, ())):
+                for i, v in column.items():
+                    columns[i][j] = v
+            diff[-q] = columns
     return ChainComplexData(basis, diff)
 
 
@@ -365,17 +426,17 @@ def homology(C: ChainComplexData, coefficients="Z") -> HomologySummary:
     of its source degree and the factors into its target degree.
     """
     if coefficients in ("Z", "Q"):
-        eliminate = invariant_factors
+        eliminate = _factors
     else:
         p = int(coefficients)
         if not is_prime(p):
             raise ValueError("coefficients must be Z, Q or a prime, "
                              f"got {coefficients!r}")
 
-        def eliminate(M):  # over a field every pivot is a unit factor
-            return [1] * rank_mod_p(M, p)
+        def eliminate(columns):  # over a field every pivot is a unit factor
+            return [1] * _eliminate(columns, p)[0]
     C.check_dd_zero()
-    factors = {d: eliminate(C.matrix(d)) for d in C.degrees
+    factors = {d: eliminate(C.cols.get(d, ())) for d in C.degrees
                if C.dim(d) and C.dim(d - 1)}
     data = {}
     for d in C.degrees:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .chains import FormalChain
-from .cubes import CubeCell
+from .cubes import CubeCell, subsets
 from .diagonals import cai_diagonal, su_diagonal
 from .permutohedron import PartitionFace, PermComplex, build_perm_complex, full_permutohedron
 from .simplicial import SimplicialComplex, from_facets
@@ -204,16 +204,11 @@ def _maximal_runs(J):
 def _cell_closure(cells) -> set:
     closure = set()
     for c in cells:
-        for sub in _subsets(c.sigma):
+        for sub in subsets(c.sigma):
             removed = [i for i in c.sigma if i not in sub]
-            for extra in _subsets(removed):
+            for extra in subsets(removed):
                 closure.add(CubeCell(c.m, sub, tuple(sorted(c.tau + extra))))
     return closure
-
-
-def _subsets(t):
-    for k in range(len(t) + 1):
-        yield from itertools.combinations(t, k)
 
 
 def verify_image(K: SimplicialComplex) -> dict:

@@ -164,4 +164,9 @@ def from_json_dict(data: dict) -> SimplicialComplex:
         facets = data["facets"]
     except (KeyError, TypeError) as exc:
         raise InvalidComplexError(f"complex JSON needs 'm' and 'facets': {exc}")
+    if type(m) is not int:  # bool is a subclass of int
+        raise InvalidComplexError(f"'m' must be an integer, got {type(m).__name__}")
+    if not isinstance(facets, list) or not all(
+            isinstance(f, list) and all(type(v) is int for v in f) for f in facets):
+        raise InvalidComplexError("'facets' must be a list of lists of integers")
     return from_facets(m, facets)

@@ -106,3 +106,50 @@ def test_prime_coeff(capsys, k1_path):
     code, report = run(capsys, "homology", "--coeff", "3", "--complex", k1_path)
     assert code == 0
     assert report["payload"]["betti"] == [1, 7]
+
+
+@pytest.mark.parametrize("data", [
+    {"m": "4", "facets": [[1, 2]]},
+    {"m": 3, "facets": [["a"]]},
+    {"m": 3, "facets": 5},
+    {"m": True, "facets": [[1]]},
+    {"m": 3, "facets": [[1, True]]},
+    [3, [[1, 2]]],
+])
+def test_mistyped_complex_json_is_an_invalid_complex(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, report = run(capsys, "homology", "--complex", str(path))
+    assert code == 4
+    assert report["error"] and report["payload"] is None
+
+
+def test_coeff_beyond_the_prime_test_is_a_usage_error(capsys, k1_path):
+    coeff = str(3317044064679887385961981)  # least strong pseudoprime to 2..41
+    code, report = run(capsys, "homology", "--coeff", coeff, "--complex", k1_path)
+    assert code == 2
+    assert "too large" in report["error"]
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+@pytest.mark.parametrize("argv", [["diagonal"], ["verify", "--theorem", "su-cai"]])
+def test_m_below_one_is_a_usage_error(capsys, argv, m):
+    code, report = run(capsys, *argv, "--m", m)
+    assert code == 2
+    assert m in report["error"]
+    assert report["payload"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--complex", None],
+    ["diagonal", "--m", "4"],
+    ["verify", "--theorem", "su-cai", "--m", "4"],
+])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, k1_path, argv):
+    argv = [k1_path if a is None else a for a in argv]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out)] + argv) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +9,14 @@ from permcomplex.homology import (
     BoundaryError,
     ChainComplexData,
     HomologySummary,
+    PRIME_TEST_BOUND,
     cochain_dual,
     complex_from_boundary,
     homology,
     homology_generators,
     invariant_factors,
+    is_prime,
+    mat_mult,
     rank_mod_p,
     smith_normal_form,
 )
@@ -207,3 +211,113 @@ def test_full_permutohedron_six_is_a_point():
     h = homology(complex_from_boundary(X.by_dim, boundary))
     assert h.betti_vector() == [1]
     assert all(not h.torsion(d) for d in range(6))
+
+
+def test_full_permutohedron_five_never_densifies(monkeypatch):
+    # assembly, the d o d check and elimination all stay on sparse columns
+    def dense(self, d):
+        raise AssertionError(f"dense matrix built for degree {d}")
+    monkeypatch.setattr(ChainComplexData, "matrix", dense)
+    C = complex_from_boundary(full_permutohedron(5).by_dim, boundary)
+    assert homology(C).betti_vector() == [1]
+    assert homology(C, 2).betti_vector() == [1]
+
+
+# ---------------------------------------------------------------------------
+# sparse columns against the dense lists of rows they replace
+
+def random_complexes():
+    """Chain complexes on degrees 0..n-1 with dims 0..4 and entries -2..2,
+    as (basis, {degree: dense list of rows}); d o d is rarely zero."""
+    def build(dims):
+        basis = {d: [f"c{d}_{i}" for i in range(n)] for d, n in enumerate(dims)}
+        return st.fixed_dictionaries({
+            d: st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]),
+                                 min_size=dims[d], max_size=dims[d]),
+                        min_size=dims[d - 1], max_size=dims[d - 1])
+            for d in range(1, len(dims))}).map(lambda diff: (basis, diff))
+    return st.lists(st.integers(0, 4), min_size=1, max_size=4).flatmap(build)
+
+
+def exact_complex(seed):
+    """A direct sum of complexes Z -k-> Z (k in 1, 2, 4) and free Z's, in
+    degrees 0..3, written in a basis scrambled by elementary changes of
+    basis, so that d o d = 0 with dense nonzero matrices.  Returns
+    (basis, diff, betti by degree, torsion by degree)."""
+    rng = random.Random(seed)
+    dims, arrows = [0] * 4, []
+    betti, torsion = [0] * 4, [[] for _ in range(4)]
+    for _ in range(rng.randint(1, 6)):
+        d = rng.randint(0, 3)
+        if d and rng.random() < 0.7:
+            k = rng.choice([1, 2, 4])
+            arrows.append((d, dims[d], dims[d - 1], k))
+            dims[d - 1] += 1
+            if k > 1:
+                torsion[d - 1].append(k)
+        else:
+            betti[d] += 1
+        dims[d] += 1
+    diff = {d: [[0] * dims[d] for _ in range(dims[d - 1])] for d in range(1, 4)}
+    for d, j, i, k in arrows:
+        diff[d][i][j] = k
+    for _ in range(12):  # new basis e_a + c e_b in degree d
+        d = rng.randint(0, 3)
+        if dims[d] < 2:
+            continue
+        a, b = rng.sample(range(dims[d]), 2)
+        c = rng.choice([-1, 1])
+        if d:
+            for row in diff[d]:
+                row[b] -= c * row[a]
+        if d < 3:
+            diff[d + 1][a] = [x + c * y for x, y in zip(diff[d + 1][a], diff[d + 1][b])]
+    basis = {d: [f"c{d}_{i}" for i in range(n)] for d, n in enumerate(dims)}
+    return basis, diff, betti, [sorted(t) for t in torsion]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_complexes(),
+                 st.integers(0, 10 ** 6).map(lambda seed: exact_complex(seed)[:2])))
+def test_sparse_columns_agree_with_dense_rows(complex_data):
+    basis, diff = complex_data
+    C = ChainComplexData(basis, diff)
+    for d, M in diff.items():
+        assert C.matrix(d) == M
+    dd_nonzero = any(any(map(any, mat_mult(diff[d], diff[d + 1])))
+                     for d in diff if d + 1 in diff)
+    if dd_nonzero:
+        with pytest.raises(BoundaryError):
+            C.check_dd_zero()
+    else:
+        assert C.check_dd_zero()
+    D = cochain_dual(C)
+    for q in C.degrees:
+        M = C.matrix(q + 1)
+        assert D.matrix(-q) == [[M[i][j] for i in range(C.dim(q))]
+                                for j in range(C.dim(q + 1))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_homology_of_scrambled_elementary_complexes(seed):
+    basis, diff, betti, torsion = exact_complex(seed)
+    h = homology(ChainComplexData(basis, diff))
+    assert [h.betti(d) for d in range(4)] == betti
+    assert [h.torsion(d) for d in range(4)] == torsion
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(-2, 10 ** 5):
+        assert is_prime(n) == (n >= 2 and all(n % q for q in range(2, isqrt(n) + 1)))
+
+
+def test_is_prime_on_strong_pseudoprimes_and_its_bound():
+    # 3215031751 fools the bases 2, 3, 5, 7 and 3825123056546413051 the
+    # primes up to 23; then a 15-digit and a 19-digit prime
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(999999999999989)
+    assert is_prime(2 ** 61 - 1)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_BOUND)
