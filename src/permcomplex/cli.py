@@ -179,7 +179,7 @@ def cmd_project(args, report):
         c = projection.rho_face(F)
         payload["face_image"] = {"sigma": list(c.sigma), "tau": list(c.tau),
                                  "dimension_preserved":
-                                     projection.preserves_dimension(F)}
+                                     projection.blocks_are_intervals(F)}
     report["payload"] = payload
     return []
 
@@ -198,18 +198,18 @@ def cmd_rmac(args, report):
 def cmd_verify(args, report):
     if args.theorem == "su-cai":
         if args.m is None:
-            raise CliError("--theorem su-cai needs --m", EXIT_BAD_JSON)
+            raise CliError("--theorem su-cai needs --m", EXIT_USAGE)
         result = projection.verify_su_cai(_positive_m(args.m))
         report["payload"] = result
         return [("su-cai", result["passed"])]
     if args.theorem == "image":
         if args.complex is None:
-            raise CliError("--theorem image needs --complex", EXIT_BAD_JSON)
+            raise CliError("--theorem image needs --complex", EXIT_USAGE)
         K, report["input_digest"] = _load_complex(args.complex)
         result = projection.verify_image(K)
         report["payload"] = result
         return [("image", result["passed"])]
-    raise CliError(f"unknown theorem {args.theorem}", EXIT_BAD_JSON)
+    raise CliError(f"unknown theorem {args.theorem}", EXIT_USAGE)
 
 
 def cmd_geometry(args, report):
@@ -235,11 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Permutohedral complexes, their (co)homology, and the "
                     "cellular diagonals of the permutohedron and the cube.")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized auxiliary data")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap for exhaustive verifications "
-                             "(results are independent of it)")
     parser.add_argument("--timing", action="store_true",
                         help="attach wall-clock timing to the report")
     sub = parser.add_subparsers(dest="command", required=True)

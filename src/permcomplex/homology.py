@@ -6,14 +6,18 @@ matrices.  A chain complex holds each boundary matrix as sparse columns,
 one {row index: nonzero coefficient} dict per column, from assembly
 through the d o d check to elimination.  `homology` reduces each boundary
 matrix by sparse unit-pivot elimination and runs the dense Smith normal
-form only on the block that has no unit pivot.  Dense matrices (lists of
-rows) appear only at the edges: `ChainComplexData.matrix`, the Smith
-normal form, `invariant_factors` and `rank_mod_p`.
+form only on the block that has no unit pivot.  Candidate pivots wait in
+a heap keyed by Markowitz cost; a key is checked and, if the cost has
+risen, renewed only when its entry reaches the top, so no step rescans
+the matrix.  Dense matrices (lists of rows) appear only at the edges:
+`ChainComplexData.matrix`, the Smith normal form, `invariant_factors`
+and `rank_mod_p`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .chains import FormalChain
 
@@ -151,11 +155,18 @@ def _eliminate(columns: list, p: int = 0):
     the {row index: entry} dicts `columns`.
 
     Over Z (p = 0) only an entry +-1 is a pivot; over GF(p) entries are
-    reduced mod p and every nonzero entry is one.  Each step takes the pivot
-    of least Markowitz cost (row nnz - 1) * (col nnz - 1), clears its column
-    with exact row operations and deletes its row and column, which leaves
-    M equivalent to diag(pivots) + the rest.  Returns the number of pivots
-    and the leftover block as a dense list of rows (always empty mod p).
+    reduced mod p and every nonzero entry is one.  Candidate pivots wait in
+    a heap keyed by Markowitz cost (row nnz - 1) * (col nnz - 1), ties broken
+    by (row, col).  The heap is seeded once with every unit entry; after a
+    pivot, only the unit entries its row operations created or changed are
+    pushed.  Keys go stale as the matrix changes, so a popped entry that is
+    gone or no longer a unit is dropped, and one whose cost has risen is
+    pushed back with its new cost; any other is taken.  Every live unit
+    entry keeps a heap item, so an empty heap means no unit pivot is left.
+    Each pivot's column is cleared with exact row operations and its row
+    and column are deleted, which leaves M equivalent to diag(pivots) + the
+    rest.  Returns the number of pivots and the leftover block as a dense
+    list of rows (always empty mod p).
     """
     rows = {}             # row index -> {col index: nonzero entry}
     for j, column in enumerate(columns):
@@ -164,30 +175,27 @@ def _eliminate(columns: list, p: int = 0):
                 v %= p
             if v:
                 rows.setdefault(i, {})[j] = v
-    rows = {i: rows[i] for i in sorted(rows)}  # pivot ties break by row index
     cols = {}             # col index -> set of row indices
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
 
+    queue = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
+             for i, row in rows.items() for j, v in row.items()
+             if p or v == 1 or v == -1]
+    heapify(queue)
     pivots = 0
-    while True:
-        best, best_cost = None, None
-        for i, row in rows.items():
-            r = len(row) - 1
-            for j, v in row.items():
-                if p or v == 1 or v == -1:
-                    cost = r * (len(cols[j]) - 1)
-                    if best_cost is None or cost < best_cost:
-                        best, best_cost = (i, j), cost
-                        if not cost:
-                            break
-            if best_cost == 0:
-                break
-        if best is None:
-            break
-        i, j = best
-        prow = rows.pop(i)
+    while queue:
+        cost, i, j = heappop(queue)
+        prow = rows.get(i)
+        v = prow.get(j) if prow else None
+        if v is None or not (p or v == 1 or v == -1):
+            continue
+        now = (len(prow) - 1) * (len(cols[j]) - 1)
+        if now > cost:
+            heappush(queue, (now, i, j))
+            continue
+        del rows[i]
         for c in prow:
             cols[c].discard(i)
         inv = pow(prow.pop(j), -1, p) if p else prow.pop(j)
@@ -196,6 +204,7 @@ def _eliminate(columns: list, p: int = 0):
             f = row.pop(j) * inv
             if p:
                 f %= p
+            units = []    # pushed once row k has its final length
             for c, v in prow.items():
                 new = row.get(c, 0) - f * v
                 if p:
@@ -207,8 +216,13 @@ def _eliminate(columns: list, p: int = 0):
                     if c not in row:
                         cols[c].add(k)
                     row[c] = new
+                    if p or new == 1 or new == -1:
+                        units.append(c)
             if not row:
                 del rows[k]
+            r = len(row) - 1
+            for c in units:
+                heappush(queue, (r * (len(cols[c]) - 1), k, c))
         pivots += 1
 
     left = sorted(c for c, members in cols.items() if members)

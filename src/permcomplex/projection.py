@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .chains import FormalChain
-from .cubes import CubeCell, subsets
+from .cubes import CubeCell, all_cells, subsets
 from .diagonals import cai_diagonal, su_diagonal
 from .permutohedron import PartitionFace, PermComplex, build_perm_complex, full_permutohedron
 from .simplicial import SimplicialComplex, from_facets
@@ -35,13 +35,9 @@ def rho_face(F: PartitionFace) -> CubeCell:
     return CubeCell(F.m - 1, tuple(sigma), tuple(tau))
 
 
-def preserves_dimension(F: PartitionFace) -> bool:
-    """Equivalent (and tested equal) to every block being an integer
-    interval."""
-    return rho_face(F).dim == F.dim
-
-
 def blocks_are_intervals(F: PartitionFace) -> bool:
+    """Whether every block is a run of consecutive integers, which is
+    exactly when rho_face keeps the dimension of F (tested through m = 5)."""
     return all(b[-1] - b[0] + 1 == len(b) for b in F.blocks)
 
 
@@ -65,7 +61,7 @@ def rho_chain(chain: FormalChain) -> FormalChain:
     the rest to their image cell with the orientation sign."""
     result = FormalChain()
     for F, coeff in chain:
-        if preserves_dimension(F):
+        if blocks_are_intervals(F):
             result.add_term(rho_face(F), coeff * rho_sign(F))
     return result
 
@@ -161,11 +157,11 @@ def verify_su_cai(m: int) -> dict:
         for F in faces:
             lhs = FormalChain()
             for (left, right), sign in su_diagonal(F):
-                if preserves_dimension(left) and preserves_dimension(right):
+                if blocks_are_intervals(left) and blocks_are_intervals(right):
                     lhs.add_term((rho_face(left), rho_face(right)),
                                  sign * rho_sign(left) * rho_sign(right))
             rhs = FormalChain()
-            if preserves_dimension(F):
+            if blocks_are_intervals(F):
                 rhs = rho_sign(F) * cai_diagonal(rho_face(F))
             checked += 1
             if lhs != rhs:
@@ -217,7 +213,7 @@ def verify_image(K: SimplicialComplex) -> dict:
     X = build_perm_complex(K)
     image = _cell_closure(rho_face(F) for F in X.all())
     L = L_of_K(K)
-    expected = {c for c in _all_cube_cells(K.m - 1) if c.sigma in L.simplices}
+    expected = {c for c in all_cells(K.m - 1) if c.sigma in L.simplices}
     report = {
         "m": K.m,
         "L": [list(s) for s in L.simplices_sorted() if s],
@@ -238,8 +234,3 @@ def verify_image(K: SimplicialComplex) -> dict:
             "the face rule; the worked quadrilateral example lists these "
             "two images the other way around (suspected typo).")
     return report
-
-
-def _all_cube_cells(m: int):
-    from .cubes import all_cells
-    return all_cells(m)

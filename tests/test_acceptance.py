@@ -35,8 +35,8 @@ from permcomplex.permutohedron import (
 )
 from permcomplex.projection import (
     L_of_K,
+    blocks_are_intervals,
     detect_snake,
-    preserves_dimension,
     rho_face,
     rho_sign,
     verify_image,
@@ -155,7 +155,7 @@ def top_cell_projection_agrees(m):
     F = top_face(m)
     lhs = FormalChain()
     for (left, right), sign in su_diagonal(F):
-        if preserves_dimension(left) and preserves_dimension(right):
+        if blocks_are_intervals(left) and blocks_are_intervals(right):
             lhs.add_term((rho_face(left), rho_face(right)),
                          sign * rho_sign(left) * rho_sign(right))
     rhs = rho_sign(F) * cai_diagonal(rho_face(F))
@@ -299,8 +299,8 @@ def test_criterion_10_snakes(capsys):
         for q in range(1, m + 1):
             for rec in enumerate_configurations(q, m + 1 - q):
                 A = rec.matrix
-                if (preserves_dimension(columns_partition(A))
-                        and preserves_dimension(rows_partition(A))):
+                if (blocks_are_intervals(columns_partition(A))
+                        and blocks_are_intervals(rows_partition(A))):
                     preserved += 1
                     if detect_snake(A) is None:
                         passed = False

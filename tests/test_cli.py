@@ -140,6 +140,15 @@ def test_m_below_one_is_a_usage_error(capsys, argv, m):
     assert report["payload"] is None
 
 
+@pytest.mark.parametrize("theorem, needs", [("su-cai", "--m"),
+                                            ("image", "--complex")])
+def test_verify_without_its_input_is_a_usage_error(capsys, theorem, needs):
+    code, report = run(capsys, "verify", "--theorem", theorem)
+    assert code == 2
+    assert needs in report["error"]
+    assert report["payload"] is None
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--complex", None],
     ["diagonal", "--m", "4"],

@@ -2,7 +2,7 @@ import random
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permcomplex import simplicial
 from permcomplex.homology import (
@@ -10,6 +10,9 @@ from permcomplex.homology import (
     ChainComplexData,
     HomologySummary,
     PRIME_TEST_BOUND,
+    _columns,
+    _eliminate,
+    _factors,
     cochain_dual,
     complex_from_boundary,
     homology,
@@ -191,6 +194,25 @@ def test_rank_mod_p_counts_factors_prime_to_p(M):
         assert rank_mod_p(M, p) == sum(1 for f in factors if f % p)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.randoms(use_true_random=False))
+@example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], random.Random(0))
+def test_elimination_ignores_row_and_column_order(M, rnd):
+    # pivot order follows the row and column labels; the answer must not.
+    # Over Z only the factors are invariant: how many unit pivots the
+    # search finds before the dense hand-off depends on the order.
+    rows, cols = list(range(len(M))), list(range(len(M[0])))
+    rnd.shuffle(rows)
+    rnd.shuffle(cols)
+    A = _columns(M, len(cols))
+    B = _columns([[M[i][j] for j in cols] for i in rows], len(cols))
+    factors = snf_factors(M)
+    assert _factors(A) == _factors(B) == factors
+    for p in (2, 3, 5):
+        rank = sum(1 for f in factors if f % p)
+        assert _eliminate(A, p)[0] == _eliminate(B, p)[0] == rank
+
+
 @pytest.mark.parametrize("coefficients", [4, 1, 0, -2])
 def test_homology_rejects_a_modulus_that_is_not_prime(coefficients):
     with pytest.raises(ValueError):
@@ -204,6 +226,16 @@ def test_perm_of_graph_skeleton_six():
     h = homology(complex_from_boundary(X.by_dim, boundary))
     assert h.betti_vector() == [1, 111, 20]
     assert all(not h.torsion(d) for d in range(3))
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_perm_of_simplex_boundary_is_a_sphere(m):
+    # Perm(boundary of the (m-1)-simplex) is the boundary of Perm^{m-1},
+    # a sphere S^{m-2}
+    X = build_perm_complex(simplicial.skeleton(m, m - 2))
+    h = homology(complex_from_boundary(X.by_dim, boundary))
+    assert h.betti_vector() == [1] + [0] * (m - 3) + [1]
+    assert all(not h.torsion(d) for d in range(m - 1))
 
 
 def test_full_permutohedron_six_is_a_point():

@@ -5,7 +5,6 @@ from permcomplex.projection import (
     L_of_K,
     blocks_are_intervals,
     detect_snake,
-    preserves_dimension,
     rho_chain,
     rho_face,
     rho_sign,
@@ -30,15 +29,15 @@ def test_rho_face_vertices():
 
 
 def test_rho_face_dimension_preserved_on_interval_blocks():
-    F = face(4, [1, 2], [3, 4])
-    assert blocks_are_intervals(F)
-    assert preserves_dimension(F)
-    assert rho_face(F).dim == F.dim
+    # rho_chain and verify_su_cai rely on this equivalence
+    for m in range(1, 6):
+        for F in all_faces(m):
+            assert blocks_are_intervals(F) == (rho_face(F).dim == F.dim), F
 
 
 def test_rho_face_drops_dimension_on_non_intervals():
     F = face(3, [1, 3], [2])
-    assert not preserves_dimension(F)
+    assert not blocks_are_intervals(F)
     assert rho_face(F).dim < F.dim
 
 
@@ -61,7 +60,7 @@ def test_rho_chain_commutes_with_boundaries():
             lhs = rho_chain(boundary(F))
             rhs = FormalChain()
             G = rho_face(F)
-            if preserves_dimension(F):
+            if blocks_are_intervals(F):
                 rhs = rho_sign(F) * cube_boundary(G)
             assert lhs == rhs, F
 
@@ -113,8 +112,8 @@ def test_snake_dimension_preserved_configurations():
             p = m + 1 - q
             for rec in enumerate_configurations(q, p):
                 A = rec.matrix
-                if (preserves_dimension(columns_partition(A))
-                        and preserves_dimension(rows_partition(A))):
+                if (blocks_are_intervals(columns_partition(A))
+                        and blocks_are_intervals(rows_partition(A))):
                     count += 1
                     assert detect_snake(A) is not None, A
         assert count == 2 ** (m - 1)
