@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .chains import FormalChain
 from .homology import ChainComplexData, HomologySummary, complex_from_boundary, homology
-from .permutohedron import PartitionFace, ordered_partitions, shuffle_sign
+from .permutohedron import PartitionFace, face, ordered_partitions, shuffle_sign
 from .simplicial import SimplicialComplex
 
 
@@ -96,7 +96,9 @@ def phi(F: PartitionFace) -> BarWord:
 
 
 def phi_inverse(w: BarWord) -> PartitionFace:
-    return PartitionFace(w.m, w.letters)
+    """The face whose blocks are the letters of w; ValueError unless they
+    partition [m] (a bar word's letters need not)."""
+    return face(w.m, *w.letters)
 
 
 def tor_ranks(K: SimplicialComplex, coefficients="Z") -> HomologySummary:

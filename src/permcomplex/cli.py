@@ -4,8 +4,9 @@ Every subcommand emits a JSON report to stdout (or --out) of the form
 {"command", "input_digest", "checks", "payload"}.  Exit codes: 0 all
 checks passed, 1 a verification check failed, 2 usage error (argparse, a
 --coeff that is not Z, Q or a prime, or an --m below 1), 3 malformed JSON
-input, 4 invalid input complex.  Reports are byte-stable for fixed inputs; wall-clock
-timing is only attached with --timing.
+input (including a --face or a cochain file whose faces are not ordered
+partitions of [m]), 4 invalid input complex.  Reports are byte-stable for
+fixed inputs; wall-clock timing is only attached with --timing.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ def _load_json(path: str):
         with open(path, "rb") as fh:
             raw = fh.read()
         return json.loads(raw), hashlib.sha256(raw).hexdigest()
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+    # ValueError: bad JSON or encoding; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read JSON from {path}: {exc}", EXIT_BAD_JSON)
 
 
@@ -126,12 +128,23 @@ def cmd_diagonal(args, report):
 
 
 def _load_perm_cochain(path: str, m: int):
+    """A cochain file: a list of {"face": block list, "coeff": integer}
+    terms of one degree, "coeff" defaulting to 1."""
     data, _ = _load_json(path)
     from .chains import FormalChain
     result = FormalChain()
     degrees = set()
+    if not isinstance(data, list):
+        raise CliError(f"cochain in {path} is not a list of terms", EXIT_BAD_JSON)
     for term in data:
-        F = permutohedron.face_from_json(term["face"], m)
+        if not (isinstance(term, dict) and "face" in term
+                and type(term.get("coeff", 1)) is int):
+            raise CliError(f"cochain term {term!r} in {path} needs a face "
+                           f"and an integer coeff", EXIT_BAD_JSON)
+        try:
+            F = permutohedron.face_from_json(term["face"], m)
+        except ValueError as exc:
+            raise CliError(f"bad face in cochain {path}: {exc}", EXIT_BAD_JSON)
         degrees.add(F.dim)
         result.add_term(F, term.get("coeff", 1))
     if len(degrees) > 1:
@@ -160,13 +173,12 @@ def _parse_face(text: str, m: int):
     Bar notation reads each character of a block as one element, so it
     only covers m <= 9; use JSON beyond that."""
     try:
-        return permutohedron.face_from_json(json.loads(text), m)
-    except json.JSONDecodeError:
-        pass
-    try:
-        blocks = [[int(ch) for ch in part] for part in text.split("|")]
-        return permutohedron.face_from_json(blocks, m)
-    except (ValueError, KeyError) as exc:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            data = [[int(ch) for ch in part] for part in text.split("|")]
+        return permutohedron.face_from_json(data, m)
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"cannot parse face {text!r}: {exc}", EXIT_BAD_JSON)
 
 

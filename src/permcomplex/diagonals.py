@@ -40,38 +40,36 @@ def su_top_diagonal(m: int) -> FormalChain:
     return result
 
 
-def _relabel(blocks: tuple, values: tuple) -> tuple:
-    """Order-preservingly rename 1..n inside `blocks` to `values`."""
-    return tuple(tuple(values[i - 1] for i in block) for block in blocks)
+@lru_cache(maxsize=None)
+def _block_terms(block: tuple) -> tuple:
+    """The top-cell terms of the permutohedron on `block`, with 1..n
+    renamed order-preservingly to its elements: (sign, left blocks, right
+    blocks, left degree, right degree)."""
+    n = len(block)
+    return tuple((sign,
+                  tuple(tuple(block[i - 1] for i in b) for b in left),
+                  tuple(tuple(block[i - 1] for i in b) for b in right),
+                  n - len(left), n - len(right))
+                 for sign, left, right in _top_cell_terms(n))
 
 
 def su_diagonal(F: PartitionFace) -> FormalChain:
     """Comultiplicative extension: apply the top-cell diagonal inside each
     block and interleave the per-block tensor factors."""
-    per_block = []
-    for block in F.blocks:
-        n = len(block)
-        terms = [(sign, _relabel(left, block), _relabel(right, block))
-                 for sign, left, right in _top_cell_terms(n)]
-        per_block.append(terms)
-
     result = FormalChain()
-    for choice in itertools.product(*per_block):
-        sign = 1
-        for s, _, _ in choice:
+    for choice in itertools.product(*map(_block_terms, F.blocks)):
+        # Koszul interchange: each left factor moves past the right
+        # factors of the earlier blocks
+        sign, exponent, right_degree = 1, 0, 0
+        left_blocks, right_blocks = (), ()
+        for s, left, right, deg_left, deg_right in choice:
             sign *= s
-        # Koszul interchange: move each right factor past the left factors
-        # of the later blocks
-        exponent = 0
-        for j in range(len(choice)):
-            deg_right_j = len(F.blocks[j]) - len(choice[j][2])
-            for k in range(j + 1, len(choice)):
-                deg_left_k = len(F.blocks[k]) - len(choice[k][1])
-                exponent += deg_right_j * deg_left_k
+            exponent += deg_left * right_degree
+            right_degree += deg_right
+            left_blocks += left
+            right_blocks += right
         if exponent % 2:
             sign = -sign
-        left_blocks = tuple(b for _, left, _ in choice for b in left)
-        right_blocks = tuple(b for _, _, right in choice for b in right)
         result.add_term(
             (PartitionFace(F.m, left_blocks), PartitionFace(F.m, right_blocks)),
             sign)

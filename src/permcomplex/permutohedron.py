@@ -5,6 +5,12 @@ complex (both the real and the doubled/complex-arrangement variant).
 A face of the (m-1)-permutohedron is an ordered partition (U_1|...|U_p) of
 [m]; its dimension is m - p.  Refining the partition passes to a face of
 the boundary.
+
+`PartitionFace` is a plain record: building one checks nothing, because
+enumeration, boundaries, the diagonals and the configuration matrices make
+partitions by construction.  Blocks from outside the program (the CLI's
+`--face`, cochain files, bar words) go through `face` or `face_from_json`,
+which check that they partition [m].
 """
 
 from __future__ import annotations
@@ -17,21 +23,15 @@ from .chains import FormalChain
 from .simplicial import SimplicialComplex, minimal_nonfaces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionFace:
-    """Ordered partition (U_1|...|U_p) of [m]; blocks are increasing tuples."""
+    """Ordered partition (U_1|...|U_p) of [m]; blocks are increasing tuples.
+
+    Unchecked: use `face` or `face_from_json` for blocks that may not
+    partition [m]."""
 
     m: int
     blocks: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for block in self.blocks:
-            if not block or list(block) != sorted(set(block)):
-                raise ValueError(f"bad block {block}")
-            seen.update(block)
-        if seen != set(range(1, self.m + 1)) or sum(map(len, self.blocks)) != self.m:
-            raise ValueError(f"blocks {self.blocks} do not partition [1, {self.m}]")
 
     @property
     def dim(self) -> int:
@@ -42,7 +42,17 @@ class PartitionFace:
 
 
 def face(m: int, *blocks) -> PartitionFace:
-    return PartitionFace(m, tuple(tuple(sorted(b)) for b in blocks))
+    """The face with the given blocks (sorted here), checked to be an
+    ordered partition of [m] into nonempty blocks; ValueError otherwise."""
+    blocks = tuple(tuple(sorted(b)) for b in blocks)
+    seen = set()
+    for block in blocks:
+        if not block or list(block) != sorted(set(block)):
+            raise ValueError(f"bad block {block}")
+        seen.update(block)
+    if seen != set(range(1, m + 1)) or sum(map(len, blocks)) != m:
+        raise ValueError(f"blocks {blocks} do not partition [1, {m}]")
+    return PartitionFace(m, blocks)
 
 
 def top_face(m: int) -> PartitionFace:
@@ -251,10 +261,15 @@ def face_to_json(F: PartitionFace) -> list:
 
 
 def face_from_json(data, m: int | None = None) -> PartitionFace:
-    blocks = tuple(tuple(sorted(b)) for b in data)
+    """The face a JSON block list names, on [m] (by default the number of
+    elements listed).  ValueError unless `data` is a list of lists of
+    integers partitioning [m]."""
+    if not isinstance(data, list) or not all(
+            isinstance(b, list) and all(type(i) is int for i in b) for b in data):
+        raise ValueError(f"a face is a list of integer lists, not {data!r}")
     if m is None:
-        m = sum(len(b) for b in blocks)
-    return PartitionFace(m, blocks)
+        m = sum(len(b) for b in data)
+    return face(m, *data)
 
 
 def geometry_json(X: PermComplex) -> dict:

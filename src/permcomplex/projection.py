@@ -151,18 +151,29 @@ def detect_snake(M: OrderedMatrix):
 def verify_su_cai(m: int) -> dict:
     """Check (rho (x) rho) Delta_SU = Delta_C(rho) on every face of
     Perm^{m-1}; discrepancies are reported, not raised."""
+    images = {}  # blocks -> (image cell, rho_sign), None if the dimension drops
+
+    def image(F):
+        try:
+            return images[F.blocks]
+        except KeyError:
+            value = images[F.blocks] = (
+                (rho_face(F), rho_sign(F)) if blocks_are_intervals(F) else None)
+            return value
+
     mismatches = []
     checked = 0
     for faces in full_permutohedron(m).by_dim.values():
         for F in faces:
             lhs = FormalChain()
             for (left, right), sign in su_diagonal(F):
-                if blocks_are_intervals(left) and blocks_are_intervals(right):
-                    lhs.add_term((rho_face(left), rho_face(right)),
-                                 sign * rho_sign(left) * rho_sign(right))
+                a, b = image(left), image(right)
+                if a and b:
+                    lhs.add_term((a[0], b[0]), sign * a[1] * b[1])
             rhs = FormalChain()
-            if blocks_are_intervals(F):
-                rhs = rho_sign(F) * cai_diagonal(rho_face(F))
+            c = image(F)
+            if c:
+                rhs = c[1] * cai_diagonal(c[0])
             checked += 1
             if lhs != rhs:
                 mismatches.append({"face": repr(F),

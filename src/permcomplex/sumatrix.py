@@ -11,6 +11,7 @@ Entries and indices are 1-based throughout, matching the usual notation.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -216,10 +217,10 @@ def enumerate_configurations(q: int, p: int) -> tuple:
         #         cells vacated so far)
         start = (E, 1, 1, frozenset())
         seen = {start}
-        queue = [(E, 1, 1, frozenset(), ())]
+        queue = deque([(E, 1, 1, frozenset(), ())])
         reached = {E: ()}
         while queue:
-            M, min_i, min_j, vacated, trace = queue.pop(0)
+            M, min_i, min_j, vacated, trace = queue.popleft()
             for i in range(min_i, q + 1):
                 for j in range(1, p + 1):
                     shifted = down_shift(M, i, j)

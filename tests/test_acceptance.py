@@ -164,7 +164,7 @@ def top_cell_projection_agrees(m):
 
 def test_criterion_05_projection_sends_one_diagonal_to_other(capsys):
     t0 = time.time()
-    passed = all(verify_su_cai(m)["passed"] for m in (2, 3, 4))
+    passed = all(verify_su_cai(m)["passed"] for m in (2, 3, 4, 5, 6))
     passed = passed and top_cell_projection_agrees(5)
     elapsed = time.time() - t0
     announce(capsys, 5, "projection carries the permutohedral diagonal "
@@ -176,7 +176,7 @@ def test_criterion_05_projection_sends_one_diagonal_to_other(capsys):
 def test_criterion_06_chain_maps_and_duality(capsys):
     t0 = time.time()
     passed = True
-    for m in (2, 3, 4):
+    for m in (2, 3, 4, 5):
         for F in all_faces(m):
             if chain_map_defect(F, su_diagonal, boundary):
                 passed = False

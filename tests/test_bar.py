@@ -39,6 +39,13 @@ def test_phi_round_trip():
     assert phi(F).letters == F.blocks
 
 
+@pytest.mark.parametrize("letters", [((1, 2), (2, 3), (4,)), ((1, 2), (3,)),
+                                     ((1, 2), (3, 5), (4,))])
+def test_phi_inverse_rejects_words_off_a_partition(letters):
+    with pytest.raises(ValueError):
+        phi_inverse(BarWord(4, letters))
+
+
 def test_component_words_count_full_simplex():
     K = full_simplex(3)
     # one word per ordered partition of [3] into n blocks

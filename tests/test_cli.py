@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,13 @@ def test_invalid_complex_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_json_exit_code(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["homology", "--complex", str(path)]) == 3
+    capsys.readouterr()
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["homology", "--complex", str(tmp_path / "nope.json")]) == 3
     capsys.readouterr()
@@ -91,6 +99,28 @@ def test_report_is_byte_stable(capsys):
     _, first = run(capsys, "verify", "--theorem", "su-cai", "--m", "3")
     _, second = run(capsys, "verify", "--theorem", "su-cai", "--m", "3")
     assert first == second
+
+
+# sha256 of whole reports, so that any change to their bytes is deliberate;
+# an integer stands for the full simplex on that many vertices
+@pytest.mark.parametrize("argv, digest", [
+    (["build", "--complex", 5],
+     "2b3bc38fbc98108da0bcdd7a9eae0ef52bd49ab6e6fd95b2b5743b67bef7fef2"),
+    (["diagonal", "--m", "5"],
+     "16966bf0d7a309bab99742777410642aff742192e378f4149442e3ee935fc672"),
+    (["verify", "--theorem", "su-cai", "--m", "4"],
+     "3b75351fad9ea2c230ca2c62a2e7d816ae179a1087db9be5dac28215e3fc9c35"),
+    (["geometry", "--complex", 4],
+     "bdbaa9a83399d3c9fa59cbc5106dfe609c6cdaed1a3d0a2b356e72f2ff2437d6"),
+])
+def test_report_bytes_are_pinned(tmp_path, argv, digest):
+    path = tmp_path / "full.json"
+    for m in (arg for arg in argv if isinstance(arg, int)):
+        path.write_text(json.dumps({"m": m, "facets": [list(range(1, m + 1))]}))
+    argv = [str(path) if isinstance(arg, int) else arg for arg in argv]
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out)] + argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("coeff", ["4", "1", "0", "-2", "x"])
@@ -162,3 +192,38 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, k1_path, argv):
     assert main(["--out", str(out)] + argv) == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("face", ['[[1,2],[2,3],[4]]', "5", '[[1,2],[3,"a"]]',
+                                  "[" * 5000 + "]" * 5000])
+def test_malformed_face_is_malformed_input(capsys, k1_path, face):
+    code, report = run(capsys, "project", "--complex", k1_path, "--face", face)
+    assert code == 3
+    assert face in report["error"]
+    assert report["payload"] is None
+
+
+def _cochain(tmp_path, name, terms):
+    path = tmp_path / name
+    path.write_text(json.dumps(terms))
+    return str(path)
+
+
+def test_cup_of_vertex_cochains(tmp_path, capsys, k1_path):
+    a = _cochain(tmp_path, "a.json", [{"face": [[1], [2], [3], [4]]}])
+    code, report = run(capsys, "cup", "--complex", k1_path, "--a", a, "--b", a)
+    assert code == 0
+    assert report["payload"] == {
+        "degree": 0, "terms": [{"face": [[1], [2], [3], [4]], "coeff": 1}]}
+
+
+@pytest.mark.parametrize("term", [{"face": [[1, 2], [2, 3], [4]], "coeff": 1},
+                                  {"coeff": 1},
+                                  {"face": [[1], [2], [3], [4]], "coeff": "x"}])
+def test_malformed_cochain_is_malformed_input(tmp_path, capsys, k1_path, term):
+    a = _cochain(tmp_path, "a.json", [{"face": [[1], [2], [3], [4]]}])
+    b = _cochain(tmp_path, "b.json", [term])
+    code, report = run(capsys, "cup", "--complex", k1_path, "--a", a, "--b", b)
+    assert code == 3
+    assert "b.json" in report["error"]
+    assert report["payload"] is None

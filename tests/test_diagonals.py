@@ -51,6 +51,10 @@ def test_su_term_counts():
     assert len(su_top_diagonal(3)) == 8
     assert len(su_top_diagonal(4)) == 50
     assert len(su_top_diagonal(5)) == 432
+    # 2 (m + 1)^(m - 2) terms (Delcroix-Oger, Laplante-Anfossi, Pilaud and
+    # Stoeckl, "Cellular diagonals of permutahedra", 2023)
+    for m in range(2, 7):
+        assert len(su_top_diagonal(m)) == 2 * (m + 1) ** (m - 2)
 
 
 def test_su_respects_total_dimension():
@@ -69,7 +73,7 @@ def test_su_diagonal_on_lower_face_relabels():
 
 
 def test_su_chain_map_small():
-    for m in (2, 3, 4):
+    for m in (2, 3, 4, 5):
         for G in all_faces(m):
             assert not chain_map_defect(G, su_diagonal, boundary)
 

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from permcomplex import FormalChain
+from permcomplex.diagonals import su_diagonal, su_top_diagonal
 from permcomplex.permutohedron import (
     PartitionFace,
     all_faces,
@@ -14,6 +16,7 @@ from permcomplex.permutohedron import (
     face,
     face_from_json,
     face_to_json,
+    face_vertices,
     full_permutohedron,
     refines,
     shuffle_sign,
@@ -21,6 +24,7 @@ from permcomplex.permutohedron import (
     vertex_coordinates,
 )
 from permcomplex.simplicial import skeleton
+from permcomplex.sumatrix import columns_partition, enumerate_configurations, rows_partition
 
 
 def test_face_validation():
@@ -28,6 +32,47 @@ def test_face_validation():
         face(3, [1, 2], [2, 3])  # overlapping blocks
     with pytest.raises(ValueError):
         face(3, [1, 2])  # not covering
+    with pytest.raises(ValueError):
+        face(3, [1], [1], [2, 3])  # a repeated block
+    with pytest.raises(ValueError):
+        face(3, [1, 1], [2, 3])  # an element repeated inside a block
+    with pytest.raises(ValueError):
+        face(3, [1], [], [2, 3])  # an empty block
+    with pytest.raises(ValueError):
+        face(3, [1], [2, 4])  # outside [m]
+
+
+@pytest.mark.parametrize("data", [5, [[1, 2], [3, "a"]], [[1, 2], 3],
+                                  [[1, 2], [3, True]], [[1, 2], [2, 3]],
+                                  [[1, 2]]])
+def test_face_from_json_rejects_non_partitions(data):
+    with pytest.raises(ValueError):
+        face_from_json(data, 3)
+
+
+def _assert_partitions(faces):
+    """Each face is the one its JSON block list names: a partition of
+    [m] into increasing blocks, which building a PartitionFace does not
+    check."""
+    for F in faces:
+        assert face_from_json(face_to_json(F), F.m) == F, F
+
+
+def test_built_faces_are_partitions():
+    for m in range(1, 6):
+        faces = all_faces(m)
+        _assert_partitions(faces)
+        for F in faces:
+            _assert_partitions(G for G, _ in boundary(F))
+            _assert_partitions(face_vertices(F))
+            for (left, right), _ in su_diagonal(F):
+                _assert_partitions((left, right))
+        for (left, right), _ in su_top_diagonal(m):
+            _assert_partitions((left, right))
+        for q in range(1, m + 1):
+            for record in enumerate_configurations(q, m + 1 - q):
+                for M in (record.matrix, record.source_step):
+                    _assert_partitions((columns_partition(M), rows_partition(M)))
 
 
 def test_face_counts():
@@ -36,6 +81,15 @@ def test_face_counts():
     # total face counts: ordered set partitions (Fubini numbers a(m,p))
     assert len(all_faces(4)) == 75
     assert len(all_faces(5)) == 541
+    # faces of dimension m - p are the ordered partitions into p blocks:
+    # p! S(m, p), with S(n, k) = k S(n - 1, k) + S(n - 1, k - 1)
+    S = {(0, 0): 1}
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            S[n, k] = k * S.get((n - 1, k), 0) + S.get((n - 1, k - 1), 0)
+    for m in range(1, 7):
+        assert full_permutohedron(m).f_vector() == [
+            math.factorial(m - d) * S[m, m - d] for d in range(m)]
 
 
 def test_dimension():
