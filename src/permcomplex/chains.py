@@ -24,10 +24,6 @@ class FormalChain:
     def basis(cls, label, coeff=1):
         return cls({label: coeff})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def add_term(self, label, coeff):
         """In-place accumulation; used by the boundary/diagonal builders."""
         new = self.terms.get(label, 0) + coeff

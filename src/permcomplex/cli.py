@@ -3,10 +3,14 @@
 Every subcommand emits a JSON report to stdout (or --out) of the form
 {"command", "input_digest", "checks", "payload"}.  Exit codes: 0 all
 checks passed, 1 a verification check failed, 2 usage error (argparse, a
---coeff that is not Z, Q or a prime, or an --m below 1), 3 malformed JSON
-input (including a --face or a cochain file whose faces are not ordered
-partitions of [m]), 4 invalid input complex.  Reports are byte-stable for
-fixed inputs; wall-clock timing is only attached with --timing.
+--coeff that is not Z, Q or a prime, an --m below 1, or an --out or
+--geometry file that cannot be written; the error report of an
+unwritable --out goes to stdout), 3 malformed JSON input (including a
+--face or a cochain file whose faces are not ordered partitions of [m]),
+4 invalid input complex.  A report is the text of json.dumps(report,
+indent=1, sort_keys=True) and a newline, written in chunks by
+_write_json rather than built whole; it is byte-stable for fixed inputs,
+and wall-clock timing is only attached with --timing.
 """
 
 from __future__ import annotations
@@ -226,16 +230,20 @@ def cmd_verify(args, report):
 
 def cmd_geometry(args, report):
     K, report["input_digest"] = _load_complex(args.complex)
-    X = permutohedron.build_perm_complex(K)
-    payload = permutohedron.geometry_json(X)
-    if args.geometry:
-        with open(args.geometry, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-        report["payload"] = {"written": args.geometry,
-                             "vertices": len(payload["vertices"]),
-                             "faces": len(payload["faces"])}
-    else:
+    payload = permutohedron.geometry_json(permutohedron.build_perm_complex(K))
+    if not args.geometry:
         report["payload"] = payload
+        return []
+    try:
+        fh = open(args.geometry, "w")
+    except OSError as exc:
+        raise CliError(f"cannot write the geometry to {args.geometry}: {exc}",
+                       EXIT_USAGE)
+    with fh:
+        _write_json(payload, fh.write)
+    report["payload"] = {"written": args.geometry,
+                         "vertices": len(payload["vertices"]),
+                         "faces": len(payload["faces"])}
     return []
 
 
@@ -303,26 +311,107 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report = {"command": [args.command], "input_digest": None,
               "checks": [], "payload": None}
+    try:
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        report["error"] = f"cannot write the report to {args.out}: {exc}"
+        _emit(report, sys.stdout)
+        return EXIT_USAGE
+    with out as fh:
+        code = _run(args, report)
+        _emit(report, fh)
+    return code
+
+
+def _run(args, report) -> int:
+    """Run the subcommand into `report`; its exit code."""
     started = time.monotonic()
     try:
         checks = args.fn(args, report)
     except CliError as exc:
         report["error"] = str(exc)
-        _emit(report, args)
         return exc.code
     report["checks"] = [{"name": name, "passed": ok} for name, ok in checks]
     if args.timing:
         report["elapsed_s"] = round(time.monotonic() - started, 3)
-    _emit(report, args)
     return 0 if all(ok for _, ok in checks) else EXIT_CHECK_FAILED
 
 
-def _emit(report, args):
-    # json.dumps with an indent would hold the whole text, and every chunk
-    # of it, in memory at once; json.dump streams the same bytes
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def _emit(report, fh):
+    # the text of json.dumps(report, indent=1, sort_keys=True), written in
+    # chunks: never held whole, and faster than json.dump, which an indent
+    # sends through json's pure-Python encoder
+    _write_json(report, fh.write)
+    fh.write("\n")
+
+
+def _write_json(obj, write) -> None:
+    """Write the text of json.dumps(obj, indent=1, sort_keys=True) through
+    `write`, in chunks of a few thousand pieces.
+
+    A dict, or a list that holds a container, is taken item by item.  A
+    list of scalars is one piece; one of exact ints (the blocks of faces,
+    at most 2^m - 1 distinct per report) is built once per indent.
+    Strings are escaped by json's own ASCII encoder, and other scalars go
+    through json.dumps, so floats, bools and None follow json's rules."""
+    encode_str = json.encoder.encode_basestring_ascii
+    containers = (dict, list, tuple)
+    int_lists = {}
+    pieces = []
+    put = pieces.append
+
+    def scalar(x):
+        return encode_str(x) if isinstance(x, str) else json.dumps(x)
+
+    def flush():
+        write("".join(pieces))
+        pieces.clear()
+
+    def value(x, pad):
+        if isinstance(x, dict):
+            if not x:
+                put("{}")
+                return
+            inner = pad + " "
+            sep = "{\n" + inner
+            for k, v in sorted(x.items()):
+                put(sep + encode_str(k if isinstance(k, str) else json.dumps(k))
+                    + ": ")
+                value(v, inner)
+                sep = ",\n" + inner
+                if len(pieces) > 4096:
+                    flush()
+            put("\n" + pad + "}")
+        elif not isinstance(x, (list, tuple)):
+            put(scalar(x))
+        elif not x:
+            put("[]")
+        elif type(x[0]) is int and all(type(v) is int for v in x):
+            key = (pad, *x)
+            text = int_lists.get(key)
+            if text is None:
+                inner = pad + " "
+                text = int_lists[key] = ("[\n" + inner + (",\n" + inner).join(
+                    map(int.__repr__, x)) + "\n" + pad + "]")
+            put(text)
+        elif isinstance(x[0], containers) or any(
+                isinstance(v, containers) for v in x):
+            inner = pad + " "
+            sep = "[\n" + inner
+            for v in x:
+                put(sep)
+                value(v, inner)
+                sep = ",\n" + inner
+                if len(pieces) > 4096:
+                    flush()
+            put("\n" + pad + "]")
+        else:
+            inner = pad + " "
+            put("[\n" + inner + (",\n" + inner).join(map(scalar, x))
+                + "\n" + pad + "]")
+
+    value(obj, "")
+    flush()
 
 
 if __name__ == "__main__":

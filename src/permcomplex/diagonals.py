@@ -12,10 +12,16 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .chains import FormalChain, tensor
+from .chains import FormalChain
 from .cubes import CubeCell, inversion_count
 from .permutohedron import PartitionFace, PermComplex
-from .sumatrix import columns_partition, csgn, enumerate_configurations, rows_partition
+from .sumatrix import (
+    columns_partition,
+    enumerate_configurations,
+    partition_sign,
+    rows_partition,
+    step_sign,
+)
 
 
 @lru_cache(maxsize=None)
@@ -25,10 +31,16 @@ def _top_cell_terms(m: int) -> tuple:
     terms = []
     for q in range(1, m + 1):
         p = m - q + 1
+        step_signs = {}  # source step matrix -> its factor of csgn
         for record in enumerate_configurations(q, p):
+            E = record.source_step
+            step = step_signs.get(E)
+            if step is None:
+                step = step_signs[E] = step_sign(q, columns_partition(E))
             left = columns_partition(record.matrix)
             right = rows_partition(record.matrix)
-            terms.append((csgn(record), left.blocks, right.blocks))
+            terms.append((partition_sign(step, right, left), left.blocks,
+                          right.blocks))
     return tuple(terms)
 
 

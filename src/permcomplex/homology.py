@@ -19,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .chains import FormalChain
-
 
 class BoundaryError(ValueError):
     """Raised when the matrices of a complex do not square to zero."""
@@ -348,12 +346,6 @@ class ChainComplexData:
                 if any(acc.values()):
                     raise BoundaryError(f"D_{d} * D_{d + 1} != 0")
         return True
-
-    def vector(self, chain: FormalChain, d: int) -> list:
-        v = [0] * self.dim(d)
-        for label, coeff in chain:
-            v[self.index[d][label]] = coeff
-        return v
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * self.dim(d) for d in self.degrees)

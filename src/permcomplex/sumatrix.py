@@ -288,9 +288,19 @@ def sgn2(P: PartitionFace) -> int:
     return sign * psgn(P)
 
 
+def step_sign(q: int, cE: PartitionFace) -> int:
+    """The factor of csgn fixed by the source step matrix E of q rows:
+    (-1)^{q(q-1)/2} rsgn(c(E)) sgn2(c(E))."""
+    sign = -1 if (q * (q - 1) // 2) % 2 else 1
+    return sign * rsgn(cE) * sgn2(cE)
+
+
+def partition_sign(step: int, rA: PartitionFace, cA: PartitionFace) -> int:
+    """csgn of a configuration matrix A from its step factor, r(A) and c(A)."""
+    return step * sgn1(rA) * sgn2(cA)
+
+
 def csgn(record: ConfigurationRecord) -> int:
     A, E = record.matrix, record.source_step
-    q = A.q
-    sign = -1 if (q * (q - 1) // 2) % 2 else 1
-    return (sign * rsgn(columns_partition(E)) * sgn1(rows_partition(A))
-            * sgn2(columns_partition(E)) * sgn2(columns_partition(A)))
+    return partition_sign(step_sign(A.q, columns_partition(E)),
+                          rows_partition(A), columns_partition(A))

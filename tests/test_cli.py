@@ -2,8 +2,9 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from permcomplex.cli import main
+from permcomplex.cli import _write_json, main
 
 
 @pytest.fixture()
@@ -112,15 +113,79 @@ def test_report_is_byte_stable(capsys):
      "3b75351fad9ea2c230ca2c62a2e7d816ae179a1087db9be5dac28215e3fc9c35"),
     (["geometry", "--complex", 4],
      "bdbaa9a83399d3c9fa59cbc5106dfe609c6cdaed1a3d0a2b356e72f2ff2437d6"),
+    (["build", "--doubled", "--complex", {"m": 3, "facets": [[1, 2], [3]]}],
+     "0a88b92e842351aca0f1db58c990a2dff7a4f99650f19b54427114b8fd465dcf"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
-    path = tmp_path / "full.json"
-    for m in (arg for arg in argv if isinstance(arg, int)):
-        path.write_text(json.dumps({"m": m, "facets": [list(range(1, m + 1))]}))
-    argv = [str(path) if isinstance(arg, int) else arg for arg in argv]
+    assert _pinned_run(tmp_path, argv) == (0, digest)
+
+
+def test_error_report_bytes_are_pinned(tmp_path):
+    assert _pinned_run(tmp_path, ["homology", "--coeff", "4", "--complex", 4]) == (
+        2, "c4f28ba41e9b50d700daf1b16797b6467732a38f6f0b0d2930f251f7fb0d8cc5")
+
+
+def _pinned_run(tmp_path, argv):
+    """Exit code and report digest of `argv`, whose integer or dict stands
+    for a complex: the full simplex on that many vertices, or the JSON."""
+    path = tmp_path / "complex.json"
+    for arg in argv:
+        if isinstance(arg, int):
+            path.write_text(json.dumps({"m": arg, "facets": [list(range(1, arg + 1))]}))
+        elif isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+    argv = [str(path) if isinstance(arg, (int, dict)) else arg for arg in argv]
     out = tmp_path / "report.json"
-    assert main(["--out", str(out)] + argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    code = main(["--out", str(out)] + argv)
+    return code, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+# Values json can write, with ints, bools and floats mixed in short lists
+# so that equal-hashing 1, True and 1.0 meet at the same indent.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=4)
+                      | st.dictionaries(st.integers(), children, max_size=3)
+                      | st.lists(st.sampled_from([0, 1, True, False, 1.0, -0.0]),
+                                 max_size=3)),
+    max_leaves=20)
+
+
+@given(_json_values)
+@example([[1], [True], [1.0], [1, True], [True, 1], [1, 1.0], [1]])
+@example({"a": [float("nan"), float("inf"), -float("inf")], "": [[], {}, ()]})
+@example(["\u00e9\x00\n\x1f\"\\\u2028\U0001f600", ("tuple", (1, 2)), {"\x7f": {}}])
+def test_writer_writes_the_bytes_of_json_dumps(value):
+    pieces = []
+    _write_json(value, pieces.append)
+    assert "".join(pieces) == json.dumps(value, indent=1, sort_keys=True)
+
+
+def test_writer_streams():
+    pieces = []
+    _write_json({"faces": [[[i], [i + 1, i + 2]] for i in range(10000)]},
+                pieces.append)
+    assert len(pieces) > 10
+    assert max(map(len, pieces)) < 200_000
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.json"
+    code, report = run(capsys, "--out", str(target), "diagonal", "--m", "3")
+    assert code == 2
+    assert str(target) in report["error"]
+    assert report["payload"] is None
+
+
+def test_unwritable_geometry_is_a_usage_error(tmp_path, capsys, k1_path):
+    target = tmp_path / "no" / "such" / "g.json"
+    code, report = run(capsys, "geometry", "--complex", k1_path,
+                       "--geometry", str(target))
+    assert code == 2
+    assert str(target) in report["error"]
+    assert report["payload"] is None
 
 
 @pytest.mark.parametrize("coeff", ["4", "1", "0", "-2", "x"])

@@ -1,6 +1,7 @@
 from permcomplex.chains import FormalChain, tensor
 from permcomplex.cubes import all_cells, cube_boundary
 from permcomplex.diagonals import (
+    _top_cell_terms,
     cai_diagonal,
     chain_map_defect,
     counit_defect,
@@ -17,6 +18,7 @@ from permcomplex.permutohedron import (
     top_face,
 )
 from permcomplex.simplicial import polygon_boundary
+from permcomplex.sumatrix import csgn, enumerate_configurations
 
 
 def F(*blocks):
@@ -55,6 +57,15 @@ def test_su_term_counts():
     # Stoeckl, "Cellular diagonals of permutahedra", 2023)
     for m in range(2, 7):
         assert len(su_top_diagonal(m)) == 2 * (m + 1) ** (m - 2)
+
+
+def test_top_cell_signs_are_csgn():
+    # the terms take each step matrix's factor of the sign once; csgn
+    # computes the whole sign of each record from its matrices
+    for m in range(1, 6):
+        records = [record for q in range(1, m + 1)
+                   for record in enumerate_configurations(q, m - q + 1)]
+        assert [sign for sign, _, _ in _top_cell_terms(m)] == list(map(csgn, records))
 
 
 def test_su_respects_total_dimension():
