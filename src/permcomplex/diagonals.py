@@ -15,19 +15,20 @@ from functools import lru_cache
 from .chains import FormalChain
 from .cubes import CubeCell, inversion_count
 from .permutohedron import PartitionFace, PermComplex
-from .sumatrix import (
-    columns_partition,
-    enumerate_configurations,
-    partition_sign,
-    rows_partition,
-    step_sign,
-)
+from .sumatrix import enumerate_configurations, partition_sign, step_sign
+
+
+def _columns(rows: tuple) -> tuple:
+    """The columns of a matrix given by its rows, zeros removed."""
+    return tuple(tuple(filter(None, col)) for col in zip(*rows))
 
 
 @lru_cache(maxsize=None)
 def _top_cell_terms(m: int) -> tuple:
     """Terms of the diagonal of the top cell of Perm^{m-1}: (sign, left
-    blocks, right blocks), in canonical (q ascending, matrix lex) order."""
+    blocks, right blocks), in canonical (q ascending, matrix lex) order.
+    The left blocks c(A) are the columns of A and the right blocks r(A)
+    its rows from the bottom up, zeros removed."""
     terms = []
     for q in range(1, m + 1):
         p = m - q + 1
@@ -36,11 +37,11 @@ def _top_cell_terms(m: int) -> tuple:
             E = record.source_step
             step = step_signs.get(E)
             if step is None:
-                step = step_signs[E] = step_sign(q, columns_partition(E))
-            left = columns_partition(record.matrix)
-            right = rows_partition(record.matrix)
-            terms.append((partition_sign(step, right, left), left.blocks,
-                          right.blocks))
+                step = step_signs[E] = step_sign(q, _columns(E.entries))
+            rows = record.matrix.entries
+            left = _columns(rows)
+            right = tuple(tuple(filter(None, row)) for row in reversed(rows))
+            terms.append((partition_sign(step, right, left), left, right))
     return tuple(terms)
 
 

@@ -150,7 +150,12 @@ def detect_snake(M: OrderedMatrix):
 
 def verify_su_cai(m: int) -> dict:
     """Check (rho (x) rho) Delta_SU = Delta_C(rho) on every face of
-    Perm^{m-1}; discrepancies are reported, not raised."""
+    Perm^{m-1}; discrepancies are reported, not raised.
+
+    Faces are checked by dimension, least first, so the first mismatch
+    names a failing face of least dimension.  A mismatch lists only the
+    terms of lhs - rhs, each as its left and right cube cells and its
+    coefficient."""
     images = {}  # blocks -> (image cell, rho_sign), None if the dimension drops
 
     def image(F):
@@ -163,21 +168,23 @@ def verify_su_cai(m: int) -> dict:
 
     mismatches = []
     checked = 0
-    for faces in full_permutohedron(m).by_dim.values():
-        for F in faces:
-            lhs = FormalChain()
-            for (left, right), sign in su_diagonal(F):
-                a, b = image(left), image(right)
-                if a and b:
-                    lhs.add_term((a[0], b[0]), sign * a[1] * b[1])
-            rhs = FormalChain()
-            c = image(F)
-            if c:
-                rhs = c[1] * cai_diagonal(c[0])
-            checked += 1
-            if lhs != rhs:
-                mismatches.append({"face": repr(F),
-                                   "lhs": repr(lhs), "rhs": repr(rhs)})
+    for F in full_permutohedron(m).all():
+        lhs = FormalChain()
+        for (left, right), sign in su_diagonal(F):
+            a, b = image(left), image(right)
+            if a and b:
+                lhs.add_term((a[0], b[0]), sign * a[1] * b[1])
+        rhs = FormalChain()
+        c = image(F)
+        if c:
+            rhs = c[1] * cai_diagonal(c[0])
+        checked += 1
+        if lhs != rhs:
+            terms = sorted((repr(a), repr(b), coeff) for (a, b), coeff in lhs - rhs)
+            mismatches.append({
+                "face": repr(F), "dim": F.dim,
+                "terms": [{"left": a, "right": b, "coeff": coeff}
+                          for a, b, coeff in terms]})
     return {"m": m, "faces_checked": checked, "mismatches": mismatches,
             "passed": not mismatches}
 

@@ -6,13 +6,18 @@ and columns increasing and none empty.  Step matrices put exactly one
 entry on each diagonal j - i = const; configuration matrices are what
 step matrices become under monotone sequences of down/right shifts.
 Entries and indices are 1-based throughout, matching the usual notation.
+
+`OrderedMatrix` is the matrix at the API edges.  The enumeration runs on
+flat row-major entry tuples, in which cell (i, j) has index (i-1)p + j-1:
+a shift is index arithmetic whose admissibility reads index lists built
+once per shape, the cells a shift sequence has vacated form an int
+bitmask, and step matrices are built from permutations, not filtered.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .permutohedron import PartitionFace
@@ -46,6 +51,11 @@ class OrderedMatrix:
 
 def matrix(rows) -> OrderedMatrix:
     return OrderedMatrix(tuple(tuple(row) for row in rows))
+
+
+def _from_flat(flat: tuple, p: int) -> OrderedMatrix:
+    """The matrix with p columns whose row-major entries are `flat`."""
+    return OrderedMatrix(tuple(zip(*[iter(flat)] * p)))
 
 
 def is_ordered(M: OrderedMatrix) -> bool:
@@ -97,210 +107,236 @@ def rows_partition(M: OrderedMatrix) -> PartitionFace:
     return PartitionFace(m, blocks)
 
 
+# ---------------------------------------------------------------------------
+# shifts on flat entry tuples
+
+def _move(q: int, p: int, i: int, j: int, down: bool) -> tuple:
+    """The shift of the cell at 0-based (i, j) one row down or one column
+    right, as (line, source, target, checks): the row i of a down shift
+    or the column j of a right shift, the flat indices of the source and
+    the target, and checks = (before, after, donor), the flat indices of
+    the cells of the target's line before and after the target and of the
+    other cells of the source's line."""
+    source = i * p + j
+    if down:
+        line = [(i + 1) * p + l for l in range(p)]
+        donor = [i * p + l for l in range(p) if l != j]
+        index, at = i, j
+    else:
+        line = [l * p + j + 1 for l in range(q)]
+        donor = [l * p + j for l in range(q) if l != i]
+        index, at = j, i
+    return (index, source, line[at],
+            (tuple(line[:at]), tuple(line[at + 1:]), tuple(donor)))
+
+
+def _shift(M: tuple, source: int, target: int, checks: tuple):
+    """The flat matrix M with its source entry moved to the target, or
+    None when inadmissible: the source is empty or the target full, the
+    moved value would break the order of the target's line, or the
+    source's line would empty."""
+    v = M[source]
+    if not v or M[target]:
+        return None
+    before, after, donor = checks
+    for k in before:
+        if M[k] > v:
+            return None
+    for k in after:
+        if 0 < M[k] < v:
+            return None
+    for k in donor:
+        if M[k]:
+            break
+    else:
+        return None
+    shifted = list(M)
+    shifted[source], shifted[target] = 0, v
+    return tuple(shifted)
+
+
+@lru_cache(maxsize=None)
+def _moves(q: int, p: int) -> tuple:
+    """(down, right): down[i] holds the down shifts of the 0-based rows
+    i, ..., q - 2, and right[j] the right shifts of the columns
+    j, ..., p - 2."""
+    down = [_move(q, p, i, j, True) for i in range(q - 1) for j in range(p)]
+    right = [_move(q, p, i, j, False) for j in range(p - 1) for i in range(q)]
+    return (tuple(tuple(down[i * p:]) for i in range(q)),
+            tuple(tuple(right[j * q:]) for j in range(p)))
+
+
+def _shift_at(M: OrderedMatrix, i: int, j: int, down: bool) -> OrderedMatrix:
+    q, p = M.q, M.p
+    if i == q if down else j == p:
+        return M
+    _, source, target, checks = _move(q, p, i - 1, j - 1, down)
+    shifted = _shift(sum(M.entries, ()), source, target, checks)
+    return M if shifted is None else _from_flat(shifted, p)
+
+
 def down_shift(M: OrderedMatrix, i: int, j: int) -> OrderedMatrix:
     """D_{i,j}: move the entry at (i, j) one row down when admissible,
     otherwise return M unchanged."""
-    q, p = M.q, M.p
-    v = M[i, j]
-    if v == 0 or i == q or M[i + 1, j] != 0:
-        return M
-    if any(M[i + 1, l] >= v for l in range(1, j)):
-        return M
-    if any(M[i + 1, l] and M[i + 1, l] < v for l in range(j + 1, p + 1)):
-        return M
-    if all(M[i, k] == 0 for k in range(1, p + 1) if k != j):
-        return M  # the donor row would become empty
-    rows = [list(r) for r in M.entries]
-    rows[i - 1][j - 1], rows[i][j - 1] = 0, v
-    return matrix(rows)
+    return _shift_at(M, i, j, True)
 
 
 def right_shift(M: OrderedMatrix, i: int, j: int) -> OrderedMatrix:
     """R_{i,j}: move the entry at (i, j) one column right when admissible."""
-    q, p = M.q, M.p
-    v = M[i, j]
-    if v == 0 or j == p or M[i, j + 1] != 0:
-        return M
-    if any(M[l, j + 1] >= v for l in range(1, i)):
-        return M
-    if any(M[l, j + 1] and M[l, j + 1] < v for l in range(i + 1, q + 1)):
-        return M
-    if all(M[k, j] == 0 for k in range(1, q + 1) if k != i):
-        return M  # the donor column would become empty
-    rows = [list(r) for r in M.entries]
-    rows[i - 1][j - 1], rows[i - 1][j] = 0, v
-    return matrix(rows)
+    return _shift_at(M, i, j, False)
+
+
+@lru_cache(maxsize=None)
+def _step_tuples(q: int, p: int) -> tuple:
+    """The flat q x p step matrices.
+
+    The support of a step matrix is a lattice path of q + p - 1 cells from
+    the lower-left corner to the upper-right one, each step going up or
+    right.  Rows increase to the right and columns downwards, so the
+    values read along the path fall at each up step and rise at each right
+    step: each permutation of [q+p-1] with q - 1 descents gives one step
+    matrix of this shape, and every step matrix arises so."""
+    m = q + p - 1
+    result = []
+    for w in itertools.permutations(range(1, m + 1)):
+        if sum(x > y for x, y in zip(w, w[1:])) != q - 1:
+            continue
+        flat = [0] * (q * p)
+        k = (q - 1) * p
+        flat[k] = w[0]
+        for x, y in zip(w, w[1:]):
+            k += -p if y < x else 1
+            flat[k] = y
+        result.append(tuple(flat))
+    return tuple(result)
 
 
 def enumerate_step_matrices(q: int, p: int) -> list:
-    """All q x p step matrices: pick one support cell per diagonal, check
-    the step conditions, then fill values along each linear extension of
-    the row/column order on the support."""
-    diag_cells = []
-    for d in range(-(q - 1), p):
-        diag_cells.append([(i, i + d) for i in range(1, q + 1)
-                           if 1 <= i + d <= p])
-    result = []
-    for support in itertools.product(*diag_cells):
-        rows = [[0] * p for _ in range(q)]
-        for (i, j) in support:
-            rows[i - 1][j - 1] = 1  # placeholder to test the support shape
-        candidate = matrix(rows)
-        if not _support_ok(candidate):
-            continue
-        for order in _linear_extensions(set(support)):
-            filled = [[0] * p for _ in range(q)]
-            for value, (i, j) in enumerate(order, 1):
-                filled[i - 1][j - 1] = value
-            M = matrix(filled)
-            if is_step(M):
-                result.append(M)
-    return result
+    """All q x p step matrices."""
+    return [_from_flat(E, p) for E in _step_tuples(q, p)]
 
 
-def _support_ok(M: OrderedMatrix) -> bool:
-    for row in M.entries:
-        support = [j for j, v in enumerate(row) if v]
-        if not support or support != list(range(support[0], support[-1] + 1)):
-            return False
-    for col in zip(*M.entries):
-        support = [i for i, v in enumerate(col) if v]
-        if not support or support != list(range(support[0], support[-1] + 1)):
-            return False
-    return True
+def _closure(q: int, p: int, E: tuple) -> set:
+    """The flat configuration matrices reached from the flat step matrix E.
 
-
-def _linear_extensions(cells: set):
-    """Topological orders of cells under the row-and-column partial order."""
-    if not cells:
-        yield ()
-        return
-    for c in sorted(cells):
-        i, j = c
-        if any((i2, j2) in cells and ((i2 == i and j2 < j) or (j2 == j and i2 < i))
-               for (i2, j2) in cells):
-            continue
-        for tail in _linear_extensions(cells - {c}):
-            yield (c,) + tail
+    A state is (matrix, least admissible down-shift row, least admissible
+    right-shift column, bitmask of the cells vacated so far)."""
+    down, right = _moves(q, p)
+    start = (E, 0, 0, 0)
+    seen = {start}
+    stack = [start]
+    while stack:
+        M, min_i, min_j, vacated = stack.pop()
+        for i, source, target, checks in down[min_i]:
+            if vacated >> target & 1:
+                continue
+            shifted = _shift(M, source, target, checks)
+            if shifted is not None:
+                state = (shifted, i, min_j, vacated | 1 << source)
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+        for j, source, target, checks in right[min_j]:
+            if vacated >> target & 1:
+                continue
+            shifted = _shift(M, source, target, checks)
+            if shifted is not None:
+                state = (shifted, min_i, j, vacated | 1 << source)
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+    return {state[0] for state in seen}
 
 
 class ConfigurationAmbiguityError(RuntimeError):
     """Raised when one configuration matrix is derived from two distinct
     step matrices whose csgn values disagree; the diagonal would then be
-    ill defined.  (Multiple sources with agreeing signs do occur, e.g.
-    the 2 x 2 matrix [0 1; 2 3] at m = 3.)"""
+    ill defined.  Through q + p - 1 = 7 no configuration matrix is reached
+    from two step matrices, so the check guards the enumeration; it
+    resolves no case known to occur."""
 
 
 @dataclass(frozen=True)
 class ConfigurationRecord:
     matrix: OrderedMatrix
     source_step: OrderedMatrix
-    shift_trace: tuple = field(default=(), compare=False)
 
 
 @lru_cache(maxsize=None)
 def enumerate_configurations(q: int, p: int) -> tuple:
-    """All q x p configuration matrices with provenance.
+    """All q x p configuration matrices, each with the step matrix it is
+    reached from, sorted by matrix.
 
-    Breadth-first closure of each step matrix under admissible shifts with
-    the monotonicity constraints (down-shift row indices and right-shift
+    Closure of each step matrix under admissible shifts with the
+    monotonicity constraints (down-shift row indices and right-shift
     column indices are nondecreasing along the operator sequence) and the
     no-refill constraint: a shift never moves an entry into a cell that an
     earlier shift in the same sequence vacated.  Without the latter the
     closure acquires extra matrices starting at q + p - 1 = 4 (two per
     mixed shape, e.g. ((1,0,3),(0,2,4)) at 2 x 3) which break the
-    compatibility of the diagonal with the boundary.
+    compatibility of the diagonal with the boundary.  The closure runs on
+    flat entry tuples; the records are built once, at the end.
     """
-    found = {}  # matrix -> ConfigurationRecord
-    for E in enumerate_step_matrices(q, p):
-        # state: (matrix, min admissible D row, min admissible R column,
-        #         cells vacated so far)
-        start = (E, 1, 1, frozenset())
-        seen = {start}
-        queue = deque([(E, 1, 1, frozenset(), ())])
-        reached = {E: ()}
-        while queue:
-            M, min_i, min_j, vacated, trace = queue.popleft()
-            for i in range(min_i, q + 1):
-                for j in range(1, p + 1):
-                    shifted = down_shift(M, i, j)
-                    if shifted == M or (i + 1, j) in vacated:
-                        continue
-                    state = (shifted, i, min_j, vacated | {(i, j)})
-                    if state not in seen:
-                        seen.add(state)
-                        t = trace + (("D", i, j),)
-                        reached.setdefault(shifted, t)
-                        queue.append(state + (t,))
-            for j in range(min_j, p + 1):
-                for i in range(1, q + 1):
-                    shifted = right_shift(M, i, j)
-                    if shifted == M or (i, j + 1) in vacated:
-                        continue
-                    state = (shifted, min_i, j, vacated | {(i, j)})
-                    if state not in seen:
-                        seen.add(state)
-                        t = trace + (("R", i, j),)
-                        reached.setdefault(shifted, t)
-                        queue.append(state + (t,))
-        for A, trace in reached.items():
-            record = ConfigurationRecord(A, E, trace)
-            prior = found.get(A)
-            if prior is None:
-                found[A] = record
-            elif prior.source_step != E and csgn(prior) != csgn(record):
-                raise ConfigurationAmbiguityError(
-                    f"{A} derived from {prior.source_step} and {E} "
-                    f"with conflicting signs")
-    return tuple(sorted(found.values(), key=lambda r: r.matrix.entries))
+    found = {}  # flat matrix -> flat source step matrix
+    for E in _step_tuples(q, p):
+        for A in _closure(q, p, E):
+            prior = found.setdefault(A, E)
+            if prior != E:
+                first, second = (ConfigurationRecord(_from_flat(A, p), _from_flat(S, p))
+                                 for S in (prior, E))
+                if csgn(first) != csgn(second):
+                    raise ConfigurationAmbiguityError(
+                        f"{first.matrix} derived from {first.source_step} and "
+                        f"{second.source_step} with conflicting signs")
+    steps = {E: _from_flat(E, p) for E in set(found.values())}
+    return tuple(ConfigurationRecord(_from_flat(A, p), steps[E])
+                 for A, E in sorted(found.items()))
 
 
 # ---------------------------------------------------------------------------
-# sign calculus
+# sign calculus, on the block tuples of ordered partitions
 
-def psgn(P: PartitionFace) -> int:
-    """Sign of the permutation listing the blocks of P in order."""
-    flat = [v for block in P.blocks for v in block]
-    inversions = sum(1 for a in range(len(flat)) for b in range(a + 1, len(flat))
-                     if flat[a] > flat[b])
-    return -1 if inversions % 2 else 1
+@lru_cache(maxsize=None)
+def _odd(w: tuple) -> int:
+    """Inversion parity, 0 or 1, of a sequence of distinct integers."""
+    return sum(x > y for k, x in enumerate(w) for y in w[k + 1:]) & 1
 
 
-def rsgn(P: PartitionFace) -> int:
-    exponent = (sum(len(b) ** 2 for b in P.blocks) - P.m) // 2
+def _exponent(blocks: tuple) -> int:
+    """inv(U_1 ... U_p) + sum_{i=1}^{p-1} i |U_{p-i}|, up to parity: the
+    inversions of the blocks read in order, plus the sizes of the blocks
+    with an odd weight p - k (k = 1..p)."""
+    return _odd(sum(blocks, ())) + sum(map(len, blocks[len(blocks) % 2::2]))
+
+
+def rsgn(blocks: tuple) -> int:
+    exponent = sum(len(b) * (len(b) - 1) for b in blocks) // 2
     return -1 if exponent % 2 else 1
 
 
-def _weighted_size_sum(P: PartitionFace) -> int:
-    p = len(P.blocks)
-    return sum(i * len(P.blocks[p - 1 - i]) for i in range(1, p))
+def sgn1(blocks: tuple) -> int:
+    return -1 if _exponent(blocks) % 2 else 1
 
 
-def sgn1(P: PartitionFace) -> int:
-    sign = -1 if _weighted_size_sum(P) % 2 else 1
-    return sign * psgn(P)
+def sgn2(blocks: tuple) -> int:
+    p = len(blocks)
+    return -1 if ((p - 1) * (p - 2) // 2 + _exponent(blocks)) % 2 else 1
 
 
-def sgn2(P: PartitionFace) -> int:
-    p = len(P.blocks)
-    exponent = (p - 1) * (p - 2) // 2 + _weighted_size_sum(P)
-    sign = -1 if exponent % 2 else 1
-    return sign * psgn(P)
-
-
-def step_sign(q: int, cE: PartitionFace) -> int:
-    """The factor of csgn fixed by the source step matrix E of q rows:
-    (-1)^{q(q-1)/2} rsgn(c(E)) sgn2(c(E))."""
+def step_sign(q: int, cE: tuple) -> int:
+    """The factor of csgn fixed by the source step matrix E of q rows, from
+    the blocks of c(E): (-1)^{q(q-1)/2} rsgn(c(E)) sgn2(c(E))."""
     sign = -1 if (q * (q - 1) // 2) % 2 else 1
     return sign * rsgn(cE) * sgn2(cE)
 
 
-def partition_sign(step: int, rA: PartitionFace, cA: PartitionFace) -> int:
-    """csgn of a configuration matrix A from its step factor, r(A) and c(A)."""
+def partition_sign(step: int, rA: tuple, cA: tuple) -> int:
+    """csgn of a configuration matrix A from its step factor and the
+    blocks of r(A) and c(A)."""
     return step * sgn1(rA) * sgn2(cA)
 
 
 def csgn(record: ConfigurationRecord) -> int:
     A, E = record.matrix, record.source_step
-    return partition_sign(step_sign(A.q, columns_partition(E)),
-                          rows_partition(A), columns_partition(A))
+    return partition_sign(step_sign(A.q, columns_partition(E).blocks),
+                          rows_partition(A).blocks, columns_partition(A).blocks)

@@ -1,3 +1,5 @@
+import hashlib
+
 from permcomplex.chains import FormalChain, tensor
 from permcomplex.cubes import all_cells, cube_boundary
 from permcomplex.diagonals import (
@@ -55,8 +57,21 @@ def test_su_term_counts():
     assert len(su_top_diagonal(5)) == 432
     # 2 (m + 1)^(m - 2) terms (Delcroix-Oger, Laplante-Anfossi, Pilaud and
     # Stoeckl, "Cellular diagonals of permutahedra", 2023)
-    for m in range(2, 7):
+    for m in range(2, 8):
         assert len(su_top_diagonal(m)) == 2 * (m + 1) ** (m - 2)
+
+
+def test_top_cell_terms_digests():
+    # pinned sha256 of repr(_top_cell_terms(m)): the terms, their order
+    # and their signs must not change; m = 7 shares the cached terms with
+    # test_su_term_counts
+    expected = {
+        5: "f9f44a356d9ca1d19eb2fb13e2b50ac7a15d9e25e20e4b81e2bf7e5fc163512d",
+        6: "8996833e203bf83b701d9a12f9918559922ef7748ab465458ec5c7ad3070aeaf",
+        7: "5b7be3e6b637b2123712720ec413b9e4a493803a2282e074030b8aa9d6a90e5e",
+    }
+    for m, digest in expected.items():
+        assert hashlib.sha256(repr(_top_cell_terms(m)).encode()).hexdigest() == digest
 
 
 def test_top_cell_signs_are_csgn():

@@ -1,3 +1,4 @@
+from permcomplex import projection
 from permcomplex.chains import FormalChain
 from permcomplex.cubes import cell, cube_boundary
 from permcomplex.permutohedron import all_faces, boundary, face
@@ -69,6 +70,29 @@ def test_verify_su_cai_small():
     for m in (2, 3, 4):
         report = verify_su_cai(m)
         assert report["passed"], report["mismatches"][:3]
+
+
+def test_verify_su_cai_names_least_failing_face(monkeypatch):
+    # one wrong sign in the cube diagonal of the edge c(u:1,t:-), whose
+    # only preimage is F(12|3|4): the report names that face and the one
+    # term of lhs - rhs, not both sides in full
+    edge = cell(3, [1], [])
+    real = projection.cai_diagonal
+
+    def wrong(c):
+        chain = real(c)
+        if c != edge:
+            return chain
+        label = min(chain.terms, key=repr)
+        return chain - 2 * FormalChain.basis(label, chain[label])
+
+    monkeypatch.setattr(projection, "cai_diagonal", wrong)
+    report = verify_su_cai(4)
+    assert not report["passed"]
+    assert report["faces_checked"] == 75
+    assert report["mismatches"] == [{
+        "face": "F(12|3|4)", "dim": 1,
+        "terms": [{"left": "c(u:-,t:-)", "right": "c(u:1,t:-)", "coeff": 2}]}]
 
 
 def test_L_of_quadrilaterals_and_complete_graph():

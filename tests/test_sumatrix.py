@@ -1,5 +1,10 @@
+import itertools
+import math
+
 from permcomplex.permutohedron import PartitionFace
 from permcomplex.sumatrix import (
+    _closure,
+    _step_tuples,
     columns_partition,
     csgn,
     down_shift,
@@ -36,6 +41,96 @@ def test_step_matrix_counts():
     assert len(enumerate_step_matrices(2, 3)) == 11
     assert len(enumerate_step_matrices(3, 2)) == 11
     assert len(enumerate_step_matrices(3, 3)) == 66
+
+
+def _brute_force_step_matrices(q, p):
+    """The step matrices by filtering: one support cell per diagonal, rows
+    and columns of the support consecutive runs, then every linear
+    extension of the row/column order on the support kept if it passes
+    is_step."""
+    diagonals = [[(i, i + d) for i in range(1, q + 1) if 1 <= i + d <= p]
+                 for d in range(-(q - 1), p)]
+    result = set()
+    for support in itertools.product(*diagonals):
+        rows = [sorted(j for i, j in support if i == r) for r in range(1, q + 1)]
+        cols = [sorted(i for i, j in support if j == c) for c in range(1, p + 1)]
+        if not all(line and line == list(range(line[0], line[-1] + 1))
+                   for line in rows + cols):
+            continue
+        for order in itertools.permutations(support):
+            filled = [[0] * p for _ in range(q)]
+            for value, (i, j) in enumerate(order, 1):
+                filled[i - 1][j - 1] = value
+            M = matrix(filled)
+            if is_step(M):
+                result.add(M)
+    return result
+
+
+def test_step_matrices_by_construction():
+    # Eulerian numbers per shape, m! over the shapes with q + p - 1 = m
+    for m in range(1, 8):
+        total = 0
+        for q in range(1, m + 1):
+            steps = enumerate_step_matrices(q, m + 1 - q)
+            assert all(map(is_step, steps))
+            assert len(set(steps)) == len(steps)
+            total += len(steps)
+        assert total == math.factorial(m)
+
+
+def test_step_matrices_match_brute_force():
+    for m in range(1, 6):
+        for q in range(1, m + 1):
+            p = m + 1 - q
+            assert set(enumerate_step_matrices(q, p)) == _brute_force_step_matrices(q, p)
+
+
+def _reference_shift(M, i, j, down):
+    """D_{i,j} or R_{i,j} read off the rule in matrix indices: move the
+    entry one row down (column right) into an empty cell when the target
+    row (column) stays increasing and the donor row (column) stays
+    nonempty."""
+    q, p = M.q, M.p
+    v = M[i, j]
+    if down:
+        if v == 0 or i == q or M[i + 1, j]:
+            return M
+        line = [M[i + 1, l] for l in range(1, p + 1)]
+        at, donor = j, [M[i, l] for l in range(1, p + 1) if l != j]
+    else:
+        if v == 0 or j == p or M[i, j + 1]:
+            return M
+        line = [M[l, j + 1] for l in range(1, q + 1)]
+        at, donor = i, [M[l, j] for l in range(1, q + 1) if l != i]
+    if any(w >= v for w in line[:at - 1]) or any(0 < w < v for w in line[at:]):
+        return M
+    if not any(donor):
+        return M
+    rows = [list(row) for row in M.entries]
+    rows[i - 1][j - 1] = 0
+    if down:
+        rows[i][j - 1] = v
+    else:
+        rows[i - 1][j] = v
+    return matrix(rows)
+
+
+def test_shifts_match_reference_rule():
+    # every ordered matrix of these shapes, every cell, both directions
+    for q, p in [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]:
+        m = q + p - 1
+        for cells in itertools.permutations(range(q * p), m):
+            flat = [0] * (q * p)
+            for value, cell in enumerate(cells, 1):
+                flat[cell] = value
+            M = matrix([flat[k:k + p] for k in range(0, q * p, p)])
+            if not is_ordered(M):
+                continue
+            for i in range(1, q + 1):
+                for j in range(1, p + 1):
+                    assert down_shift(M, i, j) == _reference_shift(M, i, j, True)
+                    assert right_shift(M, i, j) == _reference_shift(M, i, j, False)
 
 
 def test_down_shift_basic():
@@ -92,11 +187,25 @@ def test_no_refill_excludes_known_matrix():
 
 
 def test_known_multi_source_configuration_sign_agrees():
-    # [0 1; 2 3] is both a step matrix and derivable by shifting another
-    # step matrix; the enumeration keeps one record because csgn agrees
+    # [0 1; 2 3] is a step matrix, and no other step matrix reaches it
+    # (test_step_configurations_are_disjoint); the enumeration keeps one
+    # record for it, with itself as the source
     target = matrix([[0, 1], [2, 3]])
     recs = [r for r in enumerate_configurations(2, 2) if r.matrix == target]
     assert len(recs) == 1
+    assert recs[0].source_step == target
+
+
+def test_step_configurations_are_disjoint():
+    # no configuration matrix is reached from two step matrices, so the
+    # ConfigurationAmbiguityError sign check never has a conflict to judge
+    for m in range(1, 7):
+        for q in range(1, m + 1):
+            p = m + 1 - q
+            closures = [_closure(q, p, E) for E in _step_tuples(q, p)]
+            union = set().union(*closures)
+            assert sum(map(len, closures)) == len(union)
+            assert len(union) == len(enumerate_configurations(q, p))
 
 
 def test_row_and_column_partitions():
