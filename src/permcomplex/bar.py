@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .chains import FormalChain
 from .homology import ChainComplexData, HomologySummary, complex_from_boundary, homology
-from .permutohedron import PartitionFace, face, ordered_partitions, shuffle_sign
+from .permutohedron import PartitionFace, face, partitions_by_count, shuffle_sign
 from .simplicial import SimplicialComplex
 
 
@@ -68,24 +68,28 @@ def bar_differential(w: BarWord, K: SimplicialComplex) -> FormalChain:
     return result
 
 
+def _words_by_count(K: SimplicialComplex) -> dict:
+    """{n: the letter tuples of bar degree -n}, each list in lexicographic
+    order."""
+    return partitions_by_count(range(1, K.m + 1), K.simplices.__contains__)
+
+
 def component_words(K: SimplicialComplex, n: int) -> list:
     """Basis of the (1,...,1) component in bar degree -n: ordered
     partitions of [m] into n simplices of K."""
-    words = [BarWord(K.m, letters)
-             for letters in ordered_partitions(range(1, K.m + 1),
-                                               block_ok=lambda b: b in K.simplices)
-             if len(letters) == n]
-    words.sort(key=lambda w: w.letters)
-    return words
+    return [BarWord(K.m, letters) for letters in _words_by_count(K).get(n, [])]
 
 
 def component_1_1(K: SimplicialComplex) -> ChainComplexData:
     """Chain complex of the (1,...,1) component.
 
     Graded here by the number of letters n (so the container differential
-    lowers the degree); bar degree is -n.
+    lowers the degree); bar degree is -n.  The words of every degree come
+    from one enumeration.
     """
-    cells = {n: component_words(K, n) for n in range(1, K.m + 1)}
+    by_count = _words_by_count(K)
+    cells = {n: [BarWord(K.m, letters) for letters in by_count.get(n, [])]
+             for n in range(1, K.m + 1)}
     return complex_from_boundary(cells, lambda w: bar_differential(w, K))
 
 

@@ -7,10 +7,12 @@ checks passed, 1 a verification check failed, 2 usage error (argparse, a
 --geometry file that cannot be written; the error report of an
 unwritable --out goes to stdout), 3 malformed JSON input (including a
 --face or a cochain file whose faces are not ordered partitions of [m]),
-4 invalid input complex.  A report is the text of json.dumps(report,
-indent=1, sort_keys=True) and a newline, written in chunks by
-_write_json rather than built whole; it is byte-stable for fixed inputs,
-and wall-clock timing is only attached with --timing.
+4 invalid input complex (including one with m = 1 for `project` and
+`verify --theorem image`, whose complex L(K) lives on [m - 1]).  A report
+is the text of json.dumps(report, indent=1, sort_keys=True) and a
+newline, written in chunks by _write_json rather than built whole; it is
+byte-stable for fixed inputs, and wall-clock timing is only attached
+with --timing.
 """
 
 from __future__ import annotations
@@ -61,6 +63,16 @@ def _load_complex(path: str):
     return K, digest
 
 
+def _load_projectable(path: str):
+    """A complex the projection to the cube applies to: m >= 2, since its
+    image complex L(K) lives on [m - 1]."""
+    K, digest = _load_complex(path)
+    if K.m < 2:
+        raise CliError(f"invalid complex in {path}: the projection to the cube "
+                       f"needs m >= 2, got m = {K.m}", EXIT_BAD_COMPLEX)
+    return K, digest
+
+
 def _coeff(value: str):
     if value in ("Z", "Q"):
         return value
@@ -97,7 +109,7 @@ def cmd_build(args, report):
     report["payload"] = {
         "m": X.m,
         "f_vector": X.f_vector(),
-        "faces": [permutohedron.face_to_json(f) for f in X.all()],
+        "faces": [f.blocks for f in X.all()],
     }
     return []
 
@@ -121,12 +133,9 @@ def cmd_tor(args, report):
 
 
 def cmd_diagonal(args, report):
-    top = diagonals.su_top_diagonal(_positive_m(args.m))
-    terms = [{"sign": sign,
-              "left": permutohedron.face_to_json(left),
-              "right": permutohedron.face_to_json(right)}
-             for (left, right), sign in sorted(
-                 top, key=lambda kv: (kv[0][0].blocks, kv[0][1].blocks))]
+    top = diagonals._top_cell_terms(_positive_m(args.m))
+    terms = [{"sign": sign, "left": left, "right": right}
+             for sign, left, right in sorted(top, key=lambda t: (t[1], t[2]))]
     report["payload"] = {"m": args.m, "terms": terms}
     return []
 
@@ -187,7 +196,7 @@ def _parse_face(text: str, m: int):
 
 
 def cmd_project(args, report):
-    K, report["input_digest"] = _load_complex(args.complex)
+    K, report["input_digest"] = _load_projectable(args.complex)
     L = projection.L_of_K(K)
     payload = {"L": simplicial.to_json_dict(L)}
     if args.face:
@@ -221,7 +230,7 @@ def cmd_verify(args, report):
     if args.theorem == "image":
         if args.complex is None:
             raise CliError("--theorem image needs --complex", EXIT_USAGE)
-        K, report["input_digest"] = _load_complex(args.complex)
+        K, report["input_digest"] = _load_projectable(args.complex)
         result = projection.verify_image(K)
         report["payload"] = result
         return [("image", result["passed"])]
@@ -351,21 +360,44 @@ def _write_json(obj, write) -> None:
 
     A dict, or a list that holds a container, is taken item by item.  A
     list of scalars is one piece; one of exact ints (the blocks of faces,
-    at most 2^m - 1 distinct per report) is built once per indent.
-    Strings are escaped by json's own ASCII encoder, and other scalars go
-    through json.dumps, so floats, bools and None follow json's rules."""
+    at most 2^m - 1 distinct per report) is built once per indent, and
+    found again by identity when a list of lists holds the same object
+    many times, as the faces of a complex share their block tuples.
+    Strings are escaped by json's own ASCII encoder, ints are written by
+    int.__repr__, and other scalars go through json.dumps, so floats,
+    bools and None follow json's rules."""
     encode_str = json.encoder.encode_basestring_ascii
     containers = (dict, list, tuple)
-    int_lists = {}
+    sequences = (list, tuple)
+    just_int = {int}
+    int_lists = {}  # (indent, *ints) -> text
+    # indent -> {id of an int list inside obj: its text}; obj keeps every
+    # such list alive while it is written, so no id is reused meanwhile
+    by_id = {}
     pieces = []
     put = pieces.append
 
     def scalar(x):
+        if type(x) is int:
+            return int.__repr__(x)
         return encode_str(x) if isinstance(x, str) else json.dumps(x)
 
     def flush():
         write("".join(pieces))
         pieces.clear()
+
+    def int_list(x, pad):
+        """The text of a nonempty list x if it holds exact ints only (not
+        bools or floats, which compare equal to ints), else None."""
+        if type(x[0]) is not int or {*map(type, x)} != just_int:
+            return None
+        key = (pad, *x)
+        text = int_lists.get(key)
+        if text is None:
+            inner = pad + " "
+            text = int_lists[key] = ("[\n" + inner + (",\n" + inner).join(
+                map(int.__repr__, x)) + "\n" + pad + "]")
+        return text
 
     def value(x, pad):
         if isinstance(x, dict):
@@ -382,25 +414,28 @@ def _write_json(obj, write) -> None:
                 if len(pieces) > 4096:
                     flush()
             put("\n" + pad + "}")
-        elif not isinstance(x, (list, tuple)):
+        elif not isinstance(x, sequences):
             put(scalar(x))
         elif not x:
             put("[]")
-        elif type(x[0]) is int and all(type(v) is int for v in x):
-            key = (pad, *x)
-            text = int_lists.get(key)
-            if text is None:
-                inner = pad + " "
-                text = int_lists[key] = ("[\n" + inner + (",\n" + inner).join(
-                    map(int.__repr__, x)) + "\n" + pad + "]")
+        elif (text := int_list(x, pad)) is not None:
             put(text)
         elif isinstance(x[0], containers) or any(
                 isinstance(v, containers) for v in x):
             inner = pad + " "
             sep = "[\n" + inner
+            known = by_id.setdefault(inner, {})
             for v in x:
+                text = known.get(id(v))
+                if text is None and isinstance(v, sequences) and v:
+                    text = int_list(v, inner)
+                    if text is not None:
+                        known[id(v)] = text
                 put(sep)
-                value(v, inner)
+                if text is None:
+                    value(v, inner)
+                else:
+                    put(text)
                 sep = ",\n" + inner
                 if len(pieces) > 4096:
                     flush()

@@ -1,10 +1,14 @@
 """Cellular diagonals: the Saneblidze-Umble diagonal on the permutohedron
 and the Cai diagonal on the cube, with the cup products they induce.
 
-Tensor terms are stored as FormalChain over (left, right) label pairs.
-The boundary on tensors is d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db;
-the comultiplicative extension interleaves per-block factors with the
-matching Koszul sign, which is what makes the chain-map identities close.
+On hot paths a term of the SU diagonal is (sign, left blocks, right
+blocks): `_top_cell_terms` for the top cell and the generator `su_terms`
+for any face.  At the API edge, `su_top_diagonal` and `su_diagonal` wrap
+them in a FormalChain over (left, right) pairs of PartitionFace, as the
+cube diagonal's terms are pairs of CubeCell.  The boundary on tensors is
+d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db; the comultiplicative
+extension interleaves per-block factors with the matching Koszul sign,
+which is what makes the chain-map identities close.
 """
 
 from __future__ import annotations
@@ -59,33 +63,40 @@ def _block_terms(block: tuple) -> tuple:
     renamed order-preservingly to its elements: (sign, left blocks, right
     blocks, left degree, right degree)."""
     n = len(block)
+    element = (None, *block).__getitem__  # i -> the i-th element of block
     return tuple((sign,
-                  tuple(tuple(block[i - 1] for i in b) for b in left),
-                  tuple(tuple(block[i - 1] for i in b) for b in right),
+                  tuple([tuple(map(element, b)) for b in left]),
+                  tuple([tuple(map(element, b)) for b in right]),
                   n - len(left), n - len(right))
                  for sign, left, right in _top_cell_terms(n))
 
 
+def su_terms(blocks: tuple):
+    """The terms of the diagonal of the face with these blocks, as (sign,
+    left blocks, right blocks), each pair once: the top-cell diagonal
+    inside each block, the per-block factors interleaved.  Each left
+    factor moves past the right factors of the earlier blocks, which
+    gives the Koszul sign."""
+    *front, last = map(_block_terms, blocks)
+    partial = [(1, (), (), 0)]  # (sign, left, right, right degree)
+    for factors in front:
+        partial = [(-s * t if deg_left * degree % 2 else s * t,
+                    left + bl, right + br, degree + deg_right)
+                   for s, left, right, degree in partial
+                   for t, bl, br, deg_left, deg_right in factors]
+    for s, left, right, degree in partial:  # the last block as the terms are yielded
+        for t, bl, br, deg_left, _ in last:
+            yield -s * t if deg_left * degree % 2 else s * t, left + bl, right + br
+
+
 def su_diagonal(F: PartitionFace) -> FormalChain:
-    """Comultiplicative extension: apply the top-cell diagonal inside each
-    block and interleave the per-block tensor factors."""
+    """Comultiplicative extension of the top-cell diagonal to the face F:
+    the terms of `su_terms` as pairs of faces."""
     result = FormalChain()
-    for choice in itertools.product(*map(_block_terms, F.blocks)):
-        # Koszul interchange: each left factor moves past the right
-        # factors of the earlier blocks
-        sign, exponent, right_degree = 1, 0, 0
-        left_blocks, right_blocks = (), ()
-        for s, left, right, deg_left, deg_right in choice:
-            sign *= s
-            exponent += deg_left * right_degree
-            right_degree += deg_right
-            left_blocks += left
-            right_blocks += right
-        if exponent % 2:
-            sign = -sign
-        result.add_term(
-            (PartitionFace(F.m, left_blocks), PartitionFace(F.m, right_blocks)),
-            sign)
+    terms = result.terms  # su_terms gives each pair once
+    m = F.m
+    for sign, left, right in su_terms(F.blocks):
+        terms[PartitionFace(m, left), PartitionFace(m, right)] = sign
     return result
 
 
@@ -155,11 +166,12 @@ def cup_su(a: FormalChain, b: FormalChain, X: PermComplex,
     their degrees must be supplied since a chain does not know its grading.
     """
     result = FormalChain()
+    m = X.m
     for F in X.faces(deg_a + deg_b):
         value = 0
-        for (left, right), sign in su_diagonal(F):
-            if left.dim == deg_a and right.dim == deg_b:
-                value += sign * a[left] * b[right]
+        for sign, left, right in su_terms(F.blocks):
+            if m - len(left) == deg_a and m - len(right) == deg_b:
+                value += sign * a[PartitionFace(m, left)] * b[PartitionFace(m, right)]
         if value:
             result.add_term(F, value)
     return result

@@ -6,11 +6,16 @@ A face of the (m-1)-permutohedron is an ordered partition (U_1|...|U_p) of
 [m]; its dimension is m - p.  Refining the partition passes to a face of
 the boundary.
 
-`PartitionFace` is a plain record: building one checks nothing, because
-enumeration, boundaries, the diagonals and the configuration matrices make
-partitions by construction.  Blocks from outside the program (the CLI's
-`--face`, cochain files, bar words) go through `face` or `face_from_json`,
-which check that they partition [m].
+Where work scales with the number of faces, a face is its tuple of
+blocks: `partitions_by_count` enumerates them in basis order by one
+dynamic programme over the subsets of [m], `boundary` splits blocks
+through a table built once per block, and the diagonals, the projection
+check and the reports read block tuples.  `PartitionFace` is the record
+at the API and JSON edges: the bases of `PermComplex`, the labels of
+boundary chains, and the faces users name.  Building one checks nothing,
+because the program makes partitions by construction.  Blocks from
+outside the program (the CLI's `--face`, cochain files, bar words) go
+through `face` or `face_from_json`, which check that they partition [m].
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .chains import FormalChain
 from .simplicial import SimplicialComplex, minimal_nonfaces
@@ -71,21 +77,34 @@ def shuffle_sign(M, N) -> int:
     return -1 if inversions % 2 else 1
 
 
-def ordered_partitions(elements, block_ok=None):
-    """All ordered partitions of `elements` into nonempty blocks, each block
-    accepted by `block_ok` (a predicate on sorted tuples; default: all)."""
+def partitions_by_count(elements, block_ok=None) -> dict:
+    """The ordered partitions of `elements` into nonempty blocks accepted
+    by `block_ok` (a predicate on increasing tuples, called once per
+    subset; default: all), as {p: [blocks, ...]} by the number p of
+    blocks.  Each list is in lexicographic block order, which is the
+    basis order of the faces of dimension len(elements) - p.
+
+    A dynamic programme over the subsets, smallest first: the partitions
+    of a subset are its accepted blocks, in lexicographic order, each
+    followed by the partitions of what it leaves, which are built once."""
     elements = tuple(sorted(elements))
-    if not elements:
-        yield ()
-        return
     n = len(elements)
-    for size in range(1, n + 1):
-        for first in itertools.combinations(elements, size):
-            if block_ok is not None and not block_ok(first):
-                continue
-            rest = tuple(e for e in elements if e not in first)
-            for tail in ordered_partitions(rest, block_ok):
-                yield (first,) + tail
+    blocks = sorted((tuple(e for i, e in enumerate(elements) if mask >> i & 1), mask)
+                    for mask in range(1, 1 << n))
+    firsts = [((block,), mask) for block, mask in blocks
+              if block_ok is None or block_ok(block)]
+    table = [{0: [()]}]  # subset mask -> {p: partitions of that subset}
+    for subset in range(1, 1 << n):
+        by_count = {}
+        for first, mask in firsts:
+            if mask & subset == mask:
+                for p, tails in table[subset ^ mask].items():
+                    out = by_count.get(p + 1)
+                    if out is None:
+                        out = by_count[p + 1] = []
+                    out += [first + tail for tail in tails]
+        table.append(by_count)
+    return table[-1]
 
 
 def enumerate_faces(m: int, dim: int) -> list:
@@ -93,17 +112,14 @@ def enumerate_faces(m: int, dim: int) -> list:
     block order."""
     if not 0 <= dim <= m - 1:
         raise ValueError(f"dim {dim} out of range [0, {m - 1}]")
-    p = m - dim
-    faces = [PartitionFace(m, blocks)
-             for blocks in ordered_partitions(range(1, m + 1))
-             if len(blocks) == p]
-    faces.sort(key=lambda f: f.blocks)
-    return faces
+    return [PartitionFace(m, blocks)
+            for blocks in partitions_by_count(range(1, m + 1))[m - dim]]
 
 
 def all_faces(m: int) -> list:
-    return [PartitionFace(m, blocks)
-            for blocks in ordered_partitions(range(1, m + 1))]
+    """All faces of Perm^{m-1} in basis order: by dimension, then in
+    lexicographic block order."""
+    return full_permutohedron(m).all()
 
 
 def refines(G: PartitionFace, F: PartitionFace) -> bool:
@@ -122,6 +138,19 @@ def refines(G: PartitionFace, F: PartitionFace) -> bool:
     return i == len(G.blocks)
 
 
+@lru_cache(maxsize=None)
+def _splits(block: tuple) -> tuple:
+    """(M, block \\ M, (-1)^|M| shuff(M; block \\ M)) for each proper
+    nonempty M of the block."""
+    table = []
+    for r in range(1, len(block)):
+        for M in itertools.combinations(block, r):
+            rest = tuple(e for e in block if e not in M)
+            sign = shuffle_sign(M, rest)
+            table.append((M, rest, -sign if r % 2 else sign))
+    return tuple(table)
+
+
 def boundary(F: PartitionFace) -> FormalChain:
     """Cellular boundary of a permutohedron face.
 
@@ -129,41 +158,48 @@ def boundary(F: PartitionFace) -> FormalChain:
     sign (-1)^(m_1+...+m_{j-1}+|M|) * shuff(M; U_j \\ M), m_i = |U_i| - 1.
     """
     result = FormalChain()
-    offset = 0  # running sum of m_i over earlier blocks
-    for j, block in enumerate(F.blocks):
-        size = len(block)
-        if size >= 2:
-            for r in range(1, size):
-                for M in itertools.combinations(block, r):
-                    rest = tuple(e for e in block if e not in M)
-                    sign = shuffle_sign(M, rest)
-                    if (offset + r) % 2:
-                        sign = -sign
-                    new_blocks = F.blocks[:j] + (M, rest) + F.blocks[j + 1:]
-                    result.add_term(PartitionFace(F.m, new_blocks), sign)
-        offset += size - 1
+    terms = result.terms  # the terms are distinct faces: none cancels
+    m, blocks = F.m, F.blocks
+    odd = False  # parity of m_1 + ... + m_{j-1}
+    for j, block in enumerate(blocks):
+        if len(block) > 1:
+            head, tail = blocks[:j], blocks[j + 1:]
+            for M, rest, sign in _splits(block):
+                terms[PartitionFace(m, head + (M, rest) + tail)] = -sign if odd else sign
+            if not len(block) % 2:
+                odd = not odd
     return result
 
 
 class PermComplex:
     """A refinement-closed set of permutohedron faces (all of Perm^{m-1},
-    or the subcomplex Perm(K) attached to a simplicial complex)."""
+    or the subcomplex Perm(K) attached to a simplicial complex).
 
-    def __init__(self, m: int, faces, source: SimplicialComplex | None = None):
+    `by_dim` maps each dimension that has faces to its faces in basis
+    order, lexicographic in the blocks."""
+
+    def __init__(self, m: int, by_dim: dict, source: SimplicialComplex | None = None):
         self.m = m
         self.source = source
-        self.by_dim = {}
-        for f in faces:
-            self.by_dim.setdefault(f.dim, []).append(f)
-        for fs in self.by_dim.values():
-            fs.sort(key=lambda f: f.blocks)
-        self._face_set = {f for fs in self.by_dim.values() for f in fs}
+        self.by_dim = by_dim
+
+    @classmethod
+    def from_partitions(cls, m: int, by_count: dict, source=None):
+        """The complex whose faces are the block tuples of
+        `partitions_by_count`, kept in its order."""
+        return cls(m, {m - p: [PartitionFace(m, blocks) for blocks in lists]
+                       for p, lists in sorted(by_count.items(), reverse=True)
+                       if lists}, source)
+
+    @cached_property
+    def _face_set(self) -> frozenset:
+        return frozenset(f for fs in self.by_dim.values() for f in fs)
 
     def __contains__(self, f: PartitionFace) -> bool:
         return f in self._face_set
 
     def __len__(self):
-        return len(self._face_set)
+        return sum(map(len, self.by_dim.values()))
 
     @property
     def dim(self) -> int:
@@ -183,15 +219,13 @@ class PermComplex:
 
 
 def full_permutohedron(m: int) -> PermComplex:
-    return PermComplex(m, all_faces(m))
+    return PermComplex.from_partitions(m, partitions_by_count(range(1, m + 1)))
 
 
 def build_perm_complex(K: SimplicialComplex) -> PermComplex:
     """Perm(K): faces whose every block is a simplex of K."""
-    faces = [PartitionFace(K.m, blocks)
-             for blocks in ordered_partitions(range(1, K.m + 1),
-                                              block_ok=lambda b: b in K.simplices)]
-    return PermComplex(K.m, faces, source=K)
+    return PermComplex.from_partitions(
+        K.m, partitions_by_count(range(1, K.m + 1), K.simplices.__contains__), K)
 
 
 def build_perm_complex_C(K: SimplicialComplex) -> PermComplex:
@@ -213,10 +247,10 @@ def build_perm_complex_C(K: SimplicialComplex) -> PermComplex:
                 return False
         return True
 
-    faces = [PartitionFace(2 * m, blocks)
-             for blocks in ordered_partitions(range(1, 2 * m + 1))
-             if keep(blocks)]
-    return PermComplex(2 * m, faces, source=K)
+    by_count = partitions_by_count(range(1, 2 * m + 1))
+    return PermComplex.from_partitions(
+        2 * m, {p: [blocks for blocks in lists if keep(blocks)]
+                for p, lists in by_count.items()}, K)
 
 
 def vertex_coordinates(F: PartitionFace) -> tuple:
@@ -239,7 +273,7 @@ def barycenter(F: PartitionFace) -> tuple:
     coords = [Fraction(0)] * F.m
     offset = 0
     for block in F.blocks:
-        value = offset + Fraction(len(block) + 1, 2)
+        value = Fraction(2 * offset + len(block) + 1, 2)
         for i in block:
             coords[i - 1] = value
         offset += len(block)
@@ -274,14 +308,15 @@ def face_from_json(data, m: int | None = None) -> PartitionFace:
 
 def geometry_json(X: PermComplex) -> dict:
     """Exact coordinates for export: integer vertices plus rational
-    barycenters of all faces (as "p/q" strings)."""
+    barycenters of all faces (as "p/q" strings).  Faces are given by their
+    block tuples, which the report writer writes as lists."""
 
     def frac(x: Fraction) -> str:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
-    vertices = [{"face": face_to_json(v), "coords": list(vertex_coordinates(v))}
+    vertices = [{"face": v.blocks, "coords": list(vertex_coordinates(v))}
                 for v in X.faces(0)]
-    faces = [{"face": face_to_json(f), "dim": f.dim,
+    faces = [{"face": f.blocks, "dim": f.dim,
               "barycenter": [frac(c) for c in barycenter(f)]}
              for f in X.all()]
     return {"m": X.m, "vertices": vertices, "faces": faces}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .chains import FormalChain
 from .cubes import CubeCell, all_cells, subsets
-from .diagonals import cai_diagonal, su_diagonal
+from .diagonals import cai_diagonal, su_terms
 from .permutohedron import PartitionFace, PermComplex, build_perm_complex, full_permutohedron
 from .simplicial import SimplicialComplex, from_facets
 from .sumatrix import OrderedMatrix
@@ -155,37 +155,41 @@ def verify_su_cai(m: int) -> dict:
     Faces are checked by dimension, least first, so the first mismatch
     names a failing face of least dimension.  A mismatch lists only the
     terms of lhs - rhs, each as its left and right cube cells and its
-    coefficient."""
-    images = {}  # blocks -> (image cell, rho_sign), None if the dimension drops
+    coefficient.  The terms of both sides are keyed by the (sigma, tau)
+    of their cells, and the SU terms are read as block tuples."""
+    faces = full_permutohedron(m).all()
+    images = {}  # blocks -> ((sigma, tau), rho_sign), None if the dimension drops
+    for F in faces:
+        if blocks_are_intervals(F):
+            c = rho_face(F)
+            images[F.blocks] = ((c.sigma, c.tau), rho_sign(F))
+        else:
+            images[F.blocks] = None
 
-    def image(F):
-        try:
-            return images[F.blocks]
-        except KeyError:
-            value = images[F.blocks] = (
-                (rho_face(F), rho_sign(F)) if blocks_are_intervals(F) else None)
-            return value
+    def cell(key):
+        return CubeCell(m - 1, *key)
 
     mismatches = []
-    checked = 0
-    for F in full_permutohedron(m).all():
-        lhs = FormalChain()
-        for (left, right), sign in su_diagonal(F):
-            a, b = image(left), image(right)
+    for F in faces:
+        lhs = {}  # (left cell, right cell) as (sigma, tau) pairs -> coefficient
+        for sign, left, right in su_terms(F.blocks):
+            a, b = images[left], images[right]
             if a and b:
-                lhs.add_term((a[0], b[0]), sign * a[1] * b[1])
-        rhs = FormalChain()
-        c = image(F)
-        if c:
-            rhs = c[1] * cai_diagonal(c[0])
-        checked += 1
-        if lhs != rhs:
-            terms = sorted((repr(a), repr(b), coeff) for (a, b), coeff in lhs - rhs)
+                key = (a[0], b[0])
+                lhs[key] = lhs.get(key, 0) + sign * a[1] * b[1]
+        c = images[F.blocks]
+        if c:  # lhs - rhs
+            for (a, b), coeff in cai_diagonal(cell(c[0])):
+                key = ((a.sigma, a.tau), (b.sigma, b.tau))
+                lhs[key] = lhs.get(key, 0) - c[1] * coeff
+        terms = sorted((repr(cell(a)), repr(cell(b)), v)
+                       for (a, b), v in lhs.items() if v)
+        if terms:
             mismatches.append({
                 "face": repr(F), "dim": F.dim,
                 "terms": [{"left": a, "right": b, "coeff": coeff}
                           for a, b, coeff in terms]})
-    return {"m": m, "faces_checked": checked, "mismatches": mismatches,
+    return {"m": m, "faces_checked": len(faces), "mismatches": mismatches,
             "passed": not mismatches}
 
 
@@ -217,7 +221,7 @@ def _maximal_runs(J):
 
 def _cell_closure(cells) -> set:
     closure = set()
-    for c in cells:
+    for c in set(cells):  # many faces share one image cell
         for sub in subsets(c.sigma):
             removed = [i for i in c.sigma if i not in sub]
             for extra in subsets(removed):

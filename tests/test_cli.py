@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -91,6 +92,16 @@ def test_deeply_nested_json_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["project"], ["verify", "--theorem", "image"]])
+def test_projection_of_one_vertex_is_an_invalid_complex(tmp_path, capsys, argv):
+    path = tmp_path / "m1.json"
+    path.write_text(json.dumps({"m": 1, "facets": [[1]]}))
+    code, report = run(capsys, *argv, "--complex", str(path))
+    assert code == 4
+    assert "m >= 2" in report["error"]
+    assert report["payload"] is None
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["homology", "--complex", str(tmp_path / "nope.json")]) == 3
     capsys.readouterr()
@@ -100,6 +111,11 @@ def test_report_is_byte_stable(capsys):
     _, first = run(capsys, "verify", "--theorem", "su-cai", "--m", "3")
     _, second = run(capsys, "verify", "--theorem", "su-cai", "--m", "3")
     assert first == second
+
+
+def _skeleton(m, k):
+    """The JSON of the complex of all k-subsets of [m]."""
+    return {"m": m, "facets": [list(s) for s in itertools.combinations(range(1, m + 1), k)]}
 
 
 # sha256 of whole reports, so that any change to their bytes is deliberate;
@@ -115,6 +131,12 @@ def test_report_is_byte_stable(capsys):
      "bdbaa9a83399d3c9fa59cbc5106dfe609c6cdaed1a3d0a2b356e72f2ff2437d6"),
     (["build", "--doubled", "--complex", {"m": 3, "facets": [[1, 2], [3]]}],
      "0a88b92e842351aca0f1db58c990a2dff7a4f99650f19b54427114b8fd465dcf"),
+    (["diagonal", "--m", "6"],
+     "4d5b10314d8ff9950b42973d3bfc96bf33dc373ec7ced107fcab53d14543edbb"),
+    (["build", "--complex", _skeleton(6, 3)],
+     "0c6f39bca49272554ed30ec9df38337907afc5b701bf0a03f6be87c113ef627d"),
+    (["tor", "--complex", _skeleton(4, 2)],
+     "223a255fc1cc5fe91376de67b78722a594acb87b3c73d00d46a2f1b2159f7b14"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
     assert _pinned_run(tmp_path, argv) == (0, digest)
@@ -153,8 +175,14 @@ _json_values = st.recursive(
     max_leaves=20)
 
 
+# one int tuple held many times, at several indents, as faces share blocks
+_shared = (1, 2)
+
+
 @given(_json_values)
 @example([[1], [True], [1.0], [1, True], [True, 1], [1, 1.0], [1]])
+@example({"a": [_shared, _shared, (True, 2)], "b": [[_shared], (_shared, [1.0, 2])],
+          "c": _shared, "d": [{"e": _shared}, _shared]})
 @example({"a": [float("nan"), float("inf"), -float("inf")], "": [[], {}, ()]})
 @example(["\u00e9\x00\n\x1f\"\\\u2028\U0001f600", ("tuple", (1, 2)), {"\x7f": {}}])
 def test_writer_writes_the_bytes_of_json_dumps(value):

@@ -1,17 +1,21 @@
 import hashlib
+import itertools
 
 from permcomplex.chains import FormalChain, tensor
 from permcomplex.cubes import all_cells, cube_boundary
 from permcomplex.diagonals import (
+    _block_terms,
     _top_cell_terms,
     cai_diagonal,
     chain_map_defect,
     counit_defect,
     cup_su,
     su_diagonal,
+    su_terms,
     su_top_diagonal,
 )
 from permcomplex.permutohedron import (
+    PartitionFace,
     all_faces,
     boundary,
     build_perm_complex,
@@ -96,6 +100,34 @@ def test_su_diagonal_on_lower_face_relabels():
         (F([1, 3], [2]), F([3], [1], [2])): 1,
         (F([1], [3], [2]), F([1, 3], [2])): 1,
     }
+
+
+def _reference_su_diagonal(G):
+    """The extension as it was written before `su_terms`: one product over
+    the per-block terms, the Koszul sign summed per choice."""
+    result = FormalChain()
+    for choice in itertools.product(*map(_block_terms, G.blocks)):
+        sign, exponent, right_degree = 1, 0, 0
+        left_blocks, right_blocks = (), ()
+        for s, left, right, deg_left, deg_right in choice:
+            sign *= s
+            exponent += deg_left * right_degree
+            right_degree += deg_right
+            left_blocks += left
+            right_blocks += right
+        result.add_term((PartitionFace(G.m, left_blocks),
+                         PartitionFace(G.m, right_blocks)), -sign if exponent % 2 else sign)
+    return result
+
+
+def test_su_terms_are_the_terms_of_su_diagonal():
+    for m in range(1, 6):
+        for G in all_faces(m):
+            terms = list(su_terms(G.blocks))
+            pairs = {(PartitionFace(m, left), PartitionFace(m, right)): sign
+                     for sign, left, right in terms}
+            assert len(pairs) == len(terms), G  # each pair once
+            assert pairs == su_diagonal(G).terms == _reference_su_diagonal(G).terms, G
 
 
 def test_su_chain_map_small():

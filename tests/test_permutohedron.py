@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,18 +13,20 @@ from permcomplex.permutohedron import (
     barycenter,
     boundary,
     build_perm_complex,
+    build_perm_complex_C,
     enumerate_faces,
     face,
     face_from_json,
     face_to_json,
     face_vertices,
     full_permutohedron,
+    partitions_by_count,
     refines,
     shuffle_sign,
     top_face,
     vertex_coordinates,
 )
-from permcomplex.simplicial import skeleton
+from permcomplex.simplicial import from_facets, random_suite, skeleton
 from permcomplex.sumatrix import columns_partition, enumerate_configurations, rows_partition
 
 
@@ -164,3 +167,124 @@ def test_barycenter_of_top_cell():
 def test_face_json_round_trip():
     F = face(4, [2, 4], [1], [3])
     assert face_from_json(face_to_json(F), 4) == F
+
+
+# ---------------------------------------------------------------------------
+# the subset-DP enumerator against the recursive generator it replaced
+
+def _reference_partitions(elements, block_ok=lambda block: True):
+    """All ordered partitions of `elements` into blocks accepted by
+    `block_ok`: the first block by size, then in combination order, and
+    the rest recursively."""
+    elements = tuple(sorted(elements))
+    if not elements:
+        yield ()
+        return
+    for size in range(1, len(elements) + 1):
+        for first in itertools.combinations(elements, size):
+            if block_ok(first):
+                rest = tuple(e for e in elements if e not in first)
+                for tail in _reference_partitions(rest, block_ok):
+                    yield (first,) + tail
+
+
+def _reference_by_count(partitions):
+    by_count = {}
+    for blocks in partitions:
+        by_count.setdefault(len(blocks), []).append(blocks)
+    return {p: sorted(lists) for p, lists in by_count.items()}
+
+
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def test_enumerator_matches_reference_on_every_block():
+    for m in range(7):
+        by_count = partitions_by_count(range(1, m + 1))
+        assert by_count == _reference_by_count(_reference_partitions(range(1, m + 1)))
+        if m:
+            assert {p: len(lists) for p, lists in by_count.items()} == {
+                p: math.factorial(p) * _stirling2(m, p) for p in range(1, m + 1)}
+
+
+def test_enumerator_matches_reference_under_predicates():
+    complexes = [skeleton(m, d) for m in range(2, 7) for d in range(m - 1)]
+    complexes += random_suite(seed=0, count=20, max_m=5)
+    complexes += random_suite(seed=3, count=6, max_m=6)
+    for K in complexes:
+        calls = []
+
+        def block_ok(block, K=K):
+            calls.append(block)
+            return block in K.simplices
+
+        elements = range(1, K.m + 1)
+        assert partitions_by_count(elements, block_ok) == _reference_by_count(
+            _reference_partitions(elements, lambda b: b in K.simplices))
+        assert sorted(calls) == sorted(  # once per nonempty subset
+            s for r in range(1, K.m + 1) for s in itertools.combinations(elements, r))
+
+
+def test_doubled_complex_matches_reference():
+    # a face of Perm^{2m-1} is removed iff some nonface I of K lies in one
+    # block and its primed copy I' in one block
+    for K in (from_facets(3, [[1, 2]]), from_facets(3, [[2, 3]]),
+              from_facets(3, [[1, 2], [3]]), skeleton(3, 0), skeleton(3, 1)):
+        m = K.m
+        nonfaces = [set(s) for r in range(1, m + 1)
+                    for s in itertools.combinations(range(1, m + 1), r)
+                    if s not in K.simplices]
+
+        def keep(blocks):
+            return not any(any(I <= set(b) for b in blocks)
+                           and any({i + m for i in I} <= set(b) for b in blocks)
+                           for I in nonfaces)
+
+        X = build_perm_complex_C(K)
+        want = _reference_by_count(
+            blocks for blocks in _reference_partitions(range(1, 2 * m + 1)) if keep(blocks))
+        assert {d: [f.blocks for f in fs] for d, fs in X.by_dim.items()} == {
+            2 * m - p: lists for p, lists in want.items()}
+
+
+def test_bases_are_in_block_order():
+    for X in [full_permutohedron(m) for m in range(1, 7)] + [
+            build_perm_complex(skeleton(6, d)) for d in range(5)] + [
+            build_perm_complex_C(from_facets(3, [[1, 2]]))]:
+        assert sorted(X.by_dim) == list(X.by_dim)
+        for d, fs in X.by_dim.items():
+            assert fs and [f.blocks for f in fs] == sorted(f.blocks for f in fs)
+            assert all(f.dim == d for f in fs)
+        assert len(X) == len(set(X.all())) == sum(X.f_vector())
+    for m in range(1, 6):
+        assert all_faces(m) == full_permutohedron(m).all()
+        for d in range(m):
+            assert enumerate_faces(m, d) == full_permutohedron(m).faces(d)
+
+
+# ---------------------------------------------------------------------------
+# the boundary from split tables against the formula it replaced
+
+def _reference_boundary(F):
+    result = FormalChain()
+    offset = 0
+    for j, block in enumerate(F.blocks):
+        for r in range(1, len(block)):
+            for M in itertools.combinations(block, r):
+                rest = tuple(e for e in block if e not in M)
+                sign = shuffle_sign(M, rest) * (-1) ** (offset + r)
+                result.add_term(PartitionFace(
+                    F.m, F.blocks[:j] + (M, rest) + F.blocks[j + 1:]), sign)
+        offset += len(block) - 1
+    return result
+
+
+def test_boundary_matches_reference_formula():
+    for m in range(1, 6):
+        for F in all_faces(m):
+            assert list(boundary(F)) == list(_reference_boundary(F)), F
