@@ -96,7 +96,7 @@ def component_1_1(K: SimplicialComplex) -> ChainComplexData:
 def phi(F: PartitionFace) -> BarWord:
     """Basis bijection: the dual of F(U_1|...|U_n) goes to the word whose
     j-th letter is the monomial supported on U_j."""
-    return BarWord(F.m, F.blocks)
+    return BarWord(F.m, F)
 
 
 def phi_inverse(w: BarWord) -> PartitionFace:

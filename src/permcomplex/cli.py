@@ -6,7 +6,8 @@ checks passed, 1 a verification check failed, 2 usage error (argparse, a
 --coeff that is not Z, Q or a prime, an --m below 1, or an --out or
 --geometry file that cannot be written; the error report of an
 unwritable --out goes to stdout), 3 malformed JSON input (including a
---face or a cochain file whose faces are not ordered partitions of [m]),
+--face or a cochain file whose faces are not ordered partitions of [m],
+and a cochain term on a face that is not in Perm(K)),
 4 invalid input complex (including one with m = 1 for `project` and
 `verify --theorem image`, whose complex L(K) lives on [m - 1]).  A report
 is the text of json.dumps(report, indent=1, sort_keys=True) and a
@@ -109,7 +110,7 @@ def cmd_build(args, report):
     report["payload"] = {
         "m": X.m,
         "f_vector": X.f_vector(),
-        "faces": [f.blocks for f in X.all()],
+        "faces": X.all(),
     }
     return []
 
@@ -140,9 +141,10 @@ def cmd_diagonal(args, report):
     return []
 
 
-def _load_perm_cochain(path: str, m: int):
-    """A cochain file: a list of {"face": block list, "coeff": integer}
-    terms of one degree, "coeff" defaulting to 1."""
+def _load_perm_cochain(path: str, X):
+    """A cochain on the complex X from a file: a list of {"face": block
+    list, "coeff": integer} terms of one degree on faces of X, "coeff"
+    defaulting to 1."""
     data, _ = _load_json(path)
     from .chains import FormalChain
     result = FormalChain()
@@ -155,9 +157,12 @@ def _load_perm_cochain(path: str, m: int):
             raise CliError(f"cochain term {term!r} in {path} needs a face "
                            f"and an integer coeff", EXIT_BAD_JSON)
         try:
-            F = permutohedron.face_from_json(term["face"], m)
+            F = permutohedron.face_from_json(term["face"], X.m)
         except ValueError as exc:
             raise CliError(f"bad face in cochain {path}: {exc}", EXIT_BAD_JSON)
+        if F not in X:
+            raise CliError(f"cochain {path} has a term on {F!r}, which is not "
+                           f"a face of Perm(K)", EXIT_BAD_JSON)
         degrees.add(F.dim)
         result.add_term(F, term.get("coeff", 1))
     if len(degrees) > 1:
@@ -169,13 +174,13 @@ def _load_perm_cochain(path: str, m: int):
 def cmd_cup(args, report):
     K, report["input_digest"] = _load_complex(args.complex)
     X = permutohedron.build_perm_complex(K)
-    a, da = _load_perm_cochain(args.a, K.m)
-    b, db = _load_perm_cochain(args.b, K.m)
+    a, da = _load_perm_cochain(args.a, X)
+    b, db = _load_perm_cochain(args.b, X)
     product = diagonals.cup_su(a, b, X, da, db)
     report["payload"] = {
         "degree": da + db,
         "terms": [{"face": permutohedron.face_to_json(F), "coeff": c}
-                  for F, c in sorted(product, key=lambda kv: kv[0].blocks)],
+                  for F, c in sorted(product)],
     }
     return []
 
@@ -199,7 +204,7 @@ def cmd_project(args, report):
     K, report["input_digest"] = _load_projectable(args.complex)
     L = projection.L_of_K(K)
     payload = {"L": simplicial.to_json_dict(L)}
-    if args.face:
+    if args.face is not None:
         F = _parse_face(args.face, K.m)
         c = projection.rho_face(F)
         payload["face_image"] = {"sigma": list(c.sigma), "tau": list(c.tau),

@@ -1,10 +1,11 @@
 """Cellular diagonals: the Saneblidze-Umble diagonal on the permutohedron
 and the Cai diagonal on the cube, with the cup products they induce.
 
-On hot paths a term of the SU diagonal is (sign, left blocks, right
-blocks): `_top_cell_terms` for the top cell and the generator `su_terms`
-for any face.  At the API edge, `su_top_diagonal` and `su_diagonal` wrap
-them in a FormalChain over (left, right) pairs of PartitionFace, as the
+A face is its tuple of blocks, so a term of the SU diagonal is (sign,
+left face, right face): `_top_cell_terms` for the top cell and the
+generator `su_terms` for any face, both as plain block tuples.
+`su_top_diagonal` and `su_diagonal` collect them in a FormalChain over
+(left, right) pairs of PartitionFace, which adds the dimension, as the
 cube diagonal's terms are pairs of CubeCell.  The boundary on tensors is
 d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db; the comultiplicative
 extension interleaves per-block factors with the matching Koszul sign,
@@ -19,20 +20,15 @@ from functools import lru_cache
 from .chains import FormalChain
 from .cubes import CubeCell, inversion_count
 from .permutohedron import PartitionFace, PermComplex
-from .sumatrix import enumerate_configurations, partition_sign, step_sign
-
-
-def _columns(rows: tuple) -> tuple:
-    """The columns of a matrix given by its rows, zeros removed."""
-    return tuple(tuple(filter(None, col)) for col in zip(*rows))
+from .sumatrix import (columns_partition, enumerate_configurations, partition_sign,
+                       rows_partition, step_sign)
 
 
 @lru_cache(maxsize=None)
 def _top_cell_terms(m: int) -> tuple:
     """Terms of the diagonal of the top cell of Perm^{m-1}: (sign, left
-    blocks, right blocks), in canonical (q ascending, matrix lex) order.
-    The left blocks c(A) are the columns of A and the right blocks r(A)
-    its rows from the bottom up, zeros removed."""
+    blocks, right blocks), in canonical (q ascending, matrix lex) order:
+    the left blocks are c(A) and the right blocks r(A)."""
     terms = []
     for q in range(1, m + 1):
         p = m - q + 1
@@ -41,10 +37,8 @@ def _top_cell_terms(m: int) -> tuple:
             E = record.source_step
             step = step_signs.get(E)
             if step is None:
-                step = step_signs[E] = step_sign(q, _columns(E.entries))
-            rows = record.matrix.entries
-            left = _columns(rows)
-            right = tuple(tuple(filter(None, row)) for row in reversed(rows))
+                step = step_signs[E] = step_sign(q, columns_partition(E))
+            left, right = columns_partition(record.matrix), rows_partition(record.matrix)
             terms.append((partition_sign(step, right, left), left, right))
     return tuple(terms)
 
@@ -53,7 +47,7 @@ def su_top_diagonal(m: int) -> FormalChain:
     """The double sum over configuration matrices for the top cell."""
     result = FormalChain()
     for sign, left, right in _top_cell_terms(m):
-        result.add_term((PartitionFace(m, left), PartitionFace(m, right)), sign)
+        result.add_term((PartitionFace(left), PartitionFace(right)), sign)
     return result
 
 
@@ -71,13 +65,13 @@ def _block_terms(block: tuple) -> tuple:
                  for sign, left, right in _top_cell_terms(n))
 
 
-def su_terms(blocks: tuple):
-    """The terms of the diagonal of the face with these blocks, as (sign,
-    left blocks, right blocks), each pair once: the top-cell diagonal
-    inside each block, the per-block factors interleaved.  Each left
-    factor moves past the right factors of the earlier blocks, which
-    gives the Koszul sign."""
-    *front, last = map(_block_terms, blocks)
+def su_terms(F: tuple):
+    """The terms of the diagonal of the face F, as (sign, left blocks,
+    right blocks), each pair once: the top-cell diagonal inside each
+    block, the per-block factors interleaved.  Each left factor moves past
+    the right factors of the earlier blocks, which gives the Koszul
+    sign."""
+    *front, last = map(_block_terms, F)
     partial = [(1, (), (), 0)]  # (sign, left, right, right degree)
     for factors in front:
         partial = [(-s * t if deg_left * degree % 2 else s * t,
@@ -94,9 +88,8 @@ def su_diagonal(F: PartitionFace) -> FormalChain:
     the terms of `su_terms` as pairs of faces."""
     result = FormalChain()
     terms = result.terms  # su_terms gives each pair once
-    m = F.m
-    for sign, left, right in su_terms(F.blocks):
-        terms[PartitionFace(m, left), PartitionFace(m, right)] = sign
+    for sign, left, right in su_terms(F):
+        terms[PartitionFace(left), PartitionFace(right)] = sign
     return result
 
 
@@ -169,9 +162,9 @@ def cup_su(a: FormalChain, b: FormalChain, X: PermComplex,
     m = X.m
     for F in X.faces(deg_a + deg_b):
         value = 0
-        for sign, left, right in su_terms(F.blocks):
+        for sign, left, right in su_terms(F):
             if m - len(left) == deg_a and m - len(right) == deg_b:
-                value += sign * a[PartitionFace(m, left)] * b[PartitionFace(m, right)]
+                value += sign * a[left] * b[right]
         if value:
             result.add_term(F, value)
     return result

@@ -6,22 +6,22 @@ A face of the (m-1)-permutohedron is an ordered partition (U_1|...|U_p) of
 [m]; its dimension is m - p.  Refining the partition passes to a face of
 the boundary.
 
-Where work scales with the number of faces, a face is its tuple of
-blocks: `partitions_by_count` enumerates them in basis order by one
-dynamic programme over the subsets of [m], `boundary` splits blocks
+A face is its tuple of blocks.  `PartitionFace` is a tuple subclass that
+only adds `m`, `dim` and the repr F(12|3), so a face equals its block
+tuple and hashes like it, and one type runs from enumeration to the
+reports: `partitions_by_count` enumerates block tuples in basis order by
+one dynamic programme over the subsets of [m], `boundary` splits blocks
 through a table built once per block, and the diagonals, the projection
-check and the reports read block tuples.  `PartitionFace` is the record
-at the API and JSON edges: the bases of `PermComplex`, the labels of
-boundary chains, and the faces users name.  Building one checks nothing,
-because the program makes partitions by construction.  Blocks from
-outside the program (the CLI's `--face`, cochain files, bar words) go
-through `face` or `face_from_json`, which check that they partition [m].
+check and the report writer read faces as the tuples they are.  Building
+a face checks nothing, because the program makes partitions by
+construction.  Blocks from outside the program (the CLI's `--face`,
+cochain files, bar words) go through `face` or `face_from_json`, which
+check that they partition [m].
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -29,22 +29,26 @@ from .chains import FormalChain
 from .simplicial import SimplicialComplex, minimal_nonfaces
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionFace:
-    """Ordered partition (U_1|...|U_p) of [m]; blocks are increasing tuples.
+class PartitionFace(tuple):
+    """Ordered partition (U_1|...|U_p) of [m]: the tuple of its blocks,
+    each an increasing tuple.  It equals its block tuple and hashes like
+    it; m and the dimension m - p are read off the blocks.
 
     Unchecked: use `face` or `face_from_json` for blocks that may not
     partition [m]."""
 
-    m: int
-    blocks: tuple
+    __slots__ = ()
+
+    @property
+    def m(self) -> int:
+        return sum(map(len, self))
 
     @property
     def dim(self) -> int:
-        return self.m - len(self.blocks)
+        return self.m - len(self)
 
     def __repr__(self):
-        return "F(" + "|".join("".join(map(str, b)) for b in self.blocks) + ")"
+        return "F(" + "|".join("".join(map(str, b)) for b in self) + ")"
 
 
 def face(m: int, *blocks) -> PartitionFace:
@@ -58,11 +62,11 @@ def face(m: int, *blocks) -> PartitionFace:
         seen.update(block)
     if seen != set(range(1, m + 1)) or sum(map(len, blocks)) != m:
         raise ValueError(f"blocks {blocks} do not partition [1, {m}]")
-    return PartitionFace(m, blocks)
+    return PartitionFace(blocks)
 
 
 def top_face(m: int) -> PartitionFace:
-    return PartitionFace(m, (tuple(range(1, m + 1)),))
+    return PartitionFace((tuple(range(1, m + 1)),))
 
 
 def shuffle_sign(M, N) -> int:
@@ -112,8 +116,7 @@ def enumerate_faces(m: int, dim: int) -> list:
     block order."""
     if not 0 <= dim <= m - 1:
         raise ValueError(f"dim {dim} out of range [0, {m - 1}]")
-    return [PartitionFace(m, blocks)
-            for blocks in partitions_by_count(range(1, m + 1))[m - dim]]
+    return list(map(PartitionFace, partitions_by_count(range(1, m + 1))[m - dim]))
 
 
 def all_faces(m: int) -> list:
@@ -128,14 +131,14 @@ def refines(G: PartitionFace, F: PartitionFace) -> bool:
     if G.m != F.m:
         raise ValueError("faces live on different ground sets")
     i = 0
-    for block in F.blocks:
+    for block in F:
         acc = set()
         while acc != set(block):
-            if i >= len(G.blocks) or not set(G.blocks[i]) <= set(block):
+            if i >= len(G) or not set(G[i]) <= set(block):
                 return False
-            acc.update(G.blocks[i])
+            acc.update(G[i])
             i += 1
-    return i == len(G.blocks)
+    return i == len(G)
 
 
 @lru_cache(maxsize=None)
@@ -159,13 +162,12 @@ def boundary(F: PartitionFace) -> FormalChain:
     """
     result = FormalChain()
     terms = result.terms  # the terms are distinct faces: none cancels
-    m, blocks = F.m, F.blocks
     odd = False  # parity of m_1 + ... + m_{j-1}
-    for j, block in enumerate(blocks):
+    for j, block in enumerate(F):
         if len(block) > 1:
-            head, tail = blocks[:j], blocks[j + 1:]
+            head, tail = F[:j], F[j + 1:]
             for M, rest, sign in _splits(block):
-                terms[PartitionFace(m, head + (M, rest) + tail)] = -sign if odd else sign
+                terms[PartitionFace(head + (M, rest) + tail)] = -sign if odd else sign
             if not len(block) % 2:
                 odd = not odd
     return result
@@ -187,7 +189,7 @@ class PermComplex:
     def from_partitions(cls, m: int, by_count: dict, source=None):
         """The complex whose faces are the block tuples of
         `partitions_by_count`, kept in its order."""
-        return cls(m, {m - p: [PartitionFace(m, blocks) for blocks in lists]
+        return cls(m, {m - p: list(map(PartitionFace, lists))
                        for p, lists in sorted(by_count.items(), reverse=True)
                        if lists}, source)
 
@@ -259,7 +261,7 @@ def vertex_coordinates(F: PartitionFace) -> tuple:
     if F.dim != 0:
         raise ValueError(f"{F} is not a vertex")
     coords = [0] * F.m
-    for j, block in enumerate(F.blocks, start=1):
+    for j, block in enumerate(F, start=1):
         coords[block[0] - 1] = j
     return tuple(coords)
 
@@ -272,7 +274,7 @@ def barycenter(F: PartitionFace) -> tuple:
     """
     coords = [Fraction(0)] * F.m
     offset = 0
-    for block in F.blocks:
+    for block in F:
         value = Fraction(2 * offset + len(block) + 1, 2)
         for i in block:
             coords[i - 1] = value
@@ -282,16 +284,12 @@ def barycenter(F: PartitionFace) -> tuple:
 
 def face_vertices(F: PartitionFace) -> list:
     """All vertex faces refining F."""
-    result = []
-    for orderings in itertools.product(
-            *(itertools.permutations(b) for b in F.blocks)):
-        blocks = tuple((i,) for ordering in orderings for i in ordering)
-        result.append(PartitionFace(F.m, blocks))
-    return result
+    return [PartitionFace((i,) for ordering in orderings for i in ordering)
+            for orderings in itertools.product(*map(itertools.permutations, F))]
 
 
 def face_to_json(F: PartitionFace) -> list:
-    return [list(b) for b in F.blocks]
+    return [list(b) for b in F]
 
 
 def face_from_json(data, m: int | None = None) -> PartitionFace:
@@ -308,15 +306,15 @@ def face_from_json(data, m: int | None = None) -> PartitionFace:
 
 def geometry_json(X: PermComplex) -> dict:
     """Exact coordinates for export: integer vertices plus rational
-    barycenters of all faces (as "p/q" strings).  Faces are given by their
-    block tuples, which the report writer writes as lists."""
+    barycenters of all faces (as "p/q" strings).  Faces are their block
+    tuples, which the report writer writes as lists."""
 
     def frac(x: Fraction) -> str:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
-    vertices = [{"face": v.blocks, "coords": list(vertex_coordinates(v))}
+    vertices = [{"face": v, "coords": list(vertex_coordinates(v))}
                 for v in X.faces(0)]
-    faces = [{"face": f.blocks, "dim": f.dim,
+    faces = [{"face": f, "dim": f.dim,
               "barycenter": [frac(c) for c in barycenter(f)]}
              for f in X.all()]
     return {"m": X.m, "vertices": vertices, "faces": faces}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .chains import FormalChain
 from .cubes import CubeCell, all_cells, subsets
 from .diagonals import cai_diagonal, su_terms
-from .permutohedron import PartitionFace, PermComplex, build_perm_complex, full_permutohedron
+from .permutohedron import PartitionFace, build_perm_complex, full_permutohedron
 from .simplicial import SimplicialComplex, from_facets
 from .sumatrix import OrderedMatrix
 
@@ -23,22 +23,23 @@ from .sumatrix import OrderedMatrix
 def rho_face(F: PartitionFace) -> CubeCell:
     """Image cell of a face, even when the dimension drops."""
     block_of = {}
-    for j, block in enumerate(F.blocks):
+    for j, block in enumerate(F):
         for i in block:
             block_of[i] = j
+    m = len(block_of)
     sigma, tau = [], []
-    for i in range(1, F.m):
+    for i in range(1, m):
         if block_of[i] == block_of[i + 1]:
             sigma.append(i)
         elif block_of[i + 1] < block_of[i]:
             tau.append(i)
-    return CubeCell(F.m - 1, tuple(sigma), tuple(tau))
+    return CubeCell(m - 1, tuple(sigma), tuple(tau))
 
 
 def blocks_are_intervals(F: PartitionFace) -> bool:
     """Whether every block is a run of consecutive integers, which is
     exactly when rho_face keeps the dimension of F (tested through m = 5)."""
-    return all(b[-1] - b[0] + 1 == len(b) for b in F.blocks)
+    return all(b[-1] - b[0] + 1 == len(b) for b in F)
 
 
 def rho_sign(F: PartitionFace) -> int:
@@ -47,11 +48,11 @@ def rho_sign(F: PartitionFace) -> int:
     their natural order, a block of size s contributing degree s - 1.
     Solved from the boundary-commutation equations and verified through
     m = 6."""
-    degs = [len(b) - 1 for b in F.blocks]
-    mins = [b[0] for b in F.blocks]
+    degs = [len(b) - 1 for b in F]
+    mins = [b[0] for b in F]
     e = sum(degs[j] * degs[k]
-            for j in range(len(F.blocks))
-            for k in range(j + 1, len(F.blocks))
+            for j in range(len(F))
+            for k in range(j + 1, len(F))
             if mins[j] > mins[k])
     return -1 if e % 2 else 1
 
@@ -156,15 +157,16 @@ def verify_su_cai(m: int) -> dict:
     names a failing face of least dimension.  A mismatch lists only the
     terms of lhs - rhs, each as its left and right cube cells and its
     coefficient.  The terms of both sides are keyed by the (sigma, tau)
-    of their cells, and the SU terms are read as block tuples."""
+    of their cells; the faces of the SU terms are plain block tuples,
+    which find the images stored under the equal faces."""
     faces = full_permutohedron(m).all()
-    images = {}  # blocks -> ((sigma, tau), rho_sign), None if the dimension drops
+    images = {}  # face -> ((sigma, tau), rho_sign), None if the dimension drops
     for F in faces:
         if blocks_are_intervals(F):
             c = rho_face(F)
-            images[F.blocks] = ((c.sigma, c.tau), rho_sign(F))
+            images[F] = ((c.sigma, c.tau), rho_sign(F))
         else:
-            images[F.blocks] = None
+            images[F] = None
 
     def cell(key):
         return CubeCell(m - 1, *key)
@@ -172,12 +174,12 @@ def verify_su_cai(m: int) -> dict:
     mismatches = []
     for F in faces:
         lhs = {}  # (left cell, right cell) as (sigma, tau) pairs -> coefficient
-        for sign, left, right in su_terms(F.blocks):
+        for sign, left, right in su_terms(F):
             a, b = images[left], images[right]
             if a and b:
                 key = (a[0], b[0])
                 lhs[key] = lhs.get(key, 0) + sign * a[1] * b[1]
-        c = images[F.blocks]
+        c = images[F]
         if c:  # lhs - rhs
             for (a, b), coeff in cai_diagonal(cell(c[0])):
                 key = ((a.sigma, a.tau), (b.sigma, b.tau))
@@ -249,8 +251,7 @@ def verify_image(K: SimplicialComplex) -> dict:
     # Known prose/formula mismatch in the source example for m = 4: the
     # face rule sends F(13|24) to the vertex (-1, 1, -1) and F(24|13) to
     # (1, -1, 1), the swap of what the worked example narrates.
-    swapped = PartitionFace(4, ((1, 3), (2, 4))) if K.m == 4 else None
-    if swapped is not None and swapped in X:
+    if ((1, 3), (2, 4)) in X:
         report["notes"].append(
             "F(13|24) maps to (-1, 1, -1) and F(24|13) to (1, -1, 1) under "
             "the face rule; the worked quadrilateral example lists these "

@@ -20,8 +20,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .permutohedron import PartitionFace
-
 
 @dataclass(frozen=True)
 class OrderedMatrix:
@@ -92,19 +90,16 @@ def is_step(M: OrderedMatrix) -> bool:
     return sorted(diagonals) == list(range(-(M.q - 1), M.p))
 
 
-def columns_partition(M: OrderedMatrix) -> PartitionFace:
-    """c(O): columns as blocks, zeros removed."""
-    m = M.q + M.p - 1
-    blocks = tuple(tuple(sorted(v for v in col if v)) for col in zip(*M.entries))
-    return PartitionFace(m, blocks)
+def columns_partition(M: OrderedMatrix) -> tuple:
+    """c(O): the face whose blocks are the columns, zeros removed (the
+    columns of an ordered matrix increase, so each block is sorted)."""
+    return tuple(tuple(filter(None, col)) for col in zip(*M.entries))
 
 
-def rows_partition(M: OrderedMatrix) -> PartitionFace:
-    """r(O): rows as blocks in reverse order, zeros removed."""
-    m = M.q + M.p - 1
-    blocks = tuple(tuple(sorted(v for v in row if v))
-                   for row in reversed(M.entries))
-    return PartitionFace(m, blocks)
+def rows_partition(M: OrderedMatrix) -> tuple:
+    """r(O): the face whose blocks are the rows from the bottom up, zeros
+    removed."""
+    return tuple(tuple(filter(None, row)) for row in reversed(M.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -338,5 +333,5 @@ def partition_sign(step: int, rA: tuple, cA: tuple) -> int:
 
 def csgn(record: ConfigurationRecord) -> int:
     A, E = record.matrix, record.source_step
-    return partition_sign(step_sign(A.q, columns_partition(E).blocks),
-                          rows_partition(A).blocks, columns_partition(A).blocks)
+    return partition_sign(step_sign(A.q, columns_partition(E)),
+                          rows_partition(A), columns_partition(A))

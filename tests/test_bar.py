@@ -36,7 +36,7 @@ def test_monomial_product_vanishes_on_nonfaces():
 def test_phi_round_trip():
     F = face(4, [2, 4], [1], [3])
     assert phi_inverse(phi(F)) == F
-    assert phi(F).letters == F.blocks
+    assert phi(F).letters == F
 
 
 @pytest.mark.parametrize("letters", [((1, 2), (2, 3), (4,)), ((1, 2), (3,)),

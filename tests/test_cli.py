@@ -288,7 +288,7 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, k1_path, argv):
 
 
 @pytest.mark.parametrize("face", ['[[1,2],[2,3],[4]]', "5", '[[1,2],[3,"a"]]',
-                                  "[" * 5000 + "]" * 5000])
+                                  "[" * 5000 + "]" * 5000, "", "|"])
 def test_malformed_face_is_malformed_input(capsys, k1_path, face):
     code, report = run(capsys, "project", "--complex", k1_path, "--face", face)
     assert code == 3
@@ -319,4 +319,18 @@ def test_malformed_cochain_is_malformed_input(tmp_path, capsys, k1_path, term):
     code, report = run(capsys, "cup", "--complex", k1_path, "--a", a, "--b", b)
     assert code == 3
     assert "b.json" in report["error"]
+    assert report["payload"] is None
+
+
+@pytest.mark.parametrize("which", ["--a", "--b"])
+def test_cochain_off_the_complex_is_malformed_input(tmp_path, capsys, which):
+    # F(123) is a face of the permutohedron but not of Perm(K), K = {12, 3}
+    K = tmp_path / "k.json"
+    K.write_text(json.dumps({"m": 3, "facets": [[1, 2], [3]]}))
+    top = _cochain(tmp_path, "top.json", [{"face": [[1, 2, 3]]}])
+    vertex = _cochain(tmp_path, "vertex.json", [{"face": [[1], [2], [3]]}])
+    a, b = (top, vertex) if which == "--a" else (vertex, top)
+    code, report = run(capsys, "cup", "--complex", str(K), "--a", a, "--b", b)
+    assert code == 3
+    assert "top.json" in report["error"] and "F(123)" in report["error"]
     assert report["payload"] is None

@@ -106,7 +106,7 @@ def _reference_su_diagonal(G):
     """The extension as it was written before `su_terms`: one product over
     the per-block terms, the Koszul sign summed per choice."""
     result = FormalChain()
-    for choice in itertools.product(*map(_block_terms, G.blocks)):
+    for choice in itertools.product(*map(_block_terms, G)):
         sign, exponent, right_degree = 1, 0, 0
         left_blocks, right_blocks = (), ()
         for s, left, right, deg_left, deg_right in choice:
@@ -115,16 +115,16 @@ def _reference_su_diagonal(G):
             right_degree += deg_right
             left_blocks += left
             right_blocks += right
-        result.add_term((PartitionFace(G.m, left_blocks),
-                         PartitionFace(G.m, right_blocks)), -sign if exponent % 2 else sign)
+        result.add_term((PartitionFace(left_blocks),
+                         PartitionFace(right_blocks)), -sign if exponent % 2 else sign)
     return result
 
 
 def test_su_terms_are_the_terms_of_su_diagonal():
     for m in range(1, 6):
         for G in all_faces(m):
-            terms = list(su_terms(G.blocks))
-            pairs = {(PartitionFace(m, left), PartitionFace(m, right)): sign
+            terms = list(su_terms(G))
+            pairs = {(PartitionFace(left), PartitionFace(right)): sign
                      for sign, left, right in terms}
             assert len(pairs) == len(terms), G  # each pair once
             assert pairs == su_diagonal(G).terms == _reference_su_diagonal(G).terms, G

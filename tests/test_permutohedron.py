@@ -53,29 +53,48 @@ def test_face_from_json_rejects_non_partitions(data):
         face_from_json(data, 3)
 
 
-def _assert_partitions(faces):
+def _assert_partitions(faces, m):
     """Each face is the one its JSON block list names: a partition of
     [m] into increasing blocks, which building a PartitionFace does not
-    check."""
+    check.  The caller gives m, since a face's own m is read off its
+    blocks and would not see an element they dropped."""
     for F in faces:
-        assert face_from_json(face_to_json(F), F.m) == F, F
+        assert face_from_json(face_to_json(F), m) == F, F
 
 
 def test_built_faces_are_partitions():
     for m in range(1, 6):
         faces = all_faces(m)
-        _assert_partitions(faces)
+        _assert_partitions(faces, m)
         for F in faces:
-            _assert_partitions(G for G, _ in boundary(F))
-            _assert_partitions(face_vertices(F))
+            _assert_partitions((G for G, _ in boundary(F)), m)
+            _assert_partitions(face_vertices(F), m)
             for (left, right), _ in su_diagonal(F):
-                _assert_partitions((left, right))
+                _assert_partitions((left, right), m)
         for (left, right), _ in su_top_diagonal(m):
-            _assert_partitions((left, right))
+            _assert_partitions((left, right), m)
         for q in range(1, m + 1):
             for record in enumerate_configurations(q, m + 1 - q):
                 for M in (record.matrix, record.source_step):
-                    _assert_partitions((columns_partition(M), rows_partition(M)))
+                    _assert_partitions((columns_partition(M), rows_partition(M)), m)
+
+
+def test_a_face_is_its_block_tuple():
+    blocks = ((2, 4), (1,), (3,))
+    F = PartitionFace(blocks)
+    assert isinstance(F, tuple) and F == blocks and hash(F) == hash(blocks)
+    assert F == face(4, [4, 2], [1], [3]) and repr(F) == "F(24|1|3)"
+    assert not hasattr(F, "blocks") and not hasattr(F, "__dict__")
+    # chains, dicts and complexes keyed by faces find the plain tuple
+    assert FormalChain({F: 2})[blocks] == 2 and {F: 1}[blocks] == 1
+    assert blocks in full_permutohedron(4)
+    assert boundary(top_face(2))[((2,), (1,))] == 1
+    # m and dim are read off the blocks
+    assert (F.m, F.dim) == (4, 1)
+    assert (PartitionFace(()).m, PartitionFace(()).dim) == (0, 0)
+    for m in range(1, 6):
+        for G in all_faces(m):
+            assert (G.m, G.dim) == (m, m - len(G))
 
 
 def test_face_counts():
@@ -248,7 +267,7 @@ def test_doubled_complex_matches_reference():
         X = build_perm_complex_C(K)
         want = _reference_by_count(
             blocks for blocks in _reference_partitions(range(1, 2 * m + 1)) if keep(blocks))
-        assert {d: [f.blocks for f in fs] for d, fs in X.by_dim.items()} == {
+        assert X.by_dim == {
             2 * m - p: lists for p, lists in want.items()}
 
 
@@ -258,7 +277,7 @@ def test_bases_are_in_block_order():
             build_perm_complex_C(from_facets(3, [[1, 2]]))]:
         assert sorted(X.by_dim) == list(X.by_dim)
         for d, fs in X.by_dim.items():
-            assert fs and [f.blocks for f in fs] == sorted(f.blocks for f in fs)
+            assert fs and fs == sorted(fs)
             assert all(f.dim == d for f in fs)
         assert len(X) == len(set(X.all())) == sum(X.f_vector())
     for m in range(1, 6):
@@ -273,13 +292,12 @@ def test_bases_are_in_block_order():
 def _reference_boundary(F):
     result = FormalChain()
     offset = 0
-    for j, block in enumerate(F.blocks):
+    for j, block in enumerate(F):
         for r in range(1, len(block)):
             for M in itertools.combinations(block, r):
                 rest = tuple(e for e in block if e not in M)
                 sign = shuffle_sign(M, rest) * (-1) ** (offset + r)
-                result.add_term(PartitionFace(
-                    F.m, F.blocks[:j] + (M, rest) + F.blocks[j + 1:]), sign)
+                result.add_term(PartitionFace(F[:j] + (M, rest) + F[j + 1:]), sign)
         offset += len(block) - 1
     return result
 

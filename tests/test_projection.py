@@ -45,7 +45,7 @@ def test_rho_face_drops_dimension_on_non_intervals():
 def test_rho_sign_is_one_on_vertices_and_top():
     for m in (2, 3, 4):
         for F in all_faces(m):
-            if F.dim == 0 or len(F.blocks) == 1:
+            if F.dim == 0 or len(F) == 1:
                 assert rho_sign(F) == 1
 
 

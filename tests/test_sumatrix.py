@@ -1,7 +1,6 @@
 import itertools
 import math
 
-from permcomplex.permutohedron import PartitionFace
 from permcomplex.sumatrix import (
     _closure,
     _step_tuples,
@@ -210,9 +209,9 @@ def test_step_configurations_are_disjoint():
 
 def test_row_and_column_partitions():
     A = matrix([[0, 2], [1, 3]])
-    assert columns_partition(A) == PartitionFace(3, ((1,), (2, 3)))
+    assert columns_partition(A) == ((1,), (2, 3))
     # rows are read bottom-up
-    assert rows_partition(A) == PartitionFace(3, ((1, 3), (2,)))
+    assert rows_partition(A) == ((1, 3), (2,))
 
 
 def test_csgn_values_2x2():
