@@ -367,7 +367,9 @@ def _write_json(obj, write) -> None:
     list of scalars is one piece; one of exact ints (the blocks of faces,
     at most 2^m - 1 distinct per report) is built once per indent, and
     found again by identity when a list of lists holds the same object
-    many times, as the faces of a complex share their block tuples.
+    many times, as the faces of a complex share their block tuples.  An
+    item whose own items are all int lists already written at their
+    indent, as a face once each of its blocks has been seen, is one join.
     Strings are escaped by json's own ASCII encoder, ints are written by
     int.__repr__, and other scalars go through json.dumps, so floats,
     bools and None follow json's rules."""
@@ -428,14 +430,21 @@ def _write_json(obj, write) -> None:
         elif isinstance(x[0], containers) or any(
                 isinstance(v, containers) for v in x):
             inner = pad + " "
-            sep = "[\n" + inner
             known = by_id.setdefault(inner, {})
+            below = by_id.setdefault(inner + " ", {})
+            sep = "[\n" + inner
             for v in x:
                 text = known.get(id(v))
                 if text is None and isinstance(v, sequences) and v:
-                    text = int_list(v, inner)
-                    if text is not None:
-                        known[id(v)] = text
+                    if type(v[0]) is int:
+                        text = int_list(v, inner)
+                        if text is not None:
+                            known[id(v)] = text
+                    elif id(v[0]) in below:  # as a face whose blocks were written
+                        texts = [*map(below.get, map(id, v))]
+                        if all(texts):
+                            text = ("[\n " + inner + (",\n " + inner).join(texts)
+                                    + "\n" + inner + "]")
                 put(sep)
                 if text is None:
                     value(v, inner)

@@ -3,11 +3,16 @@ and the Cai diagonal on the cube, with the cup products they induce.
 
 A face is its tuple of blocks, so a term of the SU diagonal is (sign,
 left face, right face): `_top_cell_terms` for the top cell and the
-generator `su_terms` for any face, both as plain block tuples.
-`su_top_diagonal` and `su_diagonal` collect them in a FormalChain over
-(left, right) pairs of PartitionFace, which adds the dimension, as the
-cube diagonal's terms are pairs of CubeCell.  The boundary on tensors is
-d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db; the comultiplicative
+generator `su_terms` for any face, both as plain block tuples.  The terms
+share their blocks: `_top_cell_terms(m)` holds each distinct block once,
+and `_block_terms` renames each of those once, so a block of a diagonal
+is one object however many terms hold it.  `su_terms` is `interleave`
+over the per-block factors; `projection.verify_su_cai` interleaves only
+the part of each factor that the projection to the cube keeps.
+`su_top_diagonal` and `su_diagonal` collect the terms in a FormalChain
+over (left, right) pairs of PartitionFace, which adds the dimension, as
+the cube diagonal's terms are pairs of CubeCell.  The boundary on tensors
+is d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db; the comultiplicative
 extension interleaves per-block factors with the matching Koszul sign,
 which is what makes the chain-map identities close.
 """
@@ -28,8 +33,10 @@ from .sumatrix import (columns_partition, enumerate_configurations, partition_si
 def _top_cell_terms(m: int) -> tuple:
     """Terms of the diagonal of the top cell of Perm^{m-1}: (sign, left
     blocks, right blocks), in canonical (q ascending, matrix lex) order:
-    the left blocks are c(A) and the right blocks r(A)."""
+    the left blocks are c(A) and the right blocks r(A).  Each distinct
+    block is one object, shared by every term that holds it."""
     terms = []
+    share = {}.setdefault  # block -> its one copy
     for q in range(1, m + 1):
         p = m - q + 1
         step_signs = {}  # source step matrix -> its factor of csgn
@@ -39,6 +46,7 @@ def _top_cell_terms(m: int) -> tuple:
             if step is None:
                 step = step_signs[E] = step_sign(q, columns_partition(E))
             left, right = columns_partition(record.matrix), rows_partition(record.matrix)
+            left, right = tuple(map(share, left, left)), tuple(map(share, right, right))
             terms.append((partition_sign(step, right, left), left, right))
     return tuple(terms)
 
@@ -55,32 +63,42 @@ def su_top_diagonal(m: int) -> FormalChain:
 def _block_terms(block: tuple) -> tuple:
     """The top-cell terms of the permutohedron on `block`, with 1..n
     renamed order-preservingly to its elements: (sign, left blocks, right
-    blocks, left degree, right degree)."""
+    blocks, left degree, right degree).  Each distinct block is renamed
+    once, so the terms share their renamed blocks."""
     n = len(block)
+    top = _top_cell_terms(n)
     element = (None, *block).__getitem__  # i -> the i-th element of block
-    return tuple((sign,
-                  tuple([tuple(map(element, b)) for b in left]),
-                  tuple([tuple(map(element, b)) for b in right]),
+    table = dict.fromkeys(b for _, left, right in top for b in left + right)
+    for b in table:
+        table[b] = tuple(map(element, b))
+    rename = table.__getitem__
+    return tuple((sign, tuple(map(rename, left)), tuple(map(rename, right)),
                   n - len(left), n - len(right))
-                 for sign, left, right in _top_cell_terms(n))
+                 for sign, left, right in top)
+
+
+def interleave(factors):
+    """The products of one term from each factor, in order, as (sign, left
+    blocks, right blocks).  A factor is a sequence of (sign, left blocks,
+    right blocks, left degree, right degree); each left part moves past
+    the right parts of the earlier factors, which gives the Koszul sign."""
+    *front, last = factors
+    partial = [(1, (), (), 0)]  # (sign, left, right, right degree)
+    for factor in front:
+        partial = [(-s * t if deg_left * degree % 2 else s * t,
+                    left + bl, right + br, degree + deg_right)
+                   for s, left, right, degree in partial
+                   for t, bl, br, deg_left, deg_right in factor]
+    for s, left, right, degree in partial:  # the last factor as the terms are yielded
+        for t, bl, br, deg_left, _ in last:
+            yield -s * t if deg_left * degree % 2 else s * t, left + bl, right + br
 
 
 def su_terms(F: tuple):
     """The terms of the diagonal of the face F, as (sign, left blocks,
     right blocks), each pair once: the top-cell diagonal inside each
-    block, the per-block factors interleaved.  Each left factor moves past
-    the right factors of the earlier blocks, which gives the Koszul
-    sign."""
-    *front, last = map(_block_terms, F)
-    partial = [(1, (), (), 0)]  # (sign, left, right, right degree)
-    for factors in front:
-        partial = [(-s * t if deg_left * degree % 2 else s * t,
-                    left + bl, right + br, degree + deg_right)
-                   for s, left, right, degree in partial
-                   for t, bl, br, deg_left, deg_right in factors]
-    for s, left, right, degree in partial:  # the last block as the terms are yielded
-        for t, bl, br, deg_left, _ in last:
-            yield -s * t if deg_left * degree % 2 else s * t, left + bl, right + br
+    block, the per-block factors interleaved."""
+    return interleave(map(_block_terms, F))
 
 
 def su_diagonal(F: PartitionFace) -> FormalChain:

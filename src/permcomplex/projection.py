@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .chains import FormalChain
 from .cubes import CubeCell, all_cells, subsets
-from .diagonals import cai_diagonal, su_terms
+from .diagonals import _block_terms, cai_diagonal, interleave
 from .permutohedron import PartitionFace, build_perm_complex, full_permutohedron
 from .simplicial import SimplicialComplex, from_facets
 from .sumatrix import OrderedMatrix
@@ -157,16 +157,33 @@ def verify_su_cai(m: int) -> dict:
     names a failing face of least dimension.  A mismatch lists only the
     terms of lhs - rhs, each as its left and right cube cells and its
     coefficient.  The terms of both sides are keyed by the (sigma, tau)
-    of their cells; the faces of the SU terms are plain block tuples,
-    which find the images stored under the equal faces."""
+    of their cells.
+
+    Only the SU terms that rho (x) rho keeps are expanded.  rho sends a
+    face with a non-interval block to 0, and a term's left and right faces
+    are the blocks of one term from each block's factor, so a term
+    survives exactly when each chosen factor term has interval blocks on
+    both sides.  Each factor is filtered to those terms once per block,
+    and `interleave` of the filtered factors gives the surviving terms
+    with the signs they have in `su_terms`: the Koszul sign depends only
+    on the degrees of the terms chosen.  Images are stored for interval
+    faces only, as no other face is looked up.  (Through m = 7 the factor
+    of a non-interval block keeps no term at all.)"""
     faces = full_permutohedron(m).all()
-    images = {}  # face -> ((sigma, tau), rho_sign), None if the dimension drops
+    images = {}  # interval face -> ((sigma, tau), rho_sign)
     for F in faces:
         if blocks_are_intervals(F):
             c = rho_face(F)
             images[F] = ((c.sigma, c.tau), rho_sign(F))
-        else:
-            images[F] = None
+    kept = {}  # block -> the terms of its factor with interval blocks only
+
+    def factor(block):
+        terms = kept.get(block)
+        if terms is None:
+            terms = kept[block] = [
+                t for t in _block_terms(block)
+                if blocks_are_intervals(t[1]) and blocks_are_intervals(t[2])]
+        return terms
 
     def cell(key):
         return CubeCell(m - 1, *key)
@@ -174,12 +191,11 @@ def verify_su_cai(m: int) -> dict:
     mismatches = []
     for F in faces:
         lhs = {}  # (left cell, right cell) as (sigma, tau) pairs -> coefficient
-        for sign, left, right in su_terms(F):
-            a, b = images[left], images[right]
-            if a and b:
-                key = (a[0], b[0])
-                lhs[key] = lhs.get(key, 0) + sign * a[1] * b[1]
-        c = images[F]
+        for sign, left, right in interleave(map(factor, F)):
+            (a, sa), (b, sb) = images[left], images[right]
+            key = (a, b)
+            lhs[key] = lhs.get(key, 0) + sign * sa * sb
+        c = images.get(F)
         if c:  # lhs - rhs
             for (a, b), coeff in cai_diagonal(cell(c[0])):
                 key = ((a.sigma, a.tau), (b.sigma, b.tau))

@@ -183,6 +183,9 @@ _shared = (1, 2)
 @example([[1], [True], [1.0], [1, True], [True, 1], [1, 1.0], [1]])
 @example({"a": [_shared, _shared, (True, 2)], "b": [[_shared], (_shared, [1.0, 2])],
           "c": _shared, "d": [{"e": _shared}, _shared]})
+@example([[_shared, _shared, (True, 2), ()], [_shared, _shared], [(), _shared],
+          [_shared, (3,), _shared], [(3,), _shared], [_shared, (True, 2)]])
+@example({"a": [[_shared, _shared]], "b": [_shared, _shared], "c": [[[_shared]]]})
 @example({"a": [float("nan"), float("inf"), -float("inf")], "": [[], {}, ()]})
 @example(["\u00e9\x00\n\x1f\"\\\u2028\U0001f600", ("tuple", (1, 2)), {"\x7f": {}}])
 def test_writer_writes_the_bytes_of_json_dumps(value):

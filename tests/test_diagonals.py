@@ -120,6 +120,39 @@ def _reference_su_diagonal(G):
     return result
 
 
+def _reference_block_terms(block):
+    """The renaming as a comprehension that builds every block anew."""
+    n = len(block)
+    element = (None, *block).__getitem__
+    return tuple((sign,
+                  tuple([tuple(map(element, b)) for b in left]),
+                  tuple([tuple(map(element, b)) for b in right]),
+                  n - len(left), n - len(right))
+                 for sign, left, right in _top_cell_terms(n))
+
+
+def _nonempty_blocks(m):
+    return [b for r in range(1, m + 1) for b in itertools.combinations(range(1, m + 1), r)]
+
+
+def test_block_terms_rename_like_the_reference():
+    for block in _nonempty_blocks(6):
+        assert _block_terms(block) == _reference_block_terms(block), block
+
+
+def _blocks_are_shared(terms):
+    """Whether each distinct block of the terms is one object."""
+    blocks = [b for t in terms for b in t[1] + t[2]]
+    return len(set(map(id, blocks))) == len(set(blocks))
+
+
+def test_diagonal_blocks_are_shared():
+    for m in range(1, 7):
+        assert _blocks_are_shared(_top_cell_terms(m)), m
+    for block in _nonempty_blocks(6):
+        assert _blocks_are_shared(_block_terms(block)), block
+
+
 def test_su_terms_are_the_terms_of_su_diagonal():
     for m in range(1, 6):
         for G in all_faces(m):

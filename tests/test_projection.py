@@ -1,7 +1,9 @@
-from permcomplex import projection
+import itertools
+
+from permcomplex import diagonals, projection
 from permcomplex.chains import FormalChain
-from permcomplex.cubes import cell, cube_boundary
-from permcomplex.permutohedron import all_faces, boundary, face
+from permcomplex.cubes import CubeCell, cell, cube_boundary
+from permcomplex.permutohedron import all_faces, boundary, face, full_permutohedron
 from permcomplex.projection import (
     L_of_K,
     blocks_are_intervals,
@@ -72,6 +74,81 @@ def test_verify_su_cai_small():
         assert report["passed"], report["mismatches"][:3]
 
 
+def _reference_verify_su_cai(m):
+    """verify_su_cai with every SU term of every face expanded, and the
+    terms through a face with a non-interval block dropped one by one."""
+    faces = full_permutohedron(m).all()
+    images = {}
+    for F in faces:
+        if blocks_are_intervals(F):
+            c = rho_face(F)
+            images[F] = ((c.sigma, c.tau), rho_sign(F))
+        else:
+            images[F] = None
+
+    def cell_of(key):
+        return CubeCell(m - 1, *key)
+
+    mismatches = []
+    for F in faces:
+        lhs = {}
+        for sign, left, right in diagonals.su_terms(F):
+            a, b = images[left], images[right]
+            if a and b:
+                key = (a[0], b[0])
+                lhs[key] = lhs.get(key, 0) + sign * a[1] * b[1]
+        c = images[F]
+        if c:
+            for (a, b), coeff in projection.cai_diagonal(cell_of(c[0])):
+                key = ((a.sigma, a.tau), (b.sigma, b.tau))
+                lhs[key] = lhs.get(key, 0) - c[1] * coeff
+        terms = sorted((repr(cell_of(a)), repr(cell_of(b)), v)
+                       for (a, b), v in lhs.items() if v)
+        if terms:
+            mismatches.append({
+                "face": repr(F), "dim": F.dim,
+                "terms": [{"left": a, "right": b, "coeff": coeff}
+                          for a, b, coeff in terms]})
+    return {"m": m, "faces_checked": len(faces), "mismatches": mismatches,
+            "passed": not mismatches}
+
+
+def test_verify_su_cai_matches_the_full_expansion():
+    for m in range(1, 6):
+        report = verify_su_cai(m)
+        assert report["passed"]
+        assert report == _reference_verify_su_cai(m)
+
+
+def test_non_interval_blocks_keep_no_su_term():
+    # every term of the factor of a non-interval block holds a non-interval
+    # block on one side, so rho (x) rho sends it to 0
+    for r in range(2, 7):
+        for block in itertools.combinations(range(1, 7), r):
+            if not blocks_are_intervals((block,)):
+                assert not [t for t in diagonals._block_terms(block)
+                            if blocks_are_intervals(t[1]) and blocks_are_intervals(t[2])]
+
+
+def test_verify_su_cai_matches_the_full_expansion_on_a_wrong_su_sign(monkeypatch):
+    # the first term of the factor of the interval block (2, 3), F(2|3) (x)
+    # F(23), with its sign flipped, for the pruned and the full check alike
+    real = diagonals._block_terms
+
+    def wrong(block):
+        terms = real(block)
+        if block != (2, 3):
+            return terms
+        (sign, *rest), *others = terms
+        return ((-sign, *rest), *others)
+
+    monkeypatch.setattr(diagonals, "_block_terms", wrong)
+    monkeypatch.setattr(projection, "_block_terms", wrong)
+    report = verify_su_cai(5)
+    assert not report["passed"]
+    assert report == _reference_verify_su_cai(5)
+
+
 def test_verify_su_cai_names_least_failing_face(monkeypatch):
     # one wrong sign in the cube diagonal of the edge c(u:1,t:-), whose
     # only preimage is F(12|3|4): the report names that face and the one
@@ -93,6 +170,7 @@ def test_verify_su_cai_names_least_failing_face(monkeypatch):
     assert report["mismatches"] == [{
         "face": "F(12|3|4)", "dim": 1,
         "terms": [{"left": "c(u:-,t:-)", "right": "c(u:1,t:-)", "coeff": 2}]}]
+    assert report == _reference_verify_su_cai(4)
 
 
 def test_L_of_quadrilaterals_and_complete_graph():
