@@ -2,37 +2,18 @@
 
 Only the multidegree-(1,...,1) component is ever materialized: its words
 in bar degree -n are exactly the ordered partitions of [m] into n
-simplices of K, mirroring the faces of the permutohedral complex.
+simplices of K, mirroring the faces of the permutohedral complex.  A word
+[X_1|...|X_n], with X_j the exterior monomial on the j-th support, is its
+tuple of sorted support tuples, so the dual of a face F and its word are
+the same block tuple.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .chains import FormalChain
 from .homology import ChainComplexData, HomologySummary, complex_from_boundary, homology
 from .permutohedron import PartitionFace, face, partitions_by_count, shuffle_sign
 from .simplicial import SimplicialComplex
-
-
-@dataclass(frozen=True)
-class BarWord:
-    """[X_1|...|X_n] with X_j the exterior monomial on the j-th support."""
-
-    m: int
-    letters: tuple  # tuple of sorted support tuples, each nonempty
-
-    def __post_init__(self):
-        if any(not s for s in self.letters):
-            raise ValueError("bar letters must be augmentation-ideal elements")
-
-    @property
-    def bar_degree(self) -> int:
-        return -len(self.letters)
-
-    def __repr__(self):
-        return "[" + "|".join(
-            "".join(f"x{i}" for i in s) for s in self.letters) + "]"
 
 
 def monomial_product(X, Y, K: SimplicialComplex):
@@ -47,24 +28,23 @@ def monomial_product(X, Y, K: SimplicialComplex):
     return shuffle_sign(X, Y), union
 
 
-def bar_differential(w: BarWord, K: SimplicialComplex) -> FormalChain:
-    """Merge adjacent letters with bar signs.
+def bar_differential(w: tuple, K: SimplicialComplex) -> FormalChain:
+    """Merge adjacent letters of the word w with bar signs; the terms are
+    plain letter tuples.
 
     Implements d = -sum_i [a_1-bar|...|(a_i-bar)a_{i+1}|...|a_n], where
     a-bar = (-1)^(deg a + 1) a.  deg x_i = 1, so even-degree letters do
     flip sign under the bar.
     """
     result = FormalChain()
-    n = len(w.letters)
     bar_sign = 1  # product of (-1)^(deg a_j + 1) over j <= i
-    for i in range(n - 1):
-        bar_sign *= -1 if (len(w.letters[i]) + 1) % 2 else 1
-        product = monomial_product(w.letters[i], w.letters[i + 1], K)
+    for i in range(len(w) - 1):
+        bar_sign *= -1 if (len(w[i]) + 1) % 2 else 1
+        product = monomial_product(w[i], w[i + 1], K)
         if product is None:
             continue
         sign, support = product
-        letters = w.letters[:i] + (support,) + w.letters[i + 2:]
-        result.add_term(BarWord(w.m, letters), -bar_sign * sign)
+        result.add_term(w[:i] + (support,) + w[i + 2:], -bar_sign * sign)
     return result
 
 
@@ -76,8 +56,8 @@ def _words_by_count(K: SimplicialComplex) -> dict:
 
 def component_words(K: SimplicialComplex, n: int) -> list:
     """Basis of the (1,...,1) component in bar degree -n: ordered
-    partitions of [m] into n simplices of K."""
-    return [BarWord(K.m, letters) for letters in _words_by_count(K).get(n, [])]
+    partitions of [m] into n simplices of K, as letter tuples."""
+    return _words_by_count(K).get(n, [])
 
 
 def component_1_1(K: SimplicialComplex) -> ChainComplexData:
@@ -88,21 +68,16 @@ def component_1_1(K: SimplicialComplex) -> ChainComplexData:
     from one enumeration.
     """
     by_count = _words_by_count(K)
-    cells = {n: [BarWord(K.m, letters) for letters in by_count.get(n, [])]
-             for n in range(1, K.m + 1)}
+    cells = {n: by_count.get(n, []) for n in range(1, K.m + 1)}
     return complex_from_boundary(cells, lambda w: bar_differential(w, K))
 
 
-def phi(F: PartitionFace) -> BarWord:
-    """Basis bijection: the dual of F(U_1|...|U_n) goes to the word whose
-    j-th letter is the monomial supported on U_j."""
-    return BarWord(F.m, F)
-
-
-def phi_inverse(w: BarWord) -> PartitionFace:
-    """The face whose blocks are the letters of w; ValueError unless they
+def phi_inverse(w: tuple, m: int) -> PartitionFace:
+    """The face whose blocks are the letters of w: the dual of
+    F(U_1|...|U_n) is the word whose j-th letter is the monomial on U_j,
+    one block tuple.  ValueError unless the letters are nonempty and
     partition [m] (a bar word's letters need not)."""
-    return face(w.m, *w.letters)
+    return face(m, *w)
 
 
 def tor_ranks(K: SimplicialComplex, coefficients="Z") -> HomologySummary:

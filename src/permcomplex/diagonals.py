@@ -40,12 +40,11 @@ def _top_cell_terms(m: int) -> tuple:
     for q in range(1, m + 1):
         p = m - q + 1
         step_signs = {}  # source step matrix -> its factor of csgn
-        for record in enumerate_configurations(q, p):
-            E = record.source_step
+        for A, E in enumerate_configurations(q, p):
             step = step_signs.get(E)
             if step is None:
                 step = step_signs[E] = step_sign(q, columns_partition(E))
-            left, right = columns_partition(record.matrix), rows_partition(record.matrix)
+            left, right = columns_partition(A), rows_partition(A)
             left, right = tuple(map(share, left, left)), tuple(map(share, right, right))
             terms.append((partition_sign(step, right, left), left, right))
     return tuple(terms)

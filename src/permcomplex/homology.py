@@ -334,17 +334,23 @@ class ChainComplexData:
         return M
 
     def check_dd_zero(self) -> bool:
+        """True, or BoundaryError naming the degree, the basis label of a
+        column of D_{d+1} whose boundary's boundary is not zero, and the
+        label of a row where it is not."""
         for d in self.degrees:
             outer, inner = self.cols.get(d), self.cols.get(d + 1)
             if not outer or not inner:
                 continue
-            for column in inner:
+            for label, column in zip(self.basis[d + 1], inner):
                 acc = {}
                 for k, v in column.items():
                     for i, w in outer[k].items():
                         acc[i] = acc.get(i, 0) + v * w
                 if any(acc.values()):
-                    raise BoundaryError(f"D_{d} * D_{d + 1} != 0")
+                    i, v = next((i, v) for i, v in acc.items() if v)
+                    raise BoundaryError(
+                        f"D_{d} * D_{d + 1} != 0: the column of {label!r} "
+                        f"has {v} at the row of {self.basis[d - 1][i]!r}")
         return True
 
     def euler_characteristic(self) -> int:

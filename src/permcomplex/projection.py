@@ -1,5 +1,6 @@
 """Projection from the permutohedron to the cube, snake detection, and
-the machine checks tying the two diagonals together.
+the machine checks tying the two diagonals together.  Snakes are read off
+a configuration matrix as `sumatrix` gives it, a tuple of row tuples.
 
 The face rule sends F(U_1|...|U_p) on [m] to the cube cell in I^{m-1}
 with interval coordinates {i : i, i+1 share a block} and +1 coordinates
@@ -17,7 +18,6 @@ from .cubes import CubeCell, all_cells, subsets
 from .diagonals import _block_terms, cai_diagonal, interleave
 from .permutohedron import PartitionFace, build_perm_complex, full_permutohedron
 from .simplicial import SimplicialComplex, from_facets
-from .sumatrix import OrderedMatrix
 
 
 def rho_face(F: PartitionFace) -> CubeCell:
@@ -78,14 +78,21 @@ class SnakeStructure:
     continuous: bool
 
 
-def _snake_run(M: OrderedMatrix, lo: int, hi: int, first: str):
-    pos = M.positions()
+def _positions(M: tuple) -> dict:
+    """value -> (i, j), 1-based, for the nonzero entries of M."""
+    return {v: (i, j)
+            for i, row in enumerate(M, 1)
+            for j, v in enumerate(row, 1) if v}
+
+
+def _snake_run(M: tuple, lo: int, hi: int, first: str):
+    pos = _positions(M)
     values = list(range(lo, hi + 1))
     if any(v not in pos for v in values):
         return None
     if lo == hi:
         seg = ((first, (lo,)),)
-        return SnakeStructure((lo,), (lo,), seg, _continuous(M, [lo]))
+        return SnakeStructure((lo,), (lo,), seg, _continuous(pos, [lo]))
     segments = []
     nodes = [lo]
     orient = first
@@ -105,13 +112,12 @@ def _snake_run(M: OrderedMatrix, lo: int, hi: int, first: str):
     segments.append((orient, tuple(range(start, hi + 1))))
     nodes.append(hi)
     return SnakeStructure(tuple(values), tuple(nodes), tuple(segments),
-                          _continuous(M, values))
+                          _continuous(pos, values))
 
 
-def _continuous(M: OrderedMatrix, values) -> bool:
+def _continuous(pos: dict, values) -> bool:
     """Same-row elements in consecutive columns and same-column elements
-    in consecutive rows."""
-    pos = M.positions()
+    in consecutive rows, for entries at the positions `pos`."""
     rows, cols = {}, {}
     for v in values:
         i, j = pos[v]
@@ -128,7 +134,7 @@ def _continuous(M: OrderedMatrix, values) -> bool:
     return True
 
 
-def snake_run(M: OrderedMatrix, lo: int, hi: int):
+def snake_run(M: tuple, lo: int, hi: int):
     """SnakeStructure for the entries lo..hi, or None if they do not form
     a snake."""
     for first in ("row", "col"):
@@ -138,12 +144,11 @@ def snake_run(M: OrderedMatrix, lo: int, hi: int):
     return None
 
 
-def detect_snake(M: OrderedMatrix):
-    """The snake formed by ALL nonzero entries, or None.  The returned
-    structure's `continuous` flag records whether the run segments occupy
-    consecutive rows and columns."""
-    m = M.q + M.p - 1
-    return snake_run(M, 1, m)
+def detect_snake(M: tuple):
+    """The snake formed by ALL nonzero entries of the matrix M (a tuple of
+    row tuples), or None.  The returned structure's `continuous` flag
+    records whether the run segments occupy consecutive rows and columns."""
+    return snake_run(M, 1, len(M) + len(M[0]) - 1)
 
 
 # ---------------------------------------------------------------------------

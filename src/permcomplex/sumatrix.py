@@ -5,101 +5,76 @@ A q x p ordered matrix places 1, ..., q+p-1 into distinct cells with rows
 and columns increasing and none empty.  Step matrices put exactly one
 entry on each diagonal j - i = const; configuration matrices are what
 step matrices become under monotone sequences of down/right shifts.
-Entries and indices are 1-based throughout, matching the usual notation.
+Entries and the (i, j) of a shift are 1-based, matching the usual
+notation.
 
-`OrderedMatrix` is the matrix at the API edges.  The enumeration runs on
-flat row-major entry tuples, in which cell (i, j) has index (i-1)p + j-1:
-a shift is index arithmetic whose admissibility reads index lists built
-once per shape, the cells a shift sequence has vacated form an int
-bitmask, and step matrices are built from permutations, not filtered.
+A matrix is its tuple of row tuples, read with len(M) rows and len(M[0])
+columns.  The enumeration runs on flat row-major entry tuples, in which
+cell (i, j) has index (i-1)p + j-1: a shift is index arithmetic whose
+admissibility reads index lists built once per shape, the cells a shift
+sequence has vacated form an int bitmask, and step matrices are built
+from permutations, not filtered.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class OrderedMatrix:
-    entries: tuple  # tuple of row tuples
-
-    @property
-    def q(self) -> int:
-        return len(self.entries)
-
-    @property
-    def p(self) -> int:
-        return len(self.entries[0])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i - 1][j - 1]
-
-    def positions(self) -> dict:
-        """value -> (i, j) for the nonzero entries."""
-        return {v: (i, j)
-                for i, row in enumerate(self.entries, 1)
-                for j, v in enumerate(row, 1) if v}
-
-    def __repr__(self):
-        return "M[" + "; ".join(" ".join(map(str, row)) for row in self.entries) + "]"
+def matrix(rows) -> tuple:
+    """The matrix with the given rows, as a tuple of row tuples."""
+    return tuple(map(tuple, rows))
 
 
-def matrix(rows) -> OrderedMatrix:
-    return OrderedMatrix(tuple(tuple(row) for row in rows))
-
-
-def _from_flat(flat: tuple, p: int) -> OrderedMatrix:
+def _from_flat(flat: tuple, p: int) -> tuple:
     """The matrix with p columns whose row-major entries are `flat`."""
-    return OrderedMatrix(tuple(zip(*[iter(flat)] * p)))
+    return tuple(zip(*[iter(flat)] * p))
 
 
-def is_ordered(M: OrderedMatrix) -> bool:
-    q, p = M.q, M.p
-    values = sorted(v for row in M.entries for v in row if v)
-    if values != list(range(1, q + p)):
+def is_ordered(M: tuple) -> bool:
+    values = sorted(v for row in M for v in row if v)
+    if values != list(range(1, len(M) + len(M[0]))):
         return False
-    for row in M.entries:
+    for row in M:
         nz = [v for v in row if v]
         if not nz or nz != sorted(nz):
             return False
-    for col in zip(*M.entries):
+    for col in zip(*M):
         nz = [v for v in col if v]
         if not nz or nz != sorted(nz):
             return False
     return True
 
 
-def is_step(M: OrderedMatrix) -> bool:
+def is_step(M: tuple) -> bool:
     """Ordered, with consecutive nonzero runs in rows/columns and exactly
     one nonzero entry per diagonal j - i = const."""
     if not is_ordered(M):
         return False
-    for row in M.entries:
+    for row in M:
         support = [j for j, v in enumerate(row) if v]
         if support != list(range(support[0], support[-1] + 1)):
             return False
-    for col in zip(*M.entries):
+    for col in zip(*M):
         support = [i for i, v in enumerate(col) if v]
         if support != list(range(support[0], support[-1] + 1)):
             return False
-    diagonals = [j - i for (i, row) in enumerate(M.entries)
+    diagonals = [j - i for (i, row) in enumerate(M)
                  for (j, v) in enumerate(row) if v]
-    return sorted(diagonals) == list(range(-(M.q - 1), M.p))
+    return sorted(diagonals) == list(range(1 - len(M), len(M[0])))
 
 
-def columns_partition(M: OrderedMatrix) -> tuple:
+def columns_partition(M: tuple) -> tuple:
     """c(O): the face whose blocks are the columns, zeros removed (the
     columns of an ordered matrix increase, so each block is sorted)."""
-    return tuple(tuple(filter(None, col)) for col in zip(*M.entries))
+    return tuple(tuple(filter(None, col)) for col in zip(*M))
 
 
-def rows_partition(M: OrderedMatrix) -> tuple:
+def rows_partition(M: tuple) -> tuple:
     """r(O): the face whose blocks are the rows from the bottom up, zeros
     removed."""
-    return tuple(tuple(filter(None, row)) for row in reversed(M.entries))
+    return tuple(tuple(filter(None, row)) for row in reversed(M))
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +136,22 @@ def _moves(q: int, p: int) -> tuple:
             tuple(tuple(right[j * q:]) for j in range(p)))
 
 
-def _shift_at(M: OrderedMatrix, i: int, j: int, down: bool) -> OrderedMatrix:
-    q, p = M.q, M.p
+def _shift_at(M: tuple, i: int, j: int, down: bool) -> tuple:
+    q, p = len(M), len(M[0])
     if i == q if down else j == p:
         return M
     _, source, target, checks = _move(q, p, i - 1, j - 1, down)
-    shifted = _shift(sum(M.entries, ()), source, target, checks)
+    shifted = _shift(sum(M, ()), source, target, checks)
     return M if shifted is None else _from_flat(shifted, p)
 
 
-def down_shift(M: OrderedMatrix, i: int, j: int) -> OrderedMatrix:
+def down_shift(M: tuple, i: int, j: int) -> tuple:
     """D_{i,j}: move the entry at (i, j) one row down when admissible,
     otherwise return M unchanged."""
     return _shift_at(M, i, j, True)
 
 
-def right_shift(M: OrderedMatrix, i: int, j: int) -> OrderedMatrix:
+def right_shift(M: tuple, i: int, j: int) -> tuple:
     """R_{i,j}: move the entry at (i, j) one column right when admissible."""
     return _shift_at(M, i, j, False)
 
@@ -251,16 +226,10 @@ class ConfigurationAmbiguityError(RuntimeError):
     resolves no case known to occur."""
 
 
-@dataclass(frozen=True)
-class ConfigurationRecord:
-    matrix: OrderedMatrix
-    source_step: OrderedMatrix
-
-
 @lru_cache(maxsize=None)
 def enumerate_configurations(q: int, p: int) -> tuple:
-    """All q x p configuration matrices, each with the step matrix it is
-    reached from, sorted by matrix.
+    """All q x p configuration matrices A, each with the step matrix E it
+    is reached from, as (A, E) pairs sorted by A.
 
     Closure of each step matrix under admissible shifts with the
     monotonicity constraints (down-shift row indices and right-shift
@@ -270,22 +239,20 @@ def enumerate_configurations(q: int, p: int) -> tuple:
     closure acquires extra matrices starting at q + p - 1 = 4 (two per
     mixed shape, e.g. ((1,0,3),(0,2,4)) at 2 x 3) which break the
     compatibility of the diagonal with the boundary.  The closure runs on
-    flat entry tuples; the records are built once, at the end.
+    flat entry tuples; the pairs are built once, at the end, each step
+    matrix one object shared by its pairs.
     """
     found = {}  # flat matrix -> flat source step matrix
     for E in _step_tuples(q, p):
         for A in _closure(q, p, E):
             prior = found.setdefault(A, E)
             if prior != E:
-                first, second = (ConfigurationRecord(_from_flat(A, p), _from_flat(S, p))
-                                 for S in (prior, E))
-                if csgn(first) != csgn(second):
+                M, first, second = (_from_flat(flat, p) for flat in (A, prior, E))
+                if csgn(M, first) != csgn(M, second):
                     raise ConfigurationAmbiguityError(
-                        f"{first.matrix} derived from {first.source_step} and "
-                        f"{second.source_step} with conflicting signs")
+                        f"{M} derived from {first} and {second} with conflicting signs")
     steps = {E: _from_flat(E, p) for E in set(found.values())}
-    return tuple(ConfigurationRecord(_from_flat(A, p), steps[E])
-                 for A, E in sorted(found.items()))
+    return tuple((_from_flat(A, p), steps[E]) for A, E in sorted(found.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +298,8 @@ def partition_sign(step: int, rA: tuple, cA: tuple) -> int:
     return step * sgn1(rA) * sgn2(cA)
 
 
-def csgn(record: ConfigurationRecord) -> int:
-    A, E = record.matrix, record.source_step
-    return partition_sign(step_sign(A.q, columns_partition(E)),
+def csgn(A: tuple, E: tuple) -> int:
+    """The sign of the configuration matrix A reached from the step
+    matrix E."""
+    return partition_sign(step_sign(len(A), columns_partition(E)),
                           rows_partition(A), columns_partition(A))

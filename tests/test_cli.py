@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import os
+import tempfile
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permcomplex.cli import _write_json, main
 
@@ -337,3 +341,53 @@ def test_cochain_off_the_complex_is_malformed_input(tmp_path, capsys, which):
     assert code == 3
     assert "top.json" in report["error"] and "F(123)" in report["error"]
     assert report["payload"] is None
+
+
+# The input contract: whatever the --complex file, --coeff or --face, a run
+# ends with exit 0, 2, 3 or 4, and a nonzero exit writes a JSON "error".
+# Complexes stay on m <= 5 with a few short facets, so each run is small.
+_not_int = _json_values.filter(lambda v: type(v) is not int)
+_complex_data = (
+    st.integers(1, 5).flatmap(lambda m: st.fixed_dictionaries(
+        {"m": st.just(m),
+         "facets": st.lists(st.lists(st.integers(1, m), max_size=m), max_size=5)}))
+    | st.fixed_dictionaries(
+        {"m": st.integers(-1, 5) | _not_int,
+         "facets": st.lists(st.lists(st.integers(-1, 6) | _not_int, max_size=5),
+                            max_size=5) | _not_int},
+        optional={"extra": _json_values}))
+_complex_bytes = (_complex_data.map(json.dumps).map(str.encode)
+                  | _json_values.map(json.dumps).map(str.encode)
+                  | st.binary(max_size=24))
+_coeffs = (st.sampled_from(["Z", "Q", "2", "3", "4", "-5", " 7 ", "07", "1_1", "٣", "2.0"])
+           | st.integers(-10, 40).map(str) | st.text(max_size=6))
+_faces = (st.sampled_from(["12|34", "1|2", "2|1", "123", "[[1],[2]]", "[[2,1]]", "|1", "[]"])
+          | _json_values.map(json.dumps) | st.text(max_size=10))
+_commands = st.sampled_from([
+    ["build"], ["geometry"], ["verify", "--theorem", "image"],
+    ["homology", "--coeff={coeff}"], ["tor", "--coeff={coeff}"],
+    ["rmac", "--homology", "--coeff={coeff}"], ["project"], ["project", "--face={face}"]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_commands, _complex_bytes, _coeffs, _faces)
+@example(["homology", "--coeff={coeff}"], b'{"m": 5, "facets": [[1, 2, 3, 4, 5]]}', "2", "")
+@example(["project", "--face={face}"], b'{"m": 4, "facets": [[1, 2], [3, 4]]}', "", "12|34")
+@example(["tor", "--coeff={coeff}"], b'{"m": 3, "facets": [[1, 2]]}', "٣", "")
+@example(["build"], b'{"m": 0, "facets": []}', "", "")
+@example(["project", "--face={face}"], b'{"m": 2, "facets": []}', "", "1" * 5000)
+def test_cli_input_contract(command, complex_bytes, coeff, face):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "complex.json")
+        with open(path, "wb") as fh:
+            fh.write(complex_bytes)
+        argv = [a.format(coeff=coeff, face=face) for a in command] + ["--complex", path]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    report = json.loads(out.getvalue())
+    assert code in (0, 2, 3, 4), report
+    if code:
+        assert isinstance(report["error"], str) and report["payload"] is None
+    else:
+        assert "error" not in report and report["payload"] is not None

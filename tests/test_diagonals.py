@@ -80,11 +80,11 @@ def test_top_cell_terms_digests():
 
 def test_top_cell_signs_are_csgn():
     # the terms take each step matrix's factor of the sign once; csgn
-    # computes the whole sign of each record from its matrices
+    # computes the whole sign of each configuration from its matrices
     for m in range(1, 6):
-        records = [record for q in range(1, m + 1)
-                   for record in enumerate_configurations(q, m - q + 1)]
-        assert [sign for sign, _, _ in _top_cell_terms(m)] == list(map(csgn, records))
+        pairs = [pair for q in range(1, m + 1)
+                 for pair in enumerate_configurations(q, m - q + 1)]
+        assert [sign for sign, _, _ in _top_cell_terms(m)] == [csgn(A, E) for A, E in pairs]
 
 
 def test_su_respects_total_dimension():

@@ -118,7 +118,8 @@ def test_check_dd_zero_raises_on_bad_complex():
     basis = {0: ["a", "b"], 1: ["e"], 2: ["f"]}
     diff = {1: [[1], [-1]], 2: [[1]]}
     C = ChainComplexData(basis, diff)
-    with pytest.raises(BoundaryError):
+    with pytest.raises(BoundaryError,
+                       match=r"^D_1 \* D_2 != 0: the column of 'f' has 1 at the row of 'a'$"):
         C.check_dd_zero()
 
 

@@ -74,8 +74,8 @@ def test_built_faces_are_partitions():
         for (left, right), _ in su_top_diagonal(m):
             _assert_partitions((left, right), m)
         for q in range(1, m + 1):
-            for record in enumerate_configurations(q, m + 1 - q):
-                for M in (record.matrix, record.source_step):
+            for pair in enumerate_configurations(q, m + 1 - q):
+                for M in pair:
                     _assert_partitions((columns_partition(M), rows_partition(M)), m)
 
 

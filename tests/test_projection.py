@@ -212,8 +212,7 @@ def test_snake_dimension_preserved_configurations():
         count = 0
         for q in range(1, m + 1):
             p = m + 1 - q
-            for rec in enumerate_configurations(q, p):
-                A = rec.matrix
+            for A, _ in enumerate_configurations(q, p):
                 if (blocks_are_intervals(columns_partition(A))
                         and blocks_are_intervals(rows_partition(A))):
                     count += 1

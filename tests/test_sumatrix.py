@@ -1,8 +1,14 @@
 import itertools
 import math
+import re
 
+import pytest
+
+from permcomplex import sumatrix
 from permcomplex.sumatrix import (
+    ConfigurationAmbiguityError,
     _closure,
+    _from_flat,
     _step_tuples,
     columns_partition,
     csgn,
@@ -14,6 +20,7 @@ from permcomplex.sumatrix import (
     matrix,
     right_shift,
     rows_partition,
+    step_sign,
 )
 
 
@@ -90,23 +97,23 @@ def _reference_shift(M, i, j, down):
     entry one row down (column right) into an empty cell when the target
     row (column) stays increasing and the donor row (column) stays
     nonempty."""
-    q, p = M.q, M.p
-    v = M[i, j]
+    q, p = len(M), len(M[0])
+    v = M[i - 1][j - 1]
     if down:
-        if v == 0 or i == q or M[i + 1, j]:
+        if v == 0 or i == q or M[i][j - 1]:
             return M
-        line = [M[i + 1, l] for l in range(1, p + 1)]
-        at, donor = j, [M[i, l] for l in range(1, p + 1) if l != j]
+        line = [M[i][l - 1] for l in range(1, p + 1)]
+        at, donor = j, [M[i - 1][l - 1] for l in range(1, p + 1) if l != j]
     else:
-        if v == 0 or j == p or M[i, j + 1]:
+        if v == 0 or j == p or M[i - 1][j]:
             return M
-        line = [M[l, j + 1] for l in range(1, q + 1)]
-        at, donor = i, [M[l, j] for l in range(1, q + 1) if l != i]
+        line = [M[l - 1][j] for l in range(1, q + 1)]
+        at, donor = i, [M[l - 1][j - 1] for l in range(1, q + 1) if l != i]
     if any(w >= v for w in line[:at - 1]) or any(0 < w < v for w in line[at:]):
         return M
     if not any(donor):
         return M
-    rows = [list(row) for row in M.entries]
+    rows = [list(row) for row in M]
     rows[i - 1][j - 1] = 0
     if down:
         rows[i][j - 1] = v
@@ -170,9 +177,9 @@ def test_configuration_totals():
 
 def test_configurations_are_ordered_matrices():
     for q, p in [(2, 3), (3, 2), (3, 3)]:
-        for rec in enumerate_configurations(q, p):
-            assert is_ordered(rec.matrix)
-            assert is_step(rec.source_step)
+        for A, E in enumerate_configurations(q, p):
+            assert is_ordered(A)
+            assert is_step(E)
 
 
 def test_no_refill_excludes_known_matrix():
@@ -180,7 +187,7 @@ def test_no_refill_excludes_known_matrix():
     # in the same shift sequence; admitting it breaks compatibility of
     # the diagonal with the boundary
     bad = matrix([[1, 0, 3], [0, 2, 4]])
-    mats = {rec.matrix for rec in enumerate_configurations(2, 3)}
+    mats = {A for A, _ in enumerate_configurations(2, 3)}
     assert is_ordered(bad)
     assert bad not in mats
 
@@ -188,11 +195,24 @@ def test_no_refill_excludes_known_matrix():
 def test_known_multi_source_configuration_sign_agrees():
     # [0 1; 2 3] is a step matrix, and no other step matrix reaches it
     # (test_step_configurations_are_disjoint); the enumeration keeps one
-    # record for it, with itself as the source
+    # pair for it, with itself as the source
     target = matrix([[0, 1], [2, 3]])
-    recs = [r for r in enumerate_configurations(2, 2) if r.matrix == target]
-    assert len(recs) == 1
-    assert recs[0].source_step == target
+    sources = [E for A, E in enumerate_configurations(2, 2) if A == target]
+    assert sources == [target]
+
+
+def test_conflicting_sources_raise_naming_both(monkeypatch):
+    # no configuration matrix is reached from two step matrices, so make
+    # every step matrix reach the first one; the first whose factor of
+    # csgn differs from the first one's must be named with it
+    first, *rest = _step_tuples(2, 2)
+    monkeypatch.setattr(sumatrix, "_closure", lambda q, p, E: {first})
+    sign = {E: step_sign(2, columns_partition(_from_flat(E, 2))) for E in _step_tuples(2, 2)}
+    second = next(E for E in rest if sign[E] != sign[first])
+    A, E1, E2 = (_from_flat(E, 2) for E in (first, first, second))
+    message = f"{A} derived from {E1} and {E2} with conflicting signs"
+    with pytest.raises(ConfigurationAmbiguityError, match=re.escape(message)):
+        sumatrix.enumerate_configurations.__wrapped__(2, 2)
 
 
 def test_step_configurations_are_disjoint():
@@ -223,5 +243,5 @@ def test_csgn_values_2x2():
         ((1, 2), (3, 0)): -1,
         ((1, 3), (2, 0)): 1,
     }
-    got = {rec.matrix.entries: csgn(rec) for rec in enumerate_configurations(2, 2)}
+    got = {A: csgn(A, E) for A, E in enumerate_configurations(2, 2)}
     assert got == expected
