@@ -6,7 +6,6 @@ from .chains import FormalChain
 from .cubes import CubeCell, CubeCochain, build_rmac
 from .homology import ChainComplexData, HomologySummary, homology, smith_normal_form
 from .permutohedron import (
-    PartitionFace,
     PermComplex,
     build_perm_complex,
     build_perm_complex_C,
@@ -23,7 +22,6 @@ __all__ = [
     "HomologySummary",
     "homology",
     "smith_normal_form",
-    "PartitionFace",
     "PermComplex",
     "build_perm_complex",
     "build_perm_complex_C",

@@ -5,14 +5,15 @@ in bar degree -n are exactly the ordered partitions of [m] into n
 simplices of K, mirroring the faces of the permutohedral complex.  A word
 [X_1|...|X_n], with X_j the exterior monomial on the j-th support, is its
 tuple of sorted support tuples, so the dual of a face F and its word are
-the same block tuple.
+the same block tuple, and `phi_inverse` only checks that a word's letters
+partition [m].
 """
 
 from __future__ import annotations
 
 from .chains import FormalChain
 from .homology import ChainComplexData, HomologySummary, complex_from_boundary, homology
-from .permutohedron import PartitionFace, face, partitions_by_count, shuffle_sign
+from .permutohedron import face, partitions_by_count, shuffle_sign
 from .simplicial import SimplicialComplex
 
 
@@ -72,8 +73,8 @@ def component_1_1(K: SimplicialComplex) -> ChainComplexData:
     return complex_from_boundary(cells, lambda w: bar_differential(w, K))
 
 
-def phi_inverse(w: tuple, m: int) -> PartitionFace:
-    """The face whose blocks are the letters of w: the dual of
+def phi_inverse(w: tuple, m: int) -> tuple:
+    """The face whose blocks are the letters of w, checked: the dual of
     F(U_1|...|U_n) is the word whose j-th letter is the monomial on U_j,
     one block tuple.  ValueError unless the letters are nonempty and
     partition [m] (a bar word's letters need not)."""

@@ -161,9 +161,10 @@ def _load_perm_cochain(path: str, X):
         except ValueError as exc:
             raise CliError(f"bad face in cochain {path}: {exc}", EXIT_BAD_JSON)
         if F not in X:
-            raise CliError(f"cochain {path} has a term on {F!r}, which is not "
+            raise CliError(f"cochain {path} has a term on "
+                           f"{permutohedron.face_label(F)}, which is not "
                            f"a face of Perm(K)", EXIT_BAD_JSON)
-        degrees.add(F.dim)
+        degrees.add(X.m - len(F))
         result.add_term(F, term.get("coeff", 1))
     if len(degrees) > 1:
         raise CliError(f"cochain in {path} mixes degrees {sorted(degrees)}",
@@ -179,7 +180,7 @@ def cmd_cup(args, report):
     product = diagonals.cup_su(a, b, X, da, db)
     report["payload"] = {
         "degree": da + db,
-        "terms": [{"face": permutohedron.face_to_json(F), "coeff": c}
+        "terms": [{"face": F, "coeff": c}
                   for F, c in sorted(product)],
     }
     return []

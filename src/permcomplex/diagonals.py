@@ -10,11 +10,13 @@ is one object however many terms hold it.  `su_terms` is `interleave`
 over the per-block factors; `projection.verify_su_cai` interleaves only
 the part of each factor that the projection to the cube keeps.
 `su_top_diagonal` and `su_diagonal` collect the terms in a FormalChain
-over (left, right) pairs of PartitionFace, which adds the dimension, as
-the cube diagonal's terms are pairs of CubeCell.  The boundary on tensors
-is d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db; the comultiplicative
-extension interleaves per-block factors with the matching Koszul sign,
-which is what makes the chain-map identities close.
+over (left, right) pairs of faces, as the cube diagonal's terms are pairs
+of CubeCell.  The boundary on tensors is d(a (x) b) = da (x) b +
+(-1)^dim(a) a (x) db, with dim a function the caller passes
+(`permutohedron.face_dim` for faces, a cell's `dim` for cube cells); the
+comultiplicative extension interleaves per-block factors with the
+matching Koszul sign, which is what makes the chain-map identities
+close.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 from .chains import FormalChain
 from .cubes import CubeCell, inversion_count
-from .permutohedron import PartitionFace, PermComplex
+from .permutohedron import PermComplex
 from .sumatrix import (columns_partition, enumerate_configurations, partition_sign,
                        rows_partition, step_sign)
 
@@ -54,7 +56,7 @@ def su_top_diagonal(m: int) -> FormalChain:
     """The double sum over configuration matrices for the top cell."""
     result = FormalChain()
     for sign, left, right in _top_cell_terms(m):
-        result.add_term((PartitionFace(left), PartitionFace(right)), sign)
+        result.add_term((left, right), sign)
     return result
 
 
@@ -100,13 +102,13 @@ def su_terms(F: tuple):
     return interleave(map(_block_terms, F))
 
 
-def su_diagonal(F: PartitionFace) -> FormalChain:
+def su_diagonal(F: tuple) -> FormalChain:
     """Comultiplicative extension of the top-cell diagonal to the face F:
     the terms of `su_terms` as pairs of faces."""
     result = FormalChain()
     terms = result.terms  # su_terms gives each pair once
     for sign, left, right in su_terms(F):
-        terms[PartitionFace(left), PartitionFace(right)] = sign
+        terms[left, right] = sign
     return result
 
 
@@ -127,38 +129,40 @@ def cai_diagonal(c: CubeCell) -> FormalChain:
 # ---------------------------------------------------------------------------
 # chain-level identities
 
-def tensor_boundary(chain: FormalChain, boundary_fn) -> FormalChain:
-    """Boundary of a chain of (left, right) pairs."""
+def tensor_boundary(chain: FormalChain, boundary_fn, dim) -> FormalChain:
+    """Boundary of a chain of (left, right) pairs; `dim` gives the
+    dimension of a left factor."""
     result = FormalChain()
     for (a, b), coeff in chain:
         for a2, c2 in boundary_fn(a):
             result.add_term((a2, b), coeff * c2)
-        sign = -1 if a.dim % 2 else 1
+        sign = -1 if dim(a) % 2 else 1
         for b2, c2 in boundary_fn(b):
             result.add_term((a, b2), coeff * sign * c2)
     return result
 
 
-def chain_map_defect(cell, diagonal_fn, boundary_fn) -> FormalChain:
+def chain_map_defect(cell, diagonal_fn, boundary_fn, dim) -> FormalChain:
     """diagonal(boundary) - boundary(diagonal); zero iff the diagonal is a
-    chain map at this cell."""
+    chain map at this cell.  `dim` gives the dimension of a cell."""
     lhs = FormalChain()
     for c2, coeff in boundary_fn(cell):
         for label, c3 in diagonal_fn(c2):
             lhs.add_term(label, coeff * c3)
-    rhs = tensor_boundary(diagonal_fn(cell), boundary_fn)
+    rhs = tensor_boundary(diagonal_fn(cell), boundary_fn, dim)
     return lhs - rhs
 
 
-def counit_defect(cell, diagonal_fn) -> FormalChain:
+def counit_defect(cell, diagonal_fn, dim) -> FormalChain:
     """Collapse each tensor factor through the augmentation (vertices to 1);
-    both collapses must return the original cell."""
+    both collapses must return the original cell.  `dim` gives the
+    dimension of a cell."""
     left_collapse = FormalChain()
     right_collapse = FormalChain()
     for (a, b), coeff in diagonal_fn(cell):
-        if a.dim == 0:
+        if dim(a) == 0:
             left_collapse.add_term(b, coeff)
-        if b.dim == 0:
+        if dim(b) == 0:
             right_collapse.add_term(a, coeff)
     original = FormalChain.basis(cell)
     return (left_collapse - original) + (right_collapse - original)

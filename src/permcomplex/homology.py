@@ -66,12 +66,11 @@ def integer_inverse(U: list) -> list:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def smith_normal_form(M: list, pivot: str = "min_abs"):
+def smith_normal_form(M: list):
     """Compute unimodular S, T and diagonal D with S * M * T = D.
 
-    Diagonal entries are nonnegative and each divides the next.  `pivot`
-    selects the elimination pivot ('min_abs' or 'first_nonzero'); the
-    invariant factors do not depend on it.
+    Diagonal entries are nonnegative and each divides the next.  Each step
+    pivots on a nonzero entry of least absolute value.
     """
     D = [list(row) for row in M]
     rows = len(D)
@@ -108,8 +107,6 @@ def smith_normal_form(M: list, pivot: str = "min_abs"):
                       if D[i][j] != 0]
         if not candidates:
             return None
-        if pivot == "first_nonzero":
-            return candidates[0]
         return min(candidates, key=lambda ij: abs(D[ij[0]][ij[1]]))
 
     k = 0
@@ -424,6 +421,8 @@ class HomologySummary:
         return f"HomologySummary({self.to_json()})"
 
     def __eq__(self, other):
+        if not isinstance(other, HomologySummary):
+            return NotImplemented
         keys = set(self.data) | set(other.data)
         return all(self.betti(d) == other.betti(d)
                    and self.torsion(d) == other.torsion(d) for d in keys)

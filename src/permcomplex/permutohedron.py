@@ -6,17 +6,17 @@ A face of the (m-1)-permutohedron is an ordered partition (U_1|...|U_p) of
 [m]; its dimension is m - p.  Refining the partition passes to a face of
 the boundary.
 
-A face is its tuple of blocks.  `PartitionFace` is a tuple subclass that
-only adds `m`, `dim` and the repr F(12|3), so a face equals its block
-tuple and hashes like it, and one type runs from enumeration to the
-reports: `partitions_by_count` enumerates block tuples in basis order by
-one dynamic programme over the subsets of [m], `boundary` splits blocks
-through a table built once per block, and the diagonals, the projection
-check and the report writer read faces as the tuples they are.  Building
-a face checks nothing, because the program makes partitions by
-construction.  Blocks from outside the program (the CLI's `--face`,
-cochain files, bar words) go through `face` or `face_from_json`, which
-check that they partition [m].
+A face is the plain tuple of its blocks, each an increasing tuple, from
+enumeration to the reports: `partitions_by_count` enumerates block
+tuples in basis order by one dynamic programme over the subsets of [m],
+`boundary` splits blocks through a table built once per block, and the
+diagonals, the projection check and the report writer read faces as the
+tuples they are.  Where m is at hand a face's dimension is m - len(F);
+`face_dim` reads it off the blocks, and `face_label` gives the label
+F(12|3) that reports and errors print.  The program makes partitions by
+construction, so a face it builds is not checked.  Blocks from outside
+the program (the CLI's `--face`, cochain files, bar words) go through
+`face` or `face_from_json`, which check that they partition [m].
 """
 
 from __future__ import annotations
@@ -29,29 +29,17 @@ from .chains import FormalChain
 from .simplicial import SimplicialComplex, minimal_nonfaces
 
 
-class PartitionFace(tuple):
-    """Ordered partition (U_1|...|U_p) of [m]: the tuple of its blocks,
-    each an increasing tuple.  It equals its block tuple and hashes like
-    it; m and the dimension m - p are read off the blocks.
-
-    Unchecked: use `face` or `face_from_json` for blocks that may not
-    partition [m]."""
-
-    __slots__ = ()
-
-    @property
-    def m(self) -> int:
-        return sum(map(len, self))
-
-    @property
-    def dim(self) -> int:
-        return self.m - len(self)
-
-    def __repr__(self):
-        return "F(" + "|".join("".join(map(str, b)) for b in self) + ")"
+def face_dim(F: tuple) -> int:
+    """Dimension m - p of the face F with p blocks, m read off the blocks."""
+    return sum(map(len, F)) - len(F)
 
 
-def face(m: int, *blocks) -> PartitionFace:
+def face_label(F: tuple) -> str:
+    """The label F(12|3) of a face, as reports and errors print it."""
+    return "F(" + "|".join("".join(map(str, b)) for b in F) + ")"
+
+
+def face(m: int, *blocks) -> tuple:
     """The face with the given blocks (sorted here), checked to be an
     ordered partition of [m] into nonempty blocks; ValueError otherwise."""
     blocks = tuple(tuple(sorted(b)) for b in blocks)
@@ -62,11 +50,11 @@ def face(m: int, *blocks) -> PartitionFace:
         seen.update(block)
     if seen != set(range(1, m + 1)) or sum(map(len, blocks)) != m:
         raise ValueError(f"blocks {blocks} do not partition [1, {m}]")
-    return PartitionFace(blocks)
+    return blocks
 
 
-def top_face(m: int) -> PartitionFace:
-    return PartitionFace((tuple(range(1, m + 1)),))
+def top_face(m: int) -> tuple:
+    return (tuple(range(1, m + 1)),)
 
 
 def shuffle_sign(M, N) -> int:
@@ -116,7 +104,7 @@ def enumerate_faces(m: int, dim: int) -> list:
     block order."""
     if not 0 <= dim <= m - 1:
         raise ValueError(f"dim {dim} out of range [0, {m - 1}]")
-    return list(map(PartitionFace, partitions_by_count(range(1, m + 1))[m - dim]))
+    return partitions_by_count(range(1, m + 1))[m - dim]
 
 
 def all_faces(m: int) -> list:
@@ -125,10 +113,10 @@ def all_faces(m: int) -> list:
     return full_permutohedron(m).all()
 
 
-def refines(G: PartitionFace, F: PartitionFace) -> bool:
+def refines(G: tuple, F: tuple) -> bool:
     """True iff the blocks of G split those of F into consecutive runs,
     preserving order."""
-    if G.m != F.m:
+    if sum(map(len, G)) != sum(map(len, F)):
         raise ValueError("faces live on different ground sets")
     i = 0
     for block in F:
@@ -154,7 +142,7 @@ def _splits(block: tuple) -> tuple:
     return tuple(table)
 
 
-def boundary(F: PartitionFace) -> FormalChain:
+def boundary(F: tuple) -> FormalChain:
     """Cellular boundary of a permutohedron face.
 
     Splits each block U_j into M | U_j \\ M over proper nonempty M, with
@@ -167,7 +155,7 @@ def boundary(F: PartitionFace) -> FormalChain:
         if len(block) > 1:
             head, tail = F[:j], F[j + 1:]
             for M, rest, sign in _splits(block):
-                terms[PartitionFace(head + (M, rest) + tail)] = -sign if odd else sign
+                terms[head + (M, rest) + tail] = -sign if odd else sign
             if not len(block) % 2:
                 odd = not odd
     return result
@@ -189,7 +177,7 @@ class PermComplex:
     def from_partitions(cls, m: int, by_count: dict, source=None):
         """The complex whose faces are the block tuples of
         `partitions_by_count`, kept in its order."""
-        return cls(m, {m - p: list(map(PartitionFace, lists))
+        return cls(m, {m - p: lists
                        for p, lists in sorted(by_count.items(), reverse=True)
                        if lists}, source)
 
@@ -197,7 +185,7 @@ class PermComplex:
     def _face_set(self) -> frozenset:
         return frozenset(f for fs in self.by_dim.values() for f in fs)
 
-    def __contains__(self, f: PartitionFace) -> bool:
+    def __contains__(self, f: tuple) -> bool:
         return f in self._face_set
 
     def __len__(self):
@@ -255,24 +243,25 @@ def build_perm_complex_C(K: SimplicialComplex) -> PermComplex:
                 for p, lists in by_count.items()}, K)
 
 
-def vertex_coordinates(F: PartitionFace) -> tuple:
+def vertex_coordinates(F: tuple) -> tuple:
     """Coordinates of a vertex: the element of U_j gets value j (earlier
     blocks receive the smaller values)."""
-    if F.dim != 0:
-        raise ValueError(f"{F} is not a vertex")
-    coords = [0] * F.m
+    m = sum(map(len, F))
+    if m != len(F):
+        raise ValueError(f"{face_label(F)} is not a vertex")
+    coords = [0] * m
     for j, block in enumerate(F, start=1):
         coords[block[0] - 1] = j
     return tuple(coords)
 
 
-def barycenter(F: PartitionFace) -> tuple:
+def barycenter(F: tuple) -> tuple:
     """Average of the vertices of F, as exact rationals.
 
     Elements of block U_j share the value offset_j + (|U_j| + 1)/2 where
     offset_j counts elements of earlier blocks.
     """
-    coords = [Fraction(0)] * F.m
+    coords = [Fraction(0)] * sum(map(len, F))
     offset = 0
     for block in F:
         value = Fraction(2 * offset + len(block) + 1, 2)
@@ -282,17 +271,13 @@ def barycenter(F: PartitionFace) -> tuple:
     return tuple(coords)
 
 
-def face_vertices(F: PartitionFace) -> list:
+def face_vertices(F: tuple) -> list:
     """All vertex faces refining F."""
-    return [PartitionFace((i,) for ordering in orderings for i in ordering)
+    return [tuple((i,) for ordering in orderings for i in ordering)
             for orderings in itertools.product(*map(itertools.permutations, F))]
 
 
-def face_to_json(F: PartitionFace) -> list:
-    return [list(b) for b in F]
-
-
-def face_from_json(data, m: int | None = None) -> PartitionFace:
+def face_from_json(data, m: int | None = None) -> tuple:
     """The face a JSON block list names, on [m] (by default the number of
     elements listed).  ValueError unless `data` is a list of lists of
     integers partitioning [m]."""
@@ -312,9 +297,10 @@ def geometry_json(X: PermComplex) -> dict:
     def frac(x: Fraction) -> str:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
+    m = X.m
     vertices = [{"face": v, "coords": list(vertex_coordinates(v))}
                 for v in X.faces(0)]
-    faces = [{"face": f, "dim": f.dim,
+    faces = [{"face": f, "dim": m - len(f),
               "barycenter": [frac(c) for c in barycenter(f)]}
              for f in X.all()]
-    return {"m": X.m, "vertices": vertices, "faces": faces}
+    return {"m": m, "vertices": vertices, "faces": faces}

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from .chains import FormalChain
 from .cubes import CubeCell, all_cells, subsets
 from .diagonals import _block_terms, cai_diagonal, interleave
-from .permutohedron import PartitionFace, build_perm_complex, full_permutohedron
+from .permutohedron import build_perm_complex, face_label, full_permutohedron
 from .simplicial import SimplicialComplex, from_facets
 
 
-def rho_face(F: PartitionFace) -> CubeCell:
+def rho_face(F: tuple) -> CubeCell:
     """Image cell of a face, even when the dimension drops."""
     block_of = {}
     for j, block in enumerate(F):
@@ -36,13 +36,13 @@ def rho_face(F: PartitionFace) -> CubeCell:
     return CubeCell(m - 1, tuple(sigma), tuple(tau))
 
 
-def blocks_are_intervals(F: PartitionFace) -> bool:
+def blocks_are_intervals(F: tuple) -> bool:
     """Whether every block is a run of consecutive integers, which is
     exactly when rho_face keeps the dimension of F (tested through m = 5)."""
     return all(b[-1] - b[0] + 1 == len(b) for b in F)
 
 
-def rho_sign(F: PartitionFace) -> int:
+def rho_sign(F: tuple) -> int:
     """Orientation of the image cell relative to the cube's product
     orientation: the Koszul sign of sorting the interval blocks into
     their natural order, a block of size s contributing degree s - 1.
@@ -209,7 +209,7 @@ def verify_su_cai(m: int) -> dict:
                        for (a, b), v in lhs.items() if v)
         if terms:
             mismatches.append({
-                "face": repr(F), "dim": F.dim,
+                "face": face_label(F), "dim": m - len(F),
                 "terms": [{"left": a, "right": b, "coeff": coeff}
                           for a, b, coeff in terms]})
     return {"m": m, "faces_checked": len(faces), "mismatches": mismatches,

@@ -2,6 +2,7 @@
 each.  Time budgets are asserted where stated."""
 
 import time
+from operator import attrgetter
 
 from permcomplex.bar import bar_differential, tor_ranks
 from permcomplex.chains import FormalChain
@@ -30,6 +31,8 @@ from permcomplex.permutohedron import (
     build_perm_complex,
     build_perm_complex_C,
     face,
+    face_dim,
+    face_label,
     full_permutohedron,
     top_face,
 )
@@ -117,7 +120,7 @@ def test_criterion_03_tor_matches_cochain_dual(capsys):
 
 def canonical_terms(chain):
     return sorted(
-        ("+" if c > 0 else "-") + repr(left) + " (x) " + repr(right)
+        ("+" if c > 0 else "-") + face_label(left) + " (x) " + face_label(right)
         for (left, right), c in chain
         for _ in range(abs(c))
     )
@@ -177,11 +180,11 @@ def test_criterion_06_chain_maps_and_duality(capsys):
     passed = True
     for m in (2, 3, 4, 5):
         for F in all_faces(m):
-            if chain_map_defect(F, su_diagonal, boundary):
+            if chain_map_defect(F, su_diagonal, boundary, face_dim):
                 passed = False
     for m in (1, 2, 3, 4):
         for c in all_cells(m):
-            if chain_map_defect(c, cai_diagonal, cube_boundary):
+            if chain_map_defect(c, cai_diagonal, cube_boundary, attrgetter("dim")):
                 passed = False
     # duality <a cup b, c> = <a (x) b, diagonal(c)> on the cube, m <= 3
     for m in (1, 2, 3):

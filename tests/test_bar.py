@@ -34,8 +34,9 @@ def test_monomial_product_vanishes_on_nonfaces():
 def test_phi_round_trip():
     F = face(4, [2, 4], [1], [3])
     assert phi_inverse(F, 4) == F
-    # a plain letter tuple comes back as the face
-    assert type(phi_inverse(((2, 4), (1,), (3,)), 4)) is type(F)
+    # the letters come back as the checked face, a plain tuple
+    assert type(phi_inverse([[4, 2], [1], [3]], 4)) is tuple
+    assert phi_inverse([[4, 2], [1], [3]], 4) == F
 
 
 @pytest.mark.parametrize("letters", [((1, 2), (2, 3), (4,)), ((1, 2), (3,)),
@@ -78,7 +79,7 @@ def test_phi_intertwines_dual_boundary_and_bar_differential():
     X = build_perm_complex(K)
     for F in X.all():
         dual = FormalChain()
-        for G in X.faces(F.dim + 1):
+        for G in X.faces(X.m - len(F) + 1):
             c = boundary(G)[F]
             if c:
                 dual.add_term(G, c)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permcomplex.cli import _write_json, main
+from permcomplex.permutohedron import full_permutohedron
 
 
 @pytest.fixture()
@@ -122,8 +123,16 @@ def _skeleton(m, k):
     return {"m": m, "facets": [list(s) for s in itertools.combinations(range(1, m + 1), k)]}
 
 
+# two degree-1 cochains on the full Perm at m = 4: every edge, and every
+# edge weighted by 1 + the position of its two-element block
+_EDGES = full_permutohedron(4).faces(1)
+_ALL_EDGES = [{"face": F} for F in _EDGES]
+_WEIGHTED_EDGES = [{"face": F, "coeff": 1 + [len(b) for b in F].index(2)} for F in _EDGES]
+
+
 # sha256 of whole reports, so that any change to their bytes is deliberate;
-# an integer stands for the full simplex on that many vertices
+# an integer stands for the full simplex on that many vertices, a list for
+# a cochain file
 @pytest.mark.parametrize("argv, digest", [
     (["build", "--complex", 5],
      "2b3bc38fbc98108da0bcdd7a9eae0ef52bd49ab6e6fd95b2b5743b67bef7fef2"),
@@ -141,6 +150,12 @@ def _skeleton(m, k):
      "0c6f39bca49272554ed30ec9df38337907afc5b701bf0a03f6be87c113ef627d"),
     (["tor", "--complex", _skeleton(4, 2)],
      "223a255fc1cc5fe91376de67b78722a594acb87b3c73d00d46a2f1b2159f7b14"),
+    (["build", "--complex", 7],
+     "045a330be046724d40c4a2b61f3cdbfc456665fd161f92dba51db5fe5f9b88ce"),
+    (["geometry", "--complex", 6],
+     "fbe287cb2e04bdce40b8151a5ac81fc0b1bcf591118f7c64fdebe3dda1b01b7f"),
+    (["cup", "--complex", 4, "--a", _ALL_EDGES, "--b", _WEIGHTED_EDGES],
+     "5f6212fcb783359e116126a11ea47b2da4f189b65d7bd591d06cc1693bfa6d5d"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
     assert _pinned_run(tmp_path, argv) == (0, digest)
@@ -153,14 +168,18 @@ def test_error_report_bytes_are_pinned(tmp_path):
 
 def _pinned_run(tmp_path, argv):
     """Exit code and report digest of `argv`, whose integer or dict stands
-    for a complex: the full simplex on that many vertices, or the JSON."""
-    path = tmp_path / "complex.json"
-    for arg in argv:
+    for a complex (the full simplex on that many vertices, or the JSON)
+    and whose list stands for a cochain file holding it."""
+    def to_path(i, arg):
+        if isinstance(arg, str):
+            return arg
         if isinstance(arg, int):
-            path.write_text(json.dumps({"m": arg, "facets": [list(range(1, arg + 1))]}))
-        elif isinstance(arg, dict):
-            path.write_text(json.dumps(arg))
-    argv = [str(path) if isinstance(arg, (int, dict)) else arg for arg in argv]
+            arg = {"m": arg, "facets": [list(range(1, arg + 1))]}
+        path = tmp_path / ("complex.json" if isinstance(arg, dict) else f"cochain{i}.json")
+        path.write_text(json.dumps(arg))
+        return str(path)
+
+    argv = [to_path(i, arg) for i, arg in enumerate(argv)]
     out = tmp_path / "report.json"
     code = main(["--out", str(out)] + argv)
     return code, hashlib.sha256(out.read_bytes()).hexdigest()

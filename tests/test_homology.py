@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import comb, factorial, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -66,15 +66,6 @@ def test_snf_divisibility_and_transforms():
         assert reassemble(M, result)
 
 
-def test_snf_pivot_strategy_invariance():
-    rng = random.Random(5)
-    for _ in range(15):
-        M = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(4)]
-        a = smith_normal_form(M, pivot="min_abs")[1]
-        b = smith_normal_form(M, pivot="first_nonzero")[1]
-        assert a == b
-
-
 def test_rank_mod_p():
     M = [[2, 0], [0, 3]]
     assert rank_mod_p(M, 2) == 1
@@ -100,6 +91,14 @@ def test_homology_circle():
     h = homology(circle_complex())
     assert h.betti_vector() == [1, 1]
     assert h.torsion(0) == [] and h.torsion(1) == []
+
+
+def test_summary_equality():
+    h = homology(circle_complex())
+    assert h == HomologySummary({0: (1, []), 1: (1, []), 2: (0, [])})
+    assert h != HomologySummary({0: (1, [])})
+    # a summary is no other value, and comparing with one does not raise
+    assert h != None and h != {0: (1, []), 1: (1, [])} and h != [1, 1]  # noqa: E711
 
 
 def test_homology_projective_plane():
@@ -220,13 +219,29 @@ def test_homology_rejects_a_modulus_that_is_not_prime(coefficients):
         homology(circle_complex(), coefficients)
 
 
-def test_perm_of_graph_skeleton_six():
-    # Perm(skeleton(6,1)) models the real no-3-equal space for n = 6;
-    # Bjoerner-Welker: free homology of ranks 1, 111, 20
-    X = build_perm_complex(simplicial.skeleton(6, 1))
+@pytest.mark.parametrize("m, k", [(m, k) for m in range(3, 7) for k in range(3, m + 1)])
+def test_k_equal_betti_numbers(m, k):
+    # Perm(skeleton(m, k-2)) models the real k-equal space on m points (no
+    # k coordinates equal).  Bjoerner-Welker: the homology is free, with
+    # b_0 = 1, b_{k-2} = sum_{j=k}^m C(m, j) C(j-1, k-1) and, for m >= 2k,
+    # more in degree 2(k-2): 20 at (m, k) = (6, 3), the only such case here
+    X = build_perm_complex(simplicial.skeleton(m, k - 2))
     h = homology(complex_from_boundary(X.by_dim, boundary))
-    assert h.betti_vector() == [1, 111, 20]
-    assert all(not h.torsion(d) for d in range(3))
+    want = {0: 1, k - 2: sum(comb(m, j) * comb(j - 1, k - 1) for j in range(k, m + 1))}
+    if m >= 2 * k:
+        want[2 * (k - 2)] = {(6, 3): 20}[m, k]
+    assert h.betti_vector() == [want.get(d, 0) for d in range(max(want) + 1)]
+    assert all(not h.torsion(d) for d in range(m))
+
+
+def test_perm_of_vertices_is_m_factorial_points():
+    # Perm(skeleton(m, 0)) keeps only the vertices of the permutohedron
+    for m in range(1, 6):
+        X = build_perm_complex(simplicial.skeleton(m, 0))
+        assert X.f_vector() == [factorial(m)]
+        h = homology(complex_from_boundary(X.by_dim, boundary))
+        assert h.betti_vector() == [factorial(m)]
+        assert all(not h.torsion(d) for d in range(m))
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permcomplex import FormalChain
+from permcomplex.bar import phi_inverse
 from permcomplex.diagonals import su_diagonal, su_top_diagonal
 from permcomplex.permutohedron import (
-    PartitionFace,
     all_faces,
     barycenter,
     boundary,
@@ -16,8 +16,9 @@ from permcomplex.permutohedron import (
     build_perm_complex_C,
     enumerate_faces,
     face,
+    face_dim,
     face_from_json,
-    face_to_json,
+    face_label,
     face_vertices,
     full_permutohedron,
     partitions_by_count,
@@ -53,13 +54,17 @@ def test_face_from_json_rejects_non_partitions(data):
         face_from_json(data, 3)
 
 
+def _as_json(F):
+    return [list(b) for b in F]
+
+
 def _assert_partitions(faces, m):
     """Each face is the one its JSON block list names: a partition of
-    [m] into increasing blocks, which building a PartitionFace does not
-    check.  The caller gives m, since a face's own m is read off its
-    blocks and would not see an element they dropped."""
+    [m] into increasing blocks, which the program does not check when it
+    builds a face.  The caller gives m, since m read off a face's blocks
+    would not see an element they dropped."""
     for F in faces:
-        assert face_from_json(face_to_json(F), m) == F, F
+        assert face_from_json(_as_json(F), m) == F, F
 
 
 def test_built_faces_are_partitions():
@@ -79,22 +84,37 @@ def test_built_faces_are_partitions():
                     _assert_partitions((columns_partition(M), rows_partition(M)), m)
 
 
+def _assert_plain(faces):
+    """Each face is a plain tuple of plain tuples, no subclass of either."""
+    for F in faces:
+        assert type(F) is tuple and all(type(b) is tuple for b in F), F
+
+
 def test_a_face_is_its_block_tuple():
-    blocks = ((2, 4), (1,), (3,))
-    F = PartitionFace(blocks)
-    assert isinstance(F, tuple) and F == blocks and hash(F) == hash(blocks)
-    assert F == face(4, [4, 2], [1], [3]) and repr(F) == "F(24|1|3)"
-    assert not hasattr(F, "blocks") and not hasattr(F, "__dict__")
-    # chains, dicts and complexes keyed by faces find the plain tuple
-    assert FormalChain({F: 2})[blocks] == 2 and {F: 1}[blocks] == 1
-    assert blocks in full_permutohedron(4)
+    for m in range(1, 6):
+        faces = all_faces(m)
+        _assert_plain(faces)
+        for F in faces:
+            _assert_plain(G for G, _ in boundary(F))
+            _assert_plain(face_vertices(F))
+            for (left, right), _ in su_diagonal(F):
+                _assert_plain((left, right))
+            _assert_plain((face_from_json(_as_json(F), m), phi_inverse(F, m)))
+    _assert_plain(enumerate_faces(4, 1))
+    _assert_plain(build_perm_complex(skeleton(4, 1)).all())
+    _assert_plain(build_perm_complex_C(from_facets(3, [[1, 2]])).all())
+    _assert_plain((face(4, [4, 2], [1], [3]), top_face(4)))
+    _assert_plain((phi_inverse([[2, 4], [1], [3]], 4),))
+    assert face(4, [4, 2], [1], [3]) == ((2, 4), (1,), (3,))
+    assert ((2, 4), (1,), (3,)) in full_permutohedron(4)
     assert boundary(top_face(2))[((2,), (1,))] == 1
-    # m and dim are read off the blocks
-    assert (F.m, F.dim) == (4, 1)
-    assert (PartitionFace(()).m, PartitionFace(()).dim) == (0, 0)
+    assert face_label(((2, 4), (1,), (3,))) == "F(24|1|3)"
+    assert face_label(()) == "F()"
+    # the dimension m - p is read off the blocks
+    assert face_dim(()) == 0
     for m in range(1, 6):
         for G in all_faces(m):
-            assert (G.m, G.dim) == (m, m - len(G))
+            assert face_dim(G) == m - len(G)
 
 
 def test_face_counts():
@@ -115,9 +135,9 @@ def test_face_counts():
 
 
 def test_dimension():
-    assert top_face(4).dim == 3
-    assert face(4, [1], [2], [3], [4]).dim == 0
-    assert face(4, [1, 2], [3, 4]).dim == 2
+    assert face_dim(top_face(4)) == 3
+    assert face_dim(face(4, [1], [2], [3], [4])) == 0
+    assert face_dim(face(4, [1, 2], [3, 4])) == 2
 
 
 def test_shuffle_sign_basics():
@@ -185,7 +205,7 @@ def test_barycenter_of_top_cell():
 
 def test_face_json_round_trip():
     F = face(4, [2, 4], [1], [3])
-    assert face_from_json(face_to_json(F), 4) == F
+    assert face_from_json(_as_json(F), 4) == F
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +298,7 @@ def test_bases_are_in_block_order():
         assert sorted(X.by_dim) == list(X.by_dim)
         for d, fs in X.by_dim.items():
             assert fs and fs == sorted(fs)
-            assert all(f.dim == d for f in fs)
+            assert all(face_dim(f) == d for f in fs)
         assert len(X) == len(set(X.all())) == sum(X.f_vector())
     for m in range(1, 6):
         assert all_faces(m) == full_permutohedron(m).all()
@@ -297,7 +317,7 @@ def _reference_boundary(F):
             for M in itertools.combinations(block, r):
                 rest = tuple(e for e in block if e not in M)
                 sign = shuffle_sign(M, rest) * (-1) ** (offset + r)
-                result.add_term(PartitionFace(F[:j] + (M, rest) + F[j + 1:]), sign)
+                result.add_term(F[:j] + (M, rest) + F[j + 1:], sign)
         offset += len(block) - 1
     return result
 
