@@ -7,8 +7,11 @@ generator `su_terms` for any face, both as plain block tuples.  The terms
 share their blocks: `_top_cell_terms(m)` holds each distinct block once,
 and `_block_terms` renames each of those once, so a block of a diagonal
 is one object however many terms hold it.  `su_terms` is `interleave`
-over the per-block factors; `projection.verify_su_cai` interleaves only
-the part of each factor that the projection to the cube keeps.
+over the per-block factors.  The projection to the cube keeps only the
+terms whose blocks are all intervals: `kept_top_terms(n)` builds the
+2^(n-1) of them on the top cell directly, with no configuration matrix,
+and a block with a gap keeps none, so `projection.verify_su_cai`
+interleaves the renamed kept terms over the interval faces alone.
 `su_top_diagonal` and `su_diagonal` collect the terms in a FormalChain
 over (left, right) pairs of faces, as the cube diagonal's terms are pairs
 of CubeCell.  The boundary on tensors is d(a (x) b) = da (x) b +
@@ -63,11 +66,16 @@ def su_top_diagonal(m: int) -> FormalChain:
 @lru_cache(maxsize=None)
 def _block_terms(block: tuple) -> tuple:
     """The top-cell terms of the permutohedron on `block`, with 1..n
-    renamed order-preservingly to its elements: (sign, left blocks, right
-    blocks, left degree, right degree).  Each distinct block is renamed
-    once, so the terms share their renamed blocks."""
+    renamed order-preservingly to its elements, as `_renamed` gives them."""
+    return _renamed(_top_cell_terms(len(block)), block)
+
+
+def _renamed(top: tuple, block: tuple) -> tuple:
+    """The terms `top` on 1..n, with 1..n renamed order-preservingly to
+    the elements of `block`: (sign, left blocks, right blocks, left
+    degree, right degree).  Each distinct block is renamed once, so the
+    terms share their renamed blocks."""
     n = len(block)
-    top = _top_cell_terms(n)
     element = (None, *block).__getitem__  # i -> the i-th element of block
     table = dict.fromkeys(b for _, left, right in top for b in left + right)
     for b in table:
@@ -76,6 +84,70 @@ def _block_terms(block: tuple) -> tuple:
     return tuple((sign, tuple(map(rename, left)), tuple(map(rename, right)),
                   n - len(left), n - len(right))
                  for sign, left, right in top)
+
+
+def _runs(n: int, starts: tuple) -> tuple:
+    """The runs of 1..n that begin at 1 and at each value of `starts`."""
+    bounds = (1, *starts, n + 1)
+    return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+
+
+def kept_top_terms(n: int) -> tuple:
+    """The terms of `_top_cell_terms(n)` whose left and right blocks are
+    all intervals, in the same order and with the same signs, built
+    directly: no configuration matrix is enumerated.  These are the terms
+    that the projection to the cube keeps.
+
+    Such a term is a snake: the values 1..n run from cell (1, 1) to (q, p),
+    each step going right or down.  It is fixed by the set D of the
+    values entered by a down move, any subset of {2..n}: q = |D| + 1, the
+    rows are the runs of 1..n split before each value of D and the
+    columns the runs split before each other value.  Its source step
+    matrix is the hook whose first column is 1 then D and whose first row
+    is 1 then the other values, so c(E) = ((1,) + D, then each other value
+    as a singleton), and the sign is partition_sign(step_sign(q, c(E)),
+    r(A), c(A)), from the sign calculus alone.  Terms come by q, then D in
+    lexicographic order, which is the order of their matrices.
+
+    Why these are all the kept terms, each once and with that sign:
+    - A configuration matrix A whose rows and columns are all intervals
+      is a snake.  Its q rows of sizes s_i hold sum (s_i - 1) = n - q
+      pairs k, k + 1 in one row, its columns n - p pairs in one column,
+      and no pair shares both.  As n - q + n - p = n - 1, every pair k,
+      k + 1 shares a row or a column, so k + 1 lies right of k or below
+      it.  The path 1, ..., n visits all q rows and p columns in q + p - 2
+      moves, so each move is one cell, from (1, 1) to (q, p).
+    - Its source is the hook of its D.  Shifts move entries only down or
+      right, so 1 sat at (1, 1) in the source, and a step matrix with an
+      entry at (1, 1) is a hook; let D' be the values below 1 in its
+      first column.  The hook puts a value v of D' in row 1 + |{d in D' :
+      d <= v}| and any other v in column 1 + |{r not in D' : r <= v}|,
+      and A puts v in the row and column these counts give with D.  At
+      the least value where D and D' differ, the hook's place for it is
+      below or right of its place in A, which no shift undoes.
+    - Each snake is reached from the hook of its D.  Each value of D
+      stays in its row and moves right; each other value stays in its
+      column and moves down.  A row of the snake starts with its one
+      value of D (or 1), a column with its one value outside D, so while
+      every value lies between its place in the hook and in A, rows and
+      columns increase and no target is occupied.  Take all right shifts
+      by column, then all down shifts by row: each is admissible, both
+      sequences are monotone, and none refills a vacated cell, as values
+      of D vacate cells below the path of A and the others cells above.
+
+    Each block B with a gap keeps no term, which is why only interval
+    faces have terms that the projection keeps: in a snake the values k
+    and k + 1 always share a row or a column, so renamed through B some
+    block holds both sides of the gap and is not an interval."""
+    values = range(2, n + 1)
+    terms = []
+    for q in range(1, n + 1):
+        for D in itertools.combinations(values, q - 1):
+            others = tuple(v for v in values if v not in D)
+            left, right = _runs(n, others), _runs(n, D)[::-1]
+            step = step_sign(q, ((1, *D), *((v,) for v in others)))
+            terms.append((partition_sign(step, right, left), left, right))
+    return tuple(terms)
 
 
 def interleave(factors):

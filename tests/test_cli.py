@@ -156,6 +156,8 @@ _WEIGHTED_EDGES = [{"face": F, "coeff": 1 + [len(b) for b in F].index(2)} for F 
      "fbe287cb2e04bdce40b8151a5ac81fc0b1bcf591118f7c64fdebe3dda1b01b7f"),
     (["cup", "--complex", 4, "--a", _ALL_EDGES, "--b", _WEIGHTED_EDGES],
      "5f6212fcb783359e116126a11ea47b2da4f189b65d7bd591d06cc1693bfa6d5d"),
+    (["verify", "--theorem", "su-cai", "--m", "6"],
+     "331fdf33898ad3c74202eb7238f65361916199103c3bffa78b2f5ae315e9c670"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
     assert _pinned_run(tmp_path, argv) == (0, digest)

@@ -11,6 +11,7 @@ from permcomplex.diagonals import (
     chain_map_defect,
     counit_defect,
     cup_su,
+    kept_top_terms,
     su_diagonal,
     su_terms,
     su_top_diagonal,
@@ -24,8 +25,10 @@ from permcomplex.permutohedron import (
     full_permutohedron,
     top_face,
 )
+from permcomplex.projection import blocks_are_intervals
 from permcomplex.simplicial import polygon_boundary
-from permcomplex.sumatrix import csgn, enumerate_configurations
+from permcomplex.sumatrix import (columns_partition, csgn, enumerate_configurations,
+                                  matrix, rows_partition)
 
 
 def F(*blocks):
@@ -86,6 +89,38 @@ def test_top_cell_signs_are_csgn():
         pairs = [pair for q in range(1, m + 1)
                  for pair in enumerate_configurations(q, m - q + 1)]
         assert [sign for sign, _, _ in _top_cell_terms(m)] == [csgn(A, E) for A, E in pairs]
+
+
+def _kept(terms):
+    """The terms whose left and right blocks are all intervals."""
+    return tuple(t for t in terms if blocks_are_intervals(t[1]) and blocks_are_intervals(t[2]))
+
+
+def test_kept_top_terms_are_the_interval_terms():
+    # the same terms in the same order with the same signs, 2^(n-1) of
+    # them; n = 7 shares the cached terms with test_su_term_counts
+    for n in range(8):
+        kept = kept_top_terms(n)
+        assert kept == _kept(_top_cell_terms(n)), n
+        assert len(kept) == (2 ** (n - 1) if n else 0)
+
+
+def _hook(q, p, A):
+    """The step matrix whose first column is 1 then the first entries of
+    the rows of A below the first, and whose first row is 1 then the other
+    values."""
+    down = [next(filter(None, row)) for row in A[1:]]
+    across = [v for v in range(2, q + p) if v not in down]
+    return matrix([[1, *across]] + [[d] + [0] * (p - 1) for d in down])
+
+
+def test_kept_configurations_come_from_the_hook():
+    for n in range(1, 8):
+        for q in range(1, n + 1):
+            p = n - q + 1
+            for A, E in enumerate_configurations(q, p):
+                if blocks_are_intervals(columns_partition(A)) and blocks_are_intervals(rows_partition(A)):
+                    assert E == _hook(q, p, A), A
 
 
 def test_su_respects_total_dimension():

@@ -138,22 +138,27 @@ def test_non_interval_blocks_keep_no_su_term():
 
 
 def test_verify_su_cai_matches_the_full_expansion_on_a_wrong_su_sign(monkeypatch):
-    # the first term of the factor of the interval block (2, 3), F(2|3) (x)
-    # F(23), with its sign flipped, for the pruned and the full check alike
-    real = diagonals._block_terms
+    # the sign of the top-cell term F(1|2) (x) F(12) flipped where both the
+    # full expansion and the kept terms read it, so the factor of every
+    # two-element block carries it, for the pruned and the full check alike
+    real = diagonals.partition_sign
 
-    def wrong(block):
-        terms = real(block)
-        if block != (2, 3):
-            return terms
-        (sign, *rest), *others = terms
-        return ((-sign, *rest), *others)
+    def wrong(step, rA, cA):
+        sign = real(step, rA, cA)
+        return -sign if (rA, cA) == (((1, 2),), ((1,), (2,))) else sign
 
-    monkeypatch.setattr(diagonals, "_block_terms", wrong)
-    monkeypatch.setattr(projection, "_block_terms", wrong)
-    report = verify_su_cai(5)
-    assert not report["passed"]
-    assert report == _reference_verify_su_cai(5)
+    caches = (diagonals._top_cell_terms, diagonals._block_terms)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(diagonals, "partition_sign", wrong)
+    try:
+        report = verify_su_cai(5)
+        assert not report["passed"]
+        assert report == _reference_verify_su_cai(5)
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_verify_su_cai_names_least_failing_face(monkeypatch):
