@@ -4,14 +4,19 @@ All linear algebra is exact: Python integers for elimination and Smith
 normal form, Fractions only transiently when inverting unimodular
 matrices.  A chain complex holds each boundary matrix as sparse columns,
 one {row index: nonzero coefficient} dict per column, from assembly
-through the d o d check to elimination.  `homology` reduces each boundary
-matrix by sparse unit-pivot elimination and runs the dense Smith normal
-form only on the block that has no unit pivot.  Candidate pivots wait in
-a heap keyed by Markowitz cost; a key is checked and, if the cost has
-risen, renewed only when its entry reaches the top, so no step rescans
-the matrix.  Dense matrices (lists of rows) appear only at the edges:
-`ChainComplexData.matrix`, the Smith normal form, `invariant_factors`
-and `rank_mod_p`.
+through the d o d check to elimination.  `homology` reduces the boundary
+matrices from the top degree down by sparse unit-pivot elimination and
+runs the dense Smith normal form only on the block that has no unit
+pivot.  Before it reduces D_d it drops the columns at the unit pivot rows
+of D_{d+1} (clearing, the "twist" of Chen and Kerber): D_{d+1} is
+unimodular on those rows and its pivot columns, so modulo boundaries each
+such basis element is an integer chain on the others, and D_d D_{d+1} = 0
+puts its column of D_d in the span of the columns that stay.  Candidate
+pivots wait in a heap keyed by Markowitz cost; a key is checked and, if
+the cost has risen, renewed only when its entry reaches the top, so no
+step rescans the matrix.  Dense matrices (lists of rows) appear only at
+the edges: `ChainComplexData.matrix`, the Smith normal form,
+`invariant_factors` and `rank_mod_p`.
 """
 
 from __future__ import annotations
@@ -160,8 +165,11 @@ def _eliminate(columns: list, p: int = 0):
     entry keeps a heap item, so an empty heap means no unit pivot is left.
     Each pivot's column is cleared with exact row operations and its row
     and column are deleted, which leaves M equivalent to diag(pivots) + the
-    rest.  Returns the number of pivots and the leftover block as a dense
-    list of rows (always empty mod p).
+    rest.  Only rows not yet pivoted are changed, so on its pivot rows and
+    columns M is a unitriangular matrix times a triangular one with unit
+    diagonal, hence unimodular; `homology` clears by that.  Returns the
+    number of pivots, the leftover block as a dense list of rows (always
+    empty mod p) and the row index of each pivot, in pivot order.
     """
     rows = {}             # row index -> {col index: nonzero entry}
     for j, column in enumerate(columns):
@@ -179,7 +187,7 @@ def _eliminate(columns: list, p: int = 0):
              for i, row in rows.items() for j, v in row.items()
              if p or v == 1 or v == -1]
     heapify(queue)
-    pivots = 0
+    pivot_rows = []
     while queue:
         cost, i, j = heappop(queue)
         prow = rows.get(i)
@@ -218,10 +226,11 @@ def _eliminate(columns: list, p: int = 0):
             r = len(row) - 1
             for c in units:
                 heappush(queue, (r * (len(cols[c]) - 1), k, c))
-        pivots += 1
+        pivot_rows.append(i)
 
     left = sorted(c for c, members in cols.items() if members)
-    return pivots, [[row.get(c, 0) for c in left] for row in rows.values()]
+    rest = [[row.get(c, 0) for c in left] for row in rows.values()]
+    return len(pivot_rows), rest, pivot_rows
 
 
 def _columns(M: list, ncols: int) -> list:
@@ -234,14 +243,18 @@ def _columns(M: list, ncols: int) -> list:
     return columns
 
 
+def _residue_factors(rest: list) -> list:
+    """Nonzero invariant factors of the dense block `_eliminate` leaves."""
+    if not rest:
+        return []
+    _, D, _ = smith_normal_form(rest)
+    return [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
+
+
 def _factors(columns: list) -> list:
     """Nonzero invariant factors of a matrix given by sparse columns."""
-    pivots, rest = _eliminate(columns)
-    factors = [1] * pivots
-    if rest:
-        _, D, _ = smith_normal_form(rest)
-        factors += [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
-    return factors
+    pivots, rest, _ = _eliminate(columns)
+    return [1] * pivots + _residue_factors(rest)
 
 
 def invariant_factors(M: list) -> list:
@@ -432,23 +445,33 @@ def homology(C: ChainComplexData, coefficients="Z") -> HomologySummary:
     """Homology of an integer chain complex.
 
     `coefficients` is "Z", "Q", or a prime p.  Over Z the torsion list per
-    degree holds the invariant factors > 1 of the incoming boundary.  Each
-    boundary matrix is eliminated once; its factors give both the rank out
-    of its source degree and the factors into its target degree.
+    degree holds the invariant factors > 1 of the incoming boundary.  The
+    boundary matrices are eliminated from the top degree down, and the
+    factors of each give both the rank out of its source degree and the
+    factors into its target degree.  Before D_d is eliminated, the columns
+    at the unit pivot rows R of D_{d+1} are dropped ("clearing").  This is
+    exact: D_{d+1} is unimodular on R and its pivot columns, so each e_r,
+    r in R, is an integer chain outside R modulo boundaries, and D_d D_{d+1}
+    = 0 puts column r of D_d in the span of the columns outside R; the
+    column lattice, hence the rank and the invariant factors, are unchanged.
     """
     if coefficients in ("Z", "Q"):
-        eliminate = _factors
+        p = 0
     else:
         p = int(coefficients)
         if not is_prime(p):
             raise ValueError("coefficients must be Z, Q or a prime, "
                              f"got {coefficients!r}")
-
-        def eliminate(columns):  # over a field every pivot is a unit factor
-            return [1] * _eliminate(columns, p)[0]
     C.check_dd_zero()
-    factors = {d: eliminate(C.cols.get(d, ())) for d in C.degrees
-               if C.dim(d) and C.dim(d - 1)}
+    factors = {}
+    rows_of = {}          # degree -> pivot rows of the boundary into it
+    for d in reversed(C.degrees):
+        if not (C.dim(d) and C.dim(d - 1)):
+            continue
+        cleared = set(rows_of.get(d, ()))
+        columns = [c for j, c in enumerate(C.cols.get(d, ())) if j not in cleared]
+        pivots, rest, rows_of[d - 1] = _eliminate(columns, p)
+        factors[d] = [1] * pivots + _residue_factors(rest)
     data = {}
     for d in C.degrees:
         out_rank = len(factors.get(d, []))

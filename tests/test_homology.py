@@ -1,5 +1,6 @@
+import importlib
 import random
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -126,9 +127,30 @@ def test_cochain_dual_negates_degrees():
     C = rp2_complex()
     D = cochain_dual(C)
     h = homology(D)
-    # universal coefficients: H^2(RP^2) = Z/2, stored at degree -2
+    # universal coefficients: H^2(RP^2) = Z/2, stored at degree -2; the
+    # boundaries of the dual are eliminated from degree 0 down to -2
     assert h.betti(0) == 1
     assert h.torsion(-2) == [2]
+    assert [h.betti(d) for d in (-2, -1, 0)] == [0, 0, 1]
+    assert [h.torsion(d) for d in (-2, -1, 0)] == [[2], [], []]
+    assert [homology(D, 2).betti(d) for d in (-2, -1, 0)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("empty", [[], None])
+def test_clearing_is_keyed_by_degree_across_an_empty_degree(empty):
+    # an interval in degrees 0, 1 and a disc f -> g in degrees 3, 4, with
+    # degree 2 empty (or absent).  The unit pivot of D_4 sits at row 0 of
+    # degree 3; column 0 of D_1 must not be cleared by it.
+    basis = {0: ["v", "w"], 1: ["e"], 2: empty, 3: ["f"], 4: ["g"]}
+    if empty is None:
+        del basis[2]
+    C = ChainComplexData(basis, {1: [[-1], [1]], 4: [[1]]})
+    for coefficients in ("Z", 2, 3):
+        h = homology(C, coefficients)
+        assert [h.betti(d) for d in range(5)] == [1, 0, 0, 0, 0]
+        assert all(not h.torsion(d) for d in range(5))
+    h = homology(cochain_dual(C))
+    assert [h.betti(-d) for d in range(5)] == [1, 0, 0, 0, 0]
 
 
 def test_homology_generators_circle():
@@ -261,6 +283,32 @@ def test_full_permutohedron_six_is_a_point():
     assert all(not h.torsion(d) for d in range(6))
 
 
+def test_full_permutohedron_seven_is_a_point():
+    X = full_permutohedron(7)
+    h = homology(complex_from_boundary(X.by_dim, boundary))
+    assert h.betti_vector() == [1]
+    assert all(not h.torsion(d) for d in range(7))
+
+
+def test_clearing_leaves_only_pivot_columns(monkeypatch):
+    # Perm^5 is a ball: every cleared boundary matrix is all unit pivots.
+    # Its 3 963 cells of positive degree are the columns of its boundary
+    # matrices, and their ranks sum to (4 683 cells - 1) / 2 = 2 341; the
+    # eliminator receives only those 2 341 columns.
+    module = importlib.import_module("permcomplex.homology")
+    eliminate, seen = module._eliminate, []
+
+    def counted(columns, p=0):
+        result = eliminate(columns, p)
+        seen.append((len(columns), result[0]))
+        return result
+    monkeypatch.setattr(module, "_eliminate", counted)
+    C = complex_from_boundary(full_permutohedron(6).by_dim, boundary)
+    assert homology(C).betti_vector() == [1]
+    columns, pivots = map(sum, zip(*seen))
+    assert columns == pivots == 2341
+
+
 def test_full_permutohedron_five_never_densifies(monkeypatch):
     # assembly, the d o d check and elimination all stay on sparse columns
     def dense(self, d):
@@ -287,18 +335,35 @@ def random_complexes():
     return st.lists(st.integers(0, 4), min_size=1, max_size=4).flatmap(build)
 
 
+def cyclic_sum_factors(orders):
+    """Invariant factors, increasing, of the sum of the groups Z/k for k in
+    `orders` (each k a product of powers of 2 and 3): the i-th largest is
+    the product over each prime of its i-th largest power."""
+    powers = []
+    for q in (2, 3):
+        column = []
+        for k in orders:
+            e = 1
+            while k % q == 0:
+                k, e = k // q, e * q
+            column.append(e)
+        powers.append(sorted(column, reverse=True))
+    return sorted(f for f in map(prod, zip(*powers)) if f > 1)
+
+
 def exact_complex(seed):
-    """A direct sum of complexes Z -k-> Z (k in 1, 2, 4) and free Z's, in
-    degrees 0..3, written in a basis scrambled by elementary changes of
+    """A direct sum of complexes Z -k-> Z (k in 1, 2, 3, 4, 6) and free Z's,
+    in degrees 0..3, written in a basis scrambled by elementary changes of
     basis, so that d o d = 0 with dense nonzero matrices.  Returns
-    (basis, diff, betti by degree, torsion by degree)."""
+    (basis, diff, betti by degree, invariant factors of the torsion by
+    degree)."""
     rng = random.Random(seed)
     dims, arrows = [0] * 4, []
     betti, torsion = [0] * 4, [[] for _ in range(4)]
     for _ in range(rng.randint(1, 6)):
         d = rng.randint(0, 3)
         if d and rng.random() < 0.7:
-            k = rng.choice([1, 2, 4])
+            k = rng.choice([1, 2, 3, 4, 6])
             arrows.append((d, dims[d], dims[d - 1], k))
             dims[d - 1] += 1
             if k > 1:
@@ -321,7 +386,7 @@ def exact_complex(seed):
         if d < 3:
             diff[d + 1][a] = [x + c * y for x, y in zip(diff[d + 1][a], diff[d + 1][b])]
     basis = {d: [f"c{d}_{i}" for i in range(n)] for d, n in enumerate(dims)}
-    return basis, diff, betti, [sorted(t) for t in torsion]
+    return basis, diff, betti, [cyclic_sum_factors(t) for t in torsion]
 
 
 @settings(max_examples=150, deadline=None)
@@ -353,6 +418,23 @@ def test_homology_of_scrambled_elementary_complexes(seed):
     h = homology(ChainComplexData(basis, diff))
     assert [h.betti(d) for d in range(4)] == betti
     assert [h.torsion(d) for d in range(4)] == torsion
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_scrambled_complexes_over_prime_fields_and_cochains(seed):
+    # universal coefficients: b_q(GF(p)) is b_q plus the factors of H_q and
+    # of H_{q-1} divisible by p, and H^q = Z^{b_q} + the torsion of H_{q-1}
+    basis, diff, betti, torsion = exact_complex(seed)
+    C = ChainComplexData(basis, diff)
+    below = [[]] + torsion[:3]
+    for p in (2, 3):
+        h = homology(C, p)
+        assert [h.betti(d) for d in range(4)] == [
+            b + sum(f % p == 0 for f in t + s) for b, t, s in zip(betti, torsion, below)]
+    h = homology(cochain_dual(C))
+    assert [h.betti(-q) for q in range(4)] == betti
+    assert [h.torsion(-q) for q in range(4)] == below
 
 
 def test_is_prime_agrees_with_trial_division():
