@@ -1,11 +1,19 @@
 """Command-line front end.
 
+The subcommands are one table, COMMANDS: name, handler, help line and
+options.  build_parser builds the parser of only the command a run
+names, with every other command a choice and a help line alone, so help,
+usage and error texts are those of the whole parser at a quarter of the
+cost.
+
 Every subcommand emits a JSON report to stdout (or --out) of the form
 {"command", "input_digest", "checks", "payload"}.  Exit codes: 0 all
-checks passed, 1 a verification check failed, 2 usage error (argparse, a
+checks passed, 1 a verification check failed, 2 usage error (one that
+argparse finds, such as a missing or unknown option or command, a
 --coeff that is not Z, Q or a prime, an --m below 1, or an --out or
---geometry file that cannot be written; the error report of an
-unwritable --out goes to stdout), 3 malformed JSON input (including a
+--geometry file that cannot be written; the error report of an argparse
+error or of an unwritable --out goes to stdout, and after an argparse
+error "command" is null), 3 malformed JSON input (including a
 --face or a cochain file whose faces are not ordered partitions of [m],
 and a cochain term on a face that is not in Perm(K)),
 4 invalid input complex (including one with m = 1 for `project` and
@@ -13,7 +21,7 @@ and a cochain term on a face that is not in Perm(K)),
 is the text of json.dumps(report, indent=1, sort_keys=True) and a
 newline, written in chunks by _write_json rather than built whole; it is
 byte-stable for fixed inputs, and wall-clock timing is only attached
-with --timing.
+with --timing.  -h prints help to stdout and exits 0.
 """
 
 from __future__ import annotations
@@ -264,74 +272,96 @@ def cmd_geometry(args, report):
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# The subcommands: name -> (handler, help line, options), an option being
+# its flag and the keywords of its add_argument.
+_COMPLEX = ("--complex", {"required": True})
+_COEFF = ("--coeff", {"default": "Z"})
+COMMANDS = {
+    "build": (cmd_build, "build Perm(K) and list its faces", (
+        _COMPLEX,
+        ("--doubled", {"action": "store_true",
+                       "help": "build the doubled complex on [2m] instead"}))),
+    "homology": (cmd_homology, "homology of Perm(K)", (
+        _COMPLEX, ("--doubled", {"action": "store_true"}), _COEFF)),
+    "tor": (cmd_tor, "Tor ranks from the bar construction", (_COMPLEX, _COEFF)),
+    "diagonal": (cmd_diagonal, "top-cell diagonal expansion", (
+        ("--m", {"type": int, "required": True}),)),
+    "cup": (cmd_cup, "cup product of two cochains on Perm(K)", (
+        _COMPLEX, ("--a", {"required": True}), ("--b", {"required": True}))),
+    "project": (cmd_project, "L(K) and optional face image", (
+        _COMPLEX,
+        ("--face", {"help": "JSON block list of a single face to project"}))),
+    "rmac": (cmd_rmac, "real moment-angle complex of L", (
+        _COMPLEX, ("--homology", {"action": "store_true"}), _COEFF)),
+    "verify": (cmd_verify, "machine checks of the identities", (
+        ("--theorem", {"required": True, "choices": ["su-cai", "image"]}),
+        ("--m", {"type": int}), ("--complex", {}))),
+    "geometry": (cmd_geometry, "exact coordinates for export", (
+        _COMPLEX, ("--geometry", {"help": "output file for the geometry JSON"}))),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise CliError, so that they
+    end in a JSON report as every other error does."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}", EXIT_USAGE)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The `perm` parser for the tokens argv, which it does not parse.
+
+    Every command is a choice, with its help line, so the usage, help and
+    error texts are those of the parser holding them all.  But only the
+    commands named among the tokens get a parser of their own (every
+    command when none is named, so build_parser() is the whole parser):
+    argparse runs only the parser of the token that names the command, so
+    no other is reached.  Building all nine would be most of a small job.
+    """
+    built = set(COMMANDS).intersection(argv) or COMMANDS
+
+    def command_parser(command, **kwargs):
+        if command not in built:
+            return None
+        fn, _, options = COMMANDS[command]
+        parser = _Parser(**kwargs)
+        parser.set_defaults(fn=fn)
+        for flag, keywords in options:
+            parser.add_argument(flag, **keywords)
+        return parser
+
+    parser = _Parser(
         prog="perm",
         description="Permutohedral complexes, their (co)homology, and the "
                     "cellular diagonals of the permutohedron and the cube.")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--timing", action="store_true",
                         help="attach wall-clock timing to the report")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("build", cmd_build, help="build Perm(K) and list its faces")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--doubled", action="store_true",
-                   help="build the doubled complex on [2m] instead")
-
-    p = add("homology", cmd_homology, help="homology of Perm(K)")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--doubled", action="store_true")
-    p.add_argument("--coeff", default="Z")
-
-    p = add("tor", cmd_tor, help="Tor ranks from the bar construction")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--coeff", default="Z")
-
-    p = add("diagonal", cmd_diagonal, help="top-cell diagonal expansion")
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("cup", cmd_cup, help="cup product of two cochains on Perm(K)")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = add("project", cmd_project, help="L(K) and optional face image")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--face", help="JSON block list of a single face to project")
-
-    p = add("rmac", cmd_rmac, help="real moment-angle complex of L")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--homology", action="store_true")
-    p.add_argument("--coeff", default="Z")
-
-    p = add("verify", cmd_verify, help="machine checks of the identities")
-    p.add_argument("--theorem", required=True, choices=["su-cai", "image"])
-    p.add_argument("--m", type=int)
-    p.add_argument("--complex")
-
-    p = add("geometry", cmd_geometry, help="exact coordinates for export")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--geometry", help="output file for the geometry JSON")
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=command_parser)
+    for name, (_, help_line, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_line, command=name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    report = {"command": [args.command], "input_digest": None,
-              "checks": [], "payload": None}
+    if argv is None:
+        argv = sys.argv[1:]
+    report = {"command": None, "input_digest": None, "checks": [],
+              "payload": None}
     try:
-        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
-    except OSError as exc:
-        report["error"] = f"cannot write the report to {args.out}: {exc}"
+        args = build_parser(argv).parse_args(argv)
+        report["command"] = [args.command]
+        try:
+            out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+        except OSError as exc:
+            raise CliError(f"cannot write the report to {args.out}: {exc}",
+                           EXIT_USAGE)
+    except CliError as exc:  # its report goes to stdout
+        report["error"] = str(exc)
         _emit(report, sys.stdout)
-        return EXIT_USAGE
+        return exc.code
     with out as fh:
         code = _run(args, report)
         _emit(report, fh)

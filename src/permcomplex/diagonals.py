@@ -13,8 +13,10 @@ terms whose blocks are all intervals: `kept_top_terms(n)` builds the
 and a block with a gap keeps none, so `projection.verify_su_cai`
 interleaves the renamed kept terms over the interval faces alone.
 `su_top_diagonal` and `su_diagonal` collect the terms in a FormalChain
-over (left, right) pairs of faces, as the cube diagonal's terms are pairs
-of CubeCell.  The boundary on tensors is d(a (x) b) = da (x) b +
+over (left, right) pairs of faces, as `cai_diagonal` collects the cube
+diagonal's terms as pairs of CubeCell; `cai_terms` gives those terms as
+(sigma, tau) keys, which `verify_su_cai` reads with no cell built.  The
+boundary on tensors is d(a (x) b) = da (x) b +
 (-1)^dim(a) a (x) db, with dim a function the caller passes
 (`permutohedron.face_dim` for faces, a cell's `dim` for cube cells); the
 comultiplicative extension interleaves per-block factors with the
@@ -184,17 +186,23 @@ def su_diagonal(F: tuple) -> FormalChain:
     return result
 
 
-def cai_diagonal(c: CubeCell) -> FormalChain:
-    """Diagonal of a cube cell, dual to the Whitney product."""
-    result = FormalChain()
-    sigma = c.sigma
+def cai_terms(sigma: tuple, tau: tuple):
+    """The terms of the Cai diagonal of the cube cell (sigma, tau), as
+    ((sub, tau), (rest, tau | sub), sign): the (sigma, tau) keys of the
+    left and right cells, one term per subset sub of sigma."""
     for r in range(len(sigma) + 1):
         for sub in itertools.combinations(sigma, r):
             rest = tuple(x for x in sigma if x not in sub)
             sign = -1 if inversion_count(sub, rest) % 2 else 1
-            left = CubeCell(c.m, sub, c.tau)
-            right = CubeCell(c.m, rest, tuple(sorted(set(sub) | set(c.tau))))
-            result.add_term((left, right), sign)
+            yield (sub, tau), (rest, tuple(sorted(sub + tau))), sign
+
+
+def cai_diagonal(c: CubeCell) -> FormalChain:
+    """Diagonal of a cube cell, dual to the Whitney product: the terms of
+    `cai_terms` as pairs of cells."""
+    result = FormalChain()
+    for left, right, sign in cai_terms(c.sigma, c.tau):
+        result.add_term((CubeCell(c.m, *left), CubeCell(c.m, *right)), sign)
     return result
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .chains import FormalChain
 from .cubes import CubeCell, all_cells, subsets
-from .diagonals import _renamed, cai_diagonal, interleave, kept_top_terms
+from .diagonals import _renamed, cai_terms, interleave, kept_top_terms
 from .permutohedron import build_perm_complex, face_label, partitions_by_count
 from .simplicial import SimplicialComplex, from_facets
 
@@ -208,8 +208,8 @@ def verify_su_cai(m: int) -> dict:
             key = (a, b)
             lhs[key] = lhs.get(key, 0) + sign * sa * sb
         c, s = images[F]  # lhs - rhs
-        for (a, b), coeff in cai_diagonal(cell(c)):
-            key = ((a.sigma, a.tau), (b.sigma, b.tau))
+        for a, b, coeff in cai_terms(*c):
+            key = (a, b)
             lhs[key] = lhs.get(key, 0) - s * coeff
         terms = sorted((repr(cell(a)), repr(cell(b)), v)
                        for (a, b), v in lhs.items() if v)

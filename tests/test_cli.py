@@ -4,12 +4,18 @@ import io
 import itertools
 import json
 import os
+import shlex
+import subprocess
+import sys
 import tempfile
+from argparse import Namespace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permcomplex.cli import _write_json, main
+from permcomplex import cli
+from permcomplex.cli import CliError, _write_json, build_parser, main
 from permcomplex.permutohedron import full_permutohedron
 
 
@@ -244,6 +250,31 @@ def test_unwritable_geometry_is_a_usage_error(tmp_path, capsys, k1_path):
     assert report["payload"] is None
 
 
+@pytest.mark.parametrize("argv, needs", [
+    (["homology"], "required: --complex"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "required: command"),
+    (["diagonal", "--m", "x"], "invalid int value: 'x'"),
+    (["verify", "--theorem", "both", "--m", "3"], "invalid choice: 'both'"),
+    (["homology", "--complex", "k1.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["--bogus", "homology", "--complex", "k1.json"], "unrecognized arguments: --bogus"),
+])
+def test_argparse_usage_error_is_a_json_error(tmp_path, capsys, argv, needs):
+    code, report = run(capsys, "--out", str(tmp_path / "report.json"), *argv)
+    assert code == 2
+    assert needs in report["error"]
+    assert report["payload"] is None and report["command"] is None
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["homology", "-h"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: perm")
+
+
 @pytest.mark.parametrize("coeff", ["4", "1", "0", "-2", "x"])
 @pytest.mark.parametrize("command", ["homology", "tor"])
 def test_bad_coeff_is_a_usage_error(capsys, k1_path, command, coeff):
@@ -412,3 +443,95 @@ def test_cli_input_contract(command, complex_bytes, coeff, face):
         assert isinstance(report["error"], str) and report["payload"] is None
     else:
         assert "error" not in report and report["payload"] is not None
+
+
+def _parse(parser, argv):
+    """The Namespace that `parser` makes of argv, or its exit code and the
+    text it printed or the error it raised."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+    except CliError as exc:
+        return exc.code, str(exc)
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [shlex.split(line, comments=True)[1:]
+            for line in text.splitlines() if line.startswith("perm ")]
+
+
+# one argv per command that gives every option it has, and the options as
+# they parse
+_EVERY_OPTION = [
+    (["build", "--complex", "k.json", "--doubled"],
+     {"complex": "k.json", "doubled": True}),
+    (["homology", "--complex", "k.json", "--doubled", "--coeff", "3"],
+     {"complex": "k.json", "doubled": True, "coeff": "3"}),
+    (["tor", "--complex", "k.json", "--coeff", "2"], {"complex": "k.json", "coeff": "2"}),
+    (["diagonal", "--m", "3"], {"m": 3}),
+    (["cup", "--complex", "k.json", "--a", "a.json", "--b", "b.json"],
+     {"complex": "k.json", "a": "a.json", "b": "b.json"}),
+    (["project", "--complex", "k.json", "--face", "12|34"],
+     {"complex": "k.json", "face": "12|34"}),
+    (["rmac", "--complex", "k.json", "--homology", "--coeff", "5"],
+     {"complex": "k.json", "homology": True, "coeff": "5"}),
+    (["verify", "--theorem", "image", "--m", "4", "--complex", "k.json"],
+     {"theorem": "image", "m": 4, "complex": "k.json"}),
+    (["geometry", "--complex", "k.json", "--geometry", "g.json"],
+     {"complex": "k.json", "geometry": "g.json"}),
+]
+_COMMAND_NAMES = [argv[0] for argv, _ in _EVERY_OPTION]
+
+
+def test_parser_matches_the_full_parser():
+    examples = _readme_examples()
+    assert len(examples) >= 9
+    inputs = examples + [argv for argv, _ in _EVERY_OPTION] + [
+        ["-h"], *([name, "-h"] for name in _COMMAND_NAMES),
+        ["-h", "homology"], ["--out", "tor", "-h", "homology"],
+        ["homology"], ["cup", "--complex", "k.json", "--a", "a.json"],
+        ["homology", "--complex", "k1.json", "--bogus"], ["--bogus", "tor"],
+        ["bogus"], ["--out", "tor", "bogus"], [],
+        ["--out", "tor", "homology", "--complex", "k1.json"],
+        ["--timing", "--out", "r.json", "diagonal", "--m", "x"],
+    ]
+    full = build_parser()
+    for argv in inputs:
+        assert _parse(build_parser(argv), argv) == _parse(full, argv), argv
+    for argv, options in _EVERY_OPTION:
+        argv = ["--out", "r.json", "--timing"] + argv
+        assert _parse(build_parser(argv), argv) == Namespace(
+            out="r.json", timing=True, command=argv[3],
+            fn=getattr(cli, "cmd_" + argv[3]), **options)
+    assert sorted(_COMMAND_NAMES) == sorted(cli.COMMANDS)
+
+
+def test_a_run_builds_the_parser_of_its_command_only(tmp_path, monkeypatch, k1_path):
+    progs = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert main(["--out", str(tmp_path / "r.json"), "tor", "--complex", k1_path]) == 0
+    assert progs == ["perm", "perm tor"]
+
+
+def test_module_run_reads_sys_argv(tmp_path, k1_path):
+    # python -m permcomplex.cli, which calls main() with no argv
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["homology", "--complex", k1_path]
+    out, here = tmp_path / "out.json", tmp_path / "here.json"
+    done = subprocess.run([sys.executable, "-m", "permcomplex.cli", "--out", str(out), *argv],
+                          env=env, capture_output=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert main(["--out", str(here), *argv]) == 0
+    assert out.read_bytes() == here.read_bytes()

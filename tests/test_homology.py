@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 from math import comb, factorial, isqrt, prod
 
@@ -266,14 +267,42 @@ def test_perm_of_vertices_is_m_factorial_points():
         assert all(not h.torsion(d) for d in range(m))
 
 
-@pytest.mark.parametrize("m", [4, 5, 6])
+def _with_minimal_nonfaces(m, nonfaces):
+    """The complex on [m] whose minimal nonfaces are the disjoint sets
+    `nonfaces`: a facet drops one vertex of each."""
+    rest = set(range(1, m + 1)).difference(*nonfaces)
+    drops = itertools.product(*(itertools.combinations(I, len(I) - 1) for I in nonfaces))
+    return simplicial.from_facets(m, [sorted(rest.union(*kept)) for kept in drops])
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_perm_of_simplex_boundary_is_a_sphere(m):
-    # Perm(boundary of the (m-1)-simplex) is the boundary of Perm^{m-1},
-    # a sphere S^{m-2}
-    X = build_perm_complex(simplicial.skeleton(m, m - 2))
+    # one minimal nonface I, |I| = k, gives S^{k-2}; k = m is the boundary
+    # of the (m-1)-simplex, whose Perm is the boundary of Perm^{m-1}
+    for k in range(2, m + 1):
+        K = _with_minimal_nonfaces(m, [range(1, k + 1)])
+        assert simplicial.minimal_nonfaces(K) == [tuple(range(1, k + 1))]
+        if k == m:
+            assert K == simplicial.skeleton(m, m - 2)
+        X = build_perm_complex(K)
+        h = homology(complex_from_boundary(X.by_dim, boundary))
+        assert h.betti_vector() == ([2] if k == 2 else [1] + [0] * (k - 3) + [1]), k
+        assert all(not h.torsion(d) for d in range(m))
+
+
+@pytest.mark.parametrize("m, nonfaces, betti", [
+    (4, [(1, 2), (3, 4)], [4]),                 # S^0 x S^0
+    (5, [(1, 2), (3, 4, 5)], [2, 2]),           # S^0 x S^1
+    (6, [(1, 2, 3), (4, 5, 6)], [1, 2, 1]),     # the torus S^1 x S^1
+    (6, [(1, 3, 5), (2, 4, 6)], [1, 2, 1]),
+], ids=["12-34", "12-345", "123-456", "135-246"])
+def test_two_disjoint_minimal_nonfaces_give_a_product_of_spheres(m, nonfaces, betti):
+    K = _with_minimal_nonfaces(m, nonfaces)
+    assert simplicial.minimal_nonfaces(K) == sorted(nonfaces)
+    X = build_perm_complex(K)
     h = homology(complex_from_boundary(X.by_dim, boundary))
-    assert h.betti_vector() == [1] + [0] * (m - 3) + [1]
-    assert all(not h.torsion(d) for d in range(m - 1))
+    assert h.betti_vector() == betti
+    assert all(not h.torsion(d) for d in range(m))
 
 
 def test_full_permutohedron_six_is_a_point():

@@ -2,7 +2,7 @@ import itertools
 
 from permcomplex import diagonals, projection
 from permcomplex.chains import FormalChain
-from permcomplex.cubes import CubeCell, cell, cube_boundary
+from permcomplex.cubes import CubeCell, cube_boundary
 from permcomplex.permutohedron import (
     all_faces,
     boundary,
@@ -106,7 +106,7 @@ def _reference_verify_su_cai(m):
                 lhs[key] = lhs.get(key, 0) + sign * a[1] * b[1]
         c = images[F]
         if c:
-            for (a, b), coeff in projection.cai_diagonal(cell_of(c[0])):
+            for (a, b), coeff in diagonals.cai_diagonal(cell_of(c[0])):
                 key = ((a.sigma, a.tau), (b.sigma, b.tau))
                 lhs[key] = lhs.get(key, 0) - c[1] * coeff
         terms = sorted((repr(cell_of(a)), repr(cell_of(b)), v)
@@ -165,17 +165,17 @@ def test_verify_su_cai_names_least_failing_face(monkeypatch):
     # one wrong sign in the cube diagonal of the edge c(u:1,t:-), whose
     # only preimage is F(12|3|4): the report names that face and the one
     # term of lhs - rhs, not both sides in full
-    edge = cell(3, [1], [])
-    real = projection.cai_diagonal
+    edge = ((1,), ())
+    real = diagonals.cai_terms
 
-    def wrong(c):
-        chain = real(c)
-        if c != edge:
-            return chain
-        label = min(chain.terms, key=repr)
-        return chain - 2 * FormalChain.basis(label, chain[label])
+    def wrong(sigma, tau):
+        for left, right, sign in real(sigma, tau):
+            flip = (sigma, tau) == edge and left == ((), ())
+            yield left, right, -sign if flip else sign
 
-    monkeypatch.setattr(projection, "cai_diagonal", wrong)
+    # verify_su_cai reads the terms, the reference reads cai_diagonal's cells
+    monkeypatch.setattr(projection, "cai_terms", wrong)
+    monkeypatch.setattr(diagonals, "cai_terms", wrong)
     report = verify_su_cai(4)
     assert not report["passed"]
     assert report["faces_checked"] == 75
