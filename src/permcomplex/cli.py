@@ -11,17 +11,19 @@ Every subcommand emits a JSON report to stdout (or --out) of the form
 checks passed, 1 a verification check failed, 2 usage error (one that
 argparse finds, such as a missing or unknown option or command, a
 --coeff that is not Z, Q or a prime, an --m below 1, or an --out or
---geometry file that cannot be written; the error report of an argparse
-error or of an unwritable --out goes to stdout, and after an argparse
-error "command" is null), 3 malformed JSON input (including a
---face or a cochain file whose faces are not ordered partitions of [m],
-and a cochain term on a face that is not in Perm(K)),
-4 invalid input complex (including one with m = 1 for `project` and
-`verify --theorem image`, whose complex L(K) lives on [m - 1]).  A report
-is the text of json.dumps(report, indent=1, sort_keys=True) and a
-newline, written in chunks by _write_json rather than built whole; it is
-byte-stable for fixed inputs, and wall-clock timing is only attached
-with --timing.  -h prints help to stdout and exits 0.
+--geometry file that cannot be opened or that a write to fails, as on a
+full disk; the error report of an argparse error or of an unwritable
+--out goes to stdout, and after an argparse error "command" is null),
+3 malformed JSON input (including a --face or a cochain file whose faces
+are not ordered partitions of [m], and a cochain term on a face that is
+not in Perm(K)), 4 invalid input complex (including one with m = 1 for
+`project` and `verify --theorem image`, whose complex L(K) lives on
+[m - 1]).  A report is the text of json.dumps(report, indent=1,
+sort_keys=True) and a newline, written by _write_json a dict key or a
+chunk of a long list at a time, each chunk encoded a level at a time
+across its items; it is byte-stable for fixed inputs, and wall-clock
+timing is only attached with --timing.  -h prints help to stdout and
+exits 0.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import json
 import sys
 import time
 from contextlib import nullcontext
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 from . import bar, cubes, diagonals, permutohedron, projection, simplicial
 from .homology import PRIME_TEST_BOUND, HomologySummary, complex_from_boundary, is_prime
@@ -257,13 +261,12 @@ def cmd_geometry(args, report):
     if not args.geometry:
         report["payload"] = payload
         return []
-    try:
-        fh = open(args.geometry, "w")
+    try:  # opening, writing and closing: a full disk fails at any of them
+        with open(args.geometry, "w") as fh:
+            _write_json(payload, fh.write)
     except OSError as exc:
         raise CliError(f"cannot write the geometry to {args.geometry}: {exc}",
                        EXIT_USAGE)
-    with fh:
-        _write_json(payload, fh.write)
     report["payload"] = {"written": args.geometry,
                          "vertices": len(payload["vertices"]),
                          "faces": len(payload["faces"])}
@@ -362,9 +365,21 @@ def main(argv=None) -> int:
         report["error"] = str(exc)
         _emit(report, sys.stdout)
         return exc.code
-    with out as fh:
-        code = _run(args, report)
-        _emit(report, fh)
+    try:
+        with out as fh:
+            code = _run(args, report)
+            _emit(report, fh)
+    # A command turns each OSError of its own into a CliError, so this is
+    # writing or closing --out, as on a full disk.  Its report goes to
+    # stdout, as that of an --out that cannot be opened does.
+    except OSError as exc:
+        if not args.out:
+            raise
+        _emit({"command": report["command"], "input_digest": None, "checks": [],
+               "payload": None,
+               "error": f"cannot write the report to {args.out}: {exc}"},
+              sys.stdout)
+        return EXIT_USAGE
     return code
 
 
@@ -383,115 +398,133 @@ def _run(args, report) -> int:
 
 
 def _emit(report, fh):
-    # the text of json.dumps(report, indent=1, sort_keys=True), written in
-    # chunks: never held whole, and faster than json.dump, which an indent
-    # sends through json's pure-Python encoder
+    # the text of json.dumps(report, indent=1, sort_keys=True), streamed
+    # by _write_json: never held whole, and faster than json.dump, which an
+    # indent sends through json's pure-Python encoder value by value
     _write_json(report, fh.write)
     fh.write("\n")
 
 
-def _write_json(obj, write) -> None:
-    """Write the text of json.dumps(obj, indent=1, sort_keys=True) through
-    `write`, in chunks of a few thousand pieces.
+# The items of a long list encoded at a time: the writer holds the texts
+# of one chunk, and each level of a chunk is encoded across all its items.
+_CHUNK = 1024
+_encode_str = json.encoder.encode_basestring_ascii
 
-    A dict, or a list that holds a container, is taken item by item.  A
-    list of scalars is one piece; one of exact ints (the blocks of faces,
-    at most 2^m - 1 distinct per report) is built once per indent, and
-    found again by identity when a list of lists holds the same object
-    many times, as the faces of a complex share their block tuples.  An
-    item whose own items are all int lists already written at their
-    indent, as a face once each of its blocks has been seen, is one join.
-    Strings are escaped by json's own ASCII encoder, ints are written by
-    int.__repr__, and other scalars go through json.dumps, so floats,
-    bools and None follow json's rules."""
-    encode_str = json.encoder.encode_basestring_ascii
-    containers = (dict, list, tuple)
-    sequences = (list, tuple)
-    just_int = {int}
-    int_lists = {}  # (indent, *ints) -> text
-    # indent -> {id of an int list inside obj: its text}; obj keeps every
-    # such list alive while it is written, so no id is reused meanwhile
-    by_id = {}
-    pieces = []
-    put = pieces.append
 
-    def scalar(x):
-        if type(x) is int:
-            return int.__repr__(x)
-        return encode_str(x) if isinstance(x, str) else json.dumps(x)
+def _write_json(x, write, pad="") -> None:
+    """Write the text of json.dumps(x, indent=1, sort_keys=True) through
+    `write`, its lines below the first indented by `pad`, a piece at a
+    time: a dict key by key, and a list of more than _CHUNK items a chunk
+    of _CHUNK items at a time.  Below that the text is built by _texts,
+    a level at a time."""
+    inner = pad + " "
+    if isinstance(x, dict) and x:
+        sep = "{\n" + inner
+        for k in sorted(x):
+            write(sep + _key(k) + ": ")
+            _write_json(x[k], write, inner)
+            sep = ",\n" + inner
+        write("\n" + pad + "}")
+    elif isinstance(x, (list, tuple)) and len(x) > _CHUNK:
+        sep = ",\n" + inner
+        head = "[\n" + inner
+        for start in range(0, len(x), _CHUNK):
+            write(head + sep.join(_texts(x[start:start + _CHUNK], inner)))
+            head = sep
+        write("\n" + pad + "]")
+    else:
+        write(_text(x, pad))
 
-    def flush():
-        write("".join(pieces))
-        pieces.clear()
 
-    def int_list(x, pad):
-        """The text of a nonempty list x if it holds exact ints only (not
-        bools or floats, which compare equal to ints), else None."""
-        if type(x[0]) is not int or {*map(type, x)} != just_int:
-            return None
-        key = (pad, *x)
-        text = int_lists.get(key)
-        if text is None:
-            inner = pad + " "
-            text = int_lists[key] = ("[\n" + inner + (",\n" + inner).join(
-                map(int.__repr__, x)) + "\n" + pad + "]")
-        return text
+def _key(k) -> str:
+    """The text of a dict key: json writes a non-string key as a string."""
+    return _encode_str(k if isinstance(k, str) else json.dumps(k))
 
-    def value(x, pad):
-        if isinstance(x, dict):
-            if not x:
-                put("{}")
-                return
-            inner = pad + " "
-            sep = "{\n" + inner
-            for k, v in sorted(x.items()):
-                put(sep + encode_str(k if isinstance(k, str) else json.dumps(k))
-                    + ": ")
-                value(v, inner)
-                sep = ",\n" + inner
-                if len(pieces) > 4096:
-                    flush()
-            put("\n" + pad + "}")
-        elif not isinstance(x, sequences):
-            put(scalar(x))
-        elif not x:
-            put("[]")
-        elif (text := int_list(x, pad)) is not None:
-            put(text)
-        elif isinstance(x[0], containers) or any(
-                isinstance(v, containers) for v in x):
-            inner = pad + " "
-            known = by_id.setdefault(inner, {})
-            below = by_id.setdefault(inner + " ", {})
-            sep = "[\n" + inner
-            for v in x:
-                text = known.get(id(v))
-                if text is None and isinstance(v, sequences) and v:
-                    if type(v[0]) is int:
-                        text = int_list(v, inner)
-                        if text is not None:
-                            known[id(v)] = text
-                    elif id(v[0]) in below:  # as a face whose blocks were written
-                        texts = [*map(below.get, map(id, v))]
-                        if all(texts):
-                            text = ("[\n " + inner + (",\n " + inner).join(texts)
-                                    + "\n" + inner + "]")
-                put(sep)
-                if text is None:
-                    value(v, inner)
-                else:
-                    put(text)
-                sep = ",\n" + inner
-                if len(pieces) > 4096:
-                    flush()
-            put("\n" + pad + "]")
-        else:
-            inner = pad + " "
-            put("[\n" + inner + (",\n" + inner).join(map(scalar, x))
+
+def _text(x, pad) -> str:
+    """The text of one value whose lines below the first are indented by
+    `pad`."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + " "
+        return ("[\n" + inner + (",\n" + inner).join(_texts(x, inner))
                 + "\n" + pad + "]")
+    if isinstance(x, dict):
+        return next(_dict_texts([x], pad))
+    if type(x) is int:
+        return int.__repr__(x)
+    # floats, bools and None by json's rules
+    return _encode_str(x) if isinstance(x, str) else json.dumps(x)
 
-    value(obj, "")
-    flush()
+
+def _texts(items, pad):
+    """The texts of the values in the list `items`, as _text gives them,
+    each level encoded across all the items at once.  Exact ints and
+    strings are one map each, a list of sequences is encoded a level at
+    a time by _seq_texts, and dicts sharing one key set by _dict_texts;
+    anything else falls back to _text, value by value."""
+    kinds = {*map(type, items)}
+    if len(kinds) == 1:
+        kind = next(iter(kinds))
+        if kind is int:
+            return map(int.__repr__, items)
+        if kind is str:
+            return map(_encode_str, items)
+        if kind is dict:
+            keys = items[0].keys()
+            if all(map(keys.__eq__, map(dict.keys, items))):
+                return _dict_texts(items, pad)
+    if kinds and kinds <= {list, tuple}:
+        return _seq_texts(items, pad)
+    return map(_text, items, repeat(pad))
+
+
+def _seq_texts(seqs, pad):
+    """The texts of the lists and tuples `seqs`: the texts of all their
+    items at once, one level down, joined per sequence.
+
+    Exact-int tuples among the items, such as the blocks of faces, are
+    encoded once per value and found in a table.  Only exact ints (not
+    bools or floats, which compare equal to them) may share a value's
+    text, so every leaf is checked first."""
+    inner = pad + " "
+    sep = ",\n" + inner
+    children = [*chain.from_iterable(seqs)]
+    if not children:
+        return repeat("[]", len(seqs))
+    kinds = {*map(type, children)}
+    if kinds == {int}:
+        child = int.__repr__
+    elif kinds == {str}:
+        child = _encode_str
+    elif kinds == {tuple} and {*map(type, chain.from_iterable(children))} <= {int}:
+        distinct = [*{*children}]
+        child = dict(zip(distinct, _seq_texts(distinct, inner))).__getitem__
+    else:
+        child = None
+    if child is None:
+        texts = iter(_texts(children, inner))
+        joined = map(sep.join, map(islice, repeat(texts), map(len, seqs)))
+    else:
+        joined = map(sep.join, map(map, repeat(child), seqs))
+    wrapped = map("".join, zip(repeat("[\n" + inner), joined, repeat("\n" + pad + "]")))
+    if all(seqs):
+        return wrapped
+    return [text if seq else "[]" for text, seq in zip(wrapped, seqs)]
+
+
+def _dict_texts(dicts, pad):
+    """The texts of the dicts `dicts`, which share one key set: a column
+    of value texts per sorted key, zipped through one template."""
+    keys = sorted(dicts[0])
+    if not keys:
+        return repeat("{}", len(dicts))
+    inner = pad + " "
+    template = ("{\n" + inner + (",\n" + inner).join(
+        [_key(k).replace("%", "%%") + ": %s" for k in keys]) + "\n" + pad + "}")
+    columns = [_texts([*map(itemgetter(k), dicts)], inner) for k in keys]
+    return map(template.__mod__, zip(*columns))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ the program (the CLI's `--face`, cochain files, bar words) go through
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .chains import FormalChain
@@ -255,22 +254,6 @@ def vertex_coordinates(F: tuple) -> tuple:
     return tuple(coords)
 
 
-def barycenter(F: tuple) -> tuple:
-    """Average of the vertices of F, as exact rationals.
-
-    Elements of block U_j share the value offset_j + (|U_j| + 1)/2 where
-    offset_j counts elements of earlier blocks.
-    """
-    coords = [Fraction(0)] * sum(map(len, F))
-    offset = 0
-    for block in F:
-        value = Fraction(2 * offset + len(block) + 1, 2)
-        for i in block:
-            coords[i - 1] = value
-        offset += len(block)
-    return tuple(coords)
-
-
 def face_vertices(F: tuple) -> list:
     """All vertex faces refining F."""
     return [tuple((i,) for ordering in orderings for i in ordering)
@@ -292,15 +275,27 @@ def face_from_json(data, m: int | None = None) -> tuple:
 def geometry_json(X: PermComplex) -> dict:
     """Exact coordinates for export: integer vertices plus rational
     barycenters of all faces (as "p/q" strings).  Faces are their block
-    tuples, which the report writer writes as lists."""
+    tuples, which the report writer writes as lists.
 
-    def frac(x: Fraction) -> str:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
+    The barycenter of F gives each element of a block U_j the value
+    offset_j + (|U_j| + 1)/2, where offset_j counts the elements of
+    earlier blocks: the half n/2 of n = 2 offset_j + |U_j| + 1, whose
+    text is looked up in a table of the halves 0/2 .. (2m + 1)/2."""
     m = X.m
+    halves = [str(n // 2) if n % 2 == 0 else f"{n}/2" for n in range(2 * m + 2)]
+
+    def barycenter(F):
+        coords = [None] * m
+        offset = 0
+        for block in F:
+            text = halves[2 * offset + len(block) + 1]
+            for i in block:
+                coords[i - 1] = text
+            offset += len(block)
+        return coords
+
     vertices = [{"face": v, "coords": list(vertex_coordinates(v))}
                 for v in X.faces(0)]
-    faces = [{"face": f, "dim": m - len(f),
-              "barycenter": [frac(c) for c in barycenter(f)]}
+    faces = [{"face": f, "dim": m - len(f), "barycenter": barycenter(f)}
              for f in X.all()]
     return {"m": m, "vertices": vertices, "faces": faces}

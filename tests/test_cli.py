@@ -169,6 +169,14 @@ def test_report_bytes_are_pinned(tmp_path, argv, digest):
     assert _pinned_run(tmp_path, argv) == (0, digest)
 
 
+def test_geometry_file_bytes_are_pinned(tmp_path):
+    """The --geometry file: the geometry payload, with no newline."""
+    target = tmp_path / "g.json"
+    assert _pinned_run(tmp_path, ["geometry", "--complex", 4, "--geometry", str(target)])[0] == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "22622244749c9e3803badc134b576ed8cd471f73335633276629ad6f37de2d83")
+
+
 def test_error_report_bytes_are_pinned(tmp_path):
     assert _pinned_run(tmp_path, ["homology", "--coeff", "4", "--complex", 4]) == (
         2, "c4f28ba41e9b50d700daf1b16797b6467732a38f6f0b0d2930f251f7fb0d8cc5")
@@ -233,6 +241,37 @@ def test_writer_streams():
     assert max(map(len, pieces)) < 200_000
 
 
+# Lists of more than one chunk (cli._CHUNK items), whose items change
+# type across a chunk boundary, and the level-wise paths of a chunk: faces
+# whose blocks compare equal but are written differently, dicts whose key
+# sets differ, and keys a template or a format string would misread.
+_long = cli._CHUNK + 8
+_faces_mixed = [((0,), (1, 2)), ((False,), (1, 2)), ((1.0,), ()), ((), (0,)),
+                ((0,),), (), ((0, 1),), ((0, True),), ((True, 1),)]
+_keys = {"%s": 1, "{0}": [2], "%%": (3,), "%(a)s": "%d", "\u00e9\u2603": {"{": "}"}}
+
+
+@pytest.mark.parametrize("value", [
+    list(range(cli._CHUNK - 4)) + ["x", 2.5, None, True, (1, 2), [3], {"k": [4]}, "y", ()] * 3,
+    [(1, 2)] * (cli._CHUNK - 1) + [(True, 2), (1.0, 2), (1, 2), [1, 2], "(1, 2)"] * 3,
+    [[(i % 3,), (3, 4)] for i in range(cli._CHUNK - 2)] + [[(False,), (3, 4)], [(0.0,), (3, 4)]] * 3,
+    _faces_mixed * (_long // len(_faces_mixed) + 1),
+    {"faces": _faces_mixed * (_long // len(_faces_mixed) + 1), "n": [_faces_mixed] * 3},
+    [{"a": 1, "b": [1]}, {"a": 2}, {"b": (3,), "c": {}}, {}, {"a": 1, "b": [1]}] * (_long // 5),
+    [{"a": 1}, {"a": "1"}, {"a": True}, {"a": [1]}, {"a": (1,)}, {"a": {}}] * (_long // 6),
+    [{"sign": 1 - 2 * (i % 2), "left": F, "right": F[::-1]}
+     for i, F in enumerate(_faces_mixed * (_long // len(_faces_mixed)))],
+    [_keys, _keys, dict(_keys)] + [_keys] * _long,
+    _keys,
+    [{1: "a", 2: [1, 2]}, {2: [], 1: "b"}, {2.5: 1, -1: 2}, {True: 1, False: 2}, {None: [3]}] * 3,
+    [[], (), [[]], [[], ()], {}, [{}], [[1], []]] * (_long // 7 + 1),
+])
+def test_writer_matches_json_dumps_across_chunks_and_levels(value):
+    pieces = []
+    _write_json(value, pieces.append)
+    assert "".join(pieces) == json.dumps(value, indent=1, sort_keys=True)
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "no" / "such" / "x.json"
     code, report = run(capsys, "--out", str(target), "diagonal", "--m", "3")
@@ -247,6 +286,21 @@ def test_unwritable_geometry_is_a_usage_error(tmp_path, capsys, k1_path):
                        "--geometry", str(target))
     assert code == 2
     assert str(target) in report["error"]
+    assert report["payload"] is None
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, error", [
+    (["--out", "/dev/full", "build", "--complex"], "cannot write the report to /dev/full"),
+    (["geometry", "--geometry", "/dev/full", "--complex"],
+     "cannot write the geometry to /dev/full"),
+])
+def test_failed_write_is_a_usage_error(capsys, k1_path, argv, error):
+    """A write that fails partway, here for a full disk, ends in exit 2 and
+    a JSON error report on stdout, not in a traceback."""
+    code, report = run(capsys, *argv, k1_path)
+    assert code == 2
+    assert report["error"].startswith(error)
     assert report["payload"] is None
 
 

@@ -10,7 +10,6 @@ from permcomplex.bar import phi_inverse
 from permcomplex.diagonals import su_diagonal, su_top_diagonal
 from permcomplex.permutohedron import (
     all_faces,
-    barycenter,
     boundary,
     build_perm_complex,
     build_perm_complex_C,
@@ -21,6 +20,7 @@ from permcomplex.permutohedron import (
     face_label,
     face_vertices,
     full_permutohedron,
+    geometry_json,
     partitions_by_count,
     refines,
     shuffle_sign,
@@ -200,7 +200,25 @@ def test_vertex_coordinates():
 
 
 def test_barycenter_of_top_cell():
-    assert barycenter(top_face(3)) == (Fraction(2), Fraction(2), Fraction(2))
+    faces = geometry_json(full_permutohedron(3))["faces"]
+    assert [f["barycenter"] for f in faces if f["face"] == top_face(3)] == [["2", "2", "2"]]
+
+
+@pytest.mark.parametrize("X", [full_permutohedron(m) for m in range(1, 5)]
+                         + [build_perm_complex(skeleton(5, 2))])
+def test_geometry_barycenters_average_the_vertices(X):
+    """Each barycenter is the average of the coordinates of the vertices
+    of its face, reduced and written as "p/q", or "p" for an integer."""
+    def text(x: Fraction) -> str:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    geometry = geometry_json(X)
+    assert [f["face"] for f in geometry["faces"]] == X.all()
+    for f in geometry["faces"]:
+        vertices = [vertex_coordinates(v) for v in face_vertices(f["face"])]
+        assert f["barycenter"] == [text(Fraction(sum(c), len(vertices)))
+                                   for c in zip(*vertices)]
+        assert f["dim"] == face_dim(f["face"])
 
 
 def test_face_json_round_trip():
