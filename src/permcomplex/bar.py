@@ -7,13 +7,23 @@ simplices of K, mirroring the faces of the permutohedral complex.  A word
 tuple of sorted support tuples, so the dual of a face F and its word are
 the same block tuple, and `phi_inverse` only checks that a word's letters
 partition [m].
+
+`component_1_1` lists every word.  `tor_ranks` eliminates only the
+critical words of the last-element matching of Perm(K): the same pairs,
+with the roles flipped, since a merge lowers the bar degree.  A word
+with m in a letter of two or more is paired with the word one degree up
+that splits {m} off, and m's letter moves strictly right along every
+gradient path, so the matching is acyclic.  The Morse boundary follows
+`bar_differential`, never the cellular boundary, so the bar route stays
+a check on the cellular one, and `homology` checks d o d on the Morse
+complex it eliminates.
 """
 
 from __future__ import annotations
 
 from .chains import FormalChain
 from .homology import ChainComplexData, HomologySummary, complex_from_boundary, homology
-from .permutohedron import face, partitions_by_count, shuffle_sign
+from .permutohedron import face, last_element_matching, partitions_by_count, shuffle_sign
 from .simplicial import SimplicialComplex
 
 
@@ -83,6 +93,22 @@ def phi_inverse(w: tuple, m: int) -> tuple:
 
 def tor_ranks(K: SimplicialComplex, coefficients="Z") -> HomologySummary:
     """Tor of the exterior Stanley-Reisner algebra in multidegree
-    (1,...,1), keyed by bar degree -n."""
-    summary = homology(component_1_1(K), coefficients)
+    (1,...,1), keyed by bar degree -n: the homology of the Morse complex
+    of `component_1_1` under the last-element matching, its roles flipped.
+
+    From a word x = (..., B, C, ...) with m in B, a gradient path goes up
+    to y = (..., B \\ {m}, {m}, C, ...) and down to a merge of y other
+    than x.  Only the merge of {m} with C holds m in a letter of two or
+    more again, one letter further right; every other merge is critical
+    or paired with a word one degree down, and the path ends there.
+    """
+    words, partner = last_element_matching(K)
+
+    def flipped(w):
+        pair = partner(w)
+        return pair and (pair[0], not pair[1])
+
+    C = complex_from_boundary({K.m - d: cells for d, cells in words.items()},
+                              lambda w: bar_differential(w, K), flipped)
+    summary = homology(C, coefficients)
     return HomologySummary({-n: v for n, v in summary.data.items()})

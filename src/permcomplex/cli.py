@@ -8,12 +8,18 @@ cost.
 
 Every subcommand emits a JSON report to stdout (or --out) of the form
 {"command", "input_digest", "checks", "payload"}.  Exit codes: 0 all
-checks passed, 1 a verification check failed, 2 usage error (one that
-argparse finds, such as a missing or unknown option or command, a
---coeff that is not Z, Q or a prime, an --m below 1, or an --out or
---geometry file that cannot be opened or that a write to fails, as on a
-full disk; the error report of an argparse error or of an unwritable
---out goes to stdout, and after an argparse error "command" is null),
+checks passed, 1 a verification check failed (including an internal
+check: a boundary that does not square to zero, or a face the Morse
+assembly finds neither critical nor paired, raises BoundaryError, and a
+configuration matrix with two signs ConfigurationAmbiguityError; the
+report names the error), 2 usage error (one that argparse finds, such
+as a missing or unknown option or command, a --coeff that is not Z, Q
+or a prime, an --m below 1, or an --out or --geometry file that cannot
+be opened or that a write to fails, as on a full disk, and so is a
+report that cannot be written to stdout; the error report of an
+argparse error or of an unwritable --out goes to stdout, that of an
+unwritable stdout to stderr, and after an argparse error "command" is
+null),
 3 malformed JSON input (including a --face or a cochain file whose faces
 are not ordered partitions of [m], and a cochain term on a face that is
 not in Perm(K)), 4 invalid input complex (including one with m = 1 for
@@ -38,8 +44,10 @@ from itertools import chain, islice, repeat
 from operator import itemgetter
 
 from . import bar, cubes, diagonals, permutohedron, projection, simplicial
-from .homology import PRIME_TEST_BOUND, HomologySummary, complex_from_boundary, is_prime
+from .homology import (PRIME_TEST_BOUND, BoundaryError, HomologySummary, complex_from_boundary,
+                       is_prime)
 from .homology import homology as compute_homology
+from .sumatrix import ConfigurationAmbiguityError
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -130,9 +138,9 @@ def cmd_build(args, report):
 def cmd_homology(args, report):
     K, report["input_digest"] = _load_complex(args.complex)
     coeff = _coeff(args.coeff)
-    X = (permutohedron.build_perm_complex_C(K) if args.doubled
-         else permutohedron.build_perm_complex(K))
-    C = complex_from_boundary(X.by_dim, permutohedron.boundary)
+    # the Morse complex of the last-element matching: only critical faces
+    cells, partner = permutohedron.last_element_matching(K, args.doubled)
+    C = complex_from_boundary(cells, permutohedron.boundary, partner)
     summary = compute_homology(C, coeff)
     report["payload"] = _summary_payload(summary)
     return []
@@ -369,16 +377,16 @@ def main(argv=None) -> int:
         with out as fh:
             code = _run(args, report)
             _emit(report, fh)
+            fh.flush()
     # A command turns each OSError of its own into a CliError, so this is
-    # writing or closing --out, as on a full disk.  Its report goes to
-    # stdout, as that of an --out that cannot be opened does.
+    # writing or closing the report, as on a full disk.  The error report
+    # of --out goes to stdout, as that of an --out that cannot be opened
+    # does, and that of stdout to stderr.
     except OSError as exc:
-        if not args.out:
-            raise
-        _emit({"command": report["command"], "input_digest": None, "checks": [],
-               "payload": None,
-               "error": f"cannot write the report to {args.out}: {exc}"},
-              sys.stdout)
+        error = {"command": report["command"], "input_digest": None, "checks": [],
+                 "payload": None,
+                 "error": f"cannot write the report to {args.out or 'stdout'}: {exc}"}
+        _emit(error, sys.stdout if args.out else sys.stderr)
         return EXIT_USAGE
     return code
 
@@ -391,6 +399,11 @@ def _run(args, report) -> int:
     except CliError as exc:
         report["error"] = str(exc)
         return exc.code
+    # an internal check that fails: the boundary does not square to zero,
+    # or a configuration matrix has two signs
+    except (BoundaryError, ConfigurationAmbiguityError) as exc:
+        report["error"] = f"{type(exc).__name__}: {exc}"
+        return EXIT_CHECK_FAILED
     report["checks"] = [{"name": name, "passed": ok} for name, ok in checks]
     if args.timing:
         report["elapsed_s"] = round(time.monotonic() - started, 3)

@@ -17,6 +17,15 @@ F(12|3) that reports and errors print.  The program makes partitions by
 construction, so a face it builds is not checked.  Blocks from outside
 the program (the CLI's `--face`, cochain files, bar words) go through
 `face` or `face_from_json`, which check that they partition [m].
+
+`last_element_matching` pairs each face whose block holds m with one
+other element or more with the facet that splits {m} off to its right.
+The faces left unpaired, the critical ones, are those where {m} is a
+singleton block that is first or cannot join its left neighbour; they
+are made from the ordered partitions of [m - 1] alone.  {m} moves
+strictly left along every gradient path, so the matching is acyclic,
+and `homology.complex_from_boundary` assembles the Morse complex of the
+critical faces from it, which is what the CLI's `homology` eliminates.
 """
 
 from __future__ import annotations
@@ -217,14 +226,10 @@ def build_perm_complex(K: SimplicialComplex) -> PermComplex:
         K.m, partitions_by_count(range(1, K.m + 1), K.simplices.__contains__), K)
 
 
-def build_perm_complex_C(K: SimplicialComplex) -> PermComplex:
-    """The doubled variant on [2m] modelling the complex arrangement.
-
-    Labels 1..m are the original indices, m+1..2m their primed copies.  A
-    face of Perm^{2m-1} is removed iff some minimal nonface I of K has I
-    inside one block and I' inside a (possibly different) block; checking
-    minimal nonfaces is equivalent to checking all nonfaces.
-    """
+def _doubled_keep(K: SimplicialComplex):
+    """The predicate on the faces of Perm^{2m-1} that keeps a face of the
+    doubled complex: no minimal nonface I of K has I inside one block and
+    its primed copy I' inside a (possibly different) block."""
     m = K.m
     nonfaces = [frozenset(s) for s in minimal_nonfaces(K)]
     primed = [frozenset(i + m for i in s) for s in nonfaces]
@@ -235,11 +240,86 @@ def build_perm_complex_C(K: SimplicialComplex) -> PermComplex:
             if any(I <= b for b in block_sets) and any(Ip <= b for b in block_sets):
                 return False
         return True
+    return keep
 
-    by_count = partitions_by_count(range(1, 2 * m + 1))
+
+def build_perm_complex_C(K: SimplicialComplex) -> PermComplex:
+    """The doubled variant on [2m] modelling the complex arrangement.
+
+    Labels 1..m are the original indices, m+1..2m their primed copies.  A
+    face of Perm^{2m-1} is removed iff some minimal nonface I of K has I
+    inside one block and I' inside a (possibly different) block; checking
+    minimal nonfaces is equivalent to checking all nonfaces.
+    """
+    keep = _doubled_keep(K)
+    by_count = partitions_by_count(range(1, 2 * K.m + 1))
     return PermComplex.from_partitions(
-        2 * m, {p: [blocks for blocks in lists if keep(blocks)]
-                for p, lists in by_count.items()}, K)
+        2 * K.m, {p: [blocks for blocks in lists if keep(blocks)]
+                  for p, lists in by_count.items()}, K)
+
+
+def last_element_matching(K: SimplicialComplex, doubled: bool = False):
+    """The acyclic matching of Perm(K) (of the doubled complex on [2m] if
+    `doubled`) on its last element n, as (cells, partner) for
+    `complex_from_boundary`: the critical faces by dimension, and the
+    partner of a face.
+
+    A face (..., B, ...) with n in B and |B| >= 2 is paired with its facet
+    (..., B \\ {n}, {n}, ...), which the complex holds as it holds every
+    refinement of its faces.  The incidence is the split sign
+    (-1)^(|B| - 1) times the parity of the blocks before B, so it is +-1.
+    A face is critical when {n} is a singleton block that is first, or
+    whose left neighbour B' cannot take n: the face that joins n to B' is
+    not in the complex (for Perm(K), B' u {n} is not a simplex of K).
+
+    The critical faces are the ordered partitions of [n - 1] in the
+    complex with {n} put first or after a block that cannot take it, so
+    the complex itself is never enumerated.  On full Perm that leaves
+    Fubini(n - 1) of the Fubini(n) faces.
+
+    The matching is acyclic, because {n} moves strictly left along every
+    gradient path.  A path runs from a face x = (..., A, B', {n}, ...)
+    that B' can take, up to its partner y = (..., A, B' u {n}, ...), and
+    down to a face of the boundary of y other than x.  Every such face
+    but one holds n in a block of two or more, so the matching pairs it
+    with a face below and the path ends.  The one left is
+    (..., A, {n}, B', ...), with {n} one block further left.
+
+    partner(F) is None for a critical face, and otherwise (G, up): the
+    face G paired with F, and whether G is one dimension up, which it is
+    when G joins n to the block before it.
+    """
+    if doubled:
+        n, keep = 2 * K.m, _doubled_keep(K)
+        partitions = {p: [G for G in lists if keep(G)]
+                      for p, lists in partitions_by_count(range(1, n)).items()}
+
+        def joins(F, j):  # the face F, whose block j holds n, is kept
+            return keep(F)
+    else:
+        n, simplices = K.m, K.simplices
+        partitions = partitions_by_count(range(1, n), simplices.__contains__)
+
+        def joins(F, j):
+            return F[j] in simplices
+    last = (n,)
+
+    def partner(F):
+        for k, block in enumerate(F):
+            if block[-1] == n:
+                break
+        if len(block) > 1:
+            return F[:k] + (block[:-1], last) + F[k + 1:], False
+        if k:
+            G = F[:k - 1] + (F[k - 1] + last,) + F[k + 1:]
+            if joins(G, k - 1):
+                return G, True
+        return None
+
+    cells = {n - p - 1: [G[:k] + (last,) + G[k:] for G in lists for k in range(p + 1)
+                         if not k or not joins(G[:k - 1] + (G[k - 1] + last,) + G[k:], k - 1)]
+             for p, lists in sorted(partitions.items(), reverse=True) if lists}
+    return cells, partner
 
 
 def vertex_coordinates(F: tuple) -> tuple:

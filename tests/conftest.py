@@ -1,7 +1,9 @@
 """Shared fixtures: the standard suite of simplicial complexes used by the
-intertwining and Tor-consistency tests."""
+intertwining and Tor-consistency tests, and a strategy drawing small
+complexes for property tests."""
 
 import pytest
+from hypothesis import strategies as st
 
 from permcomplex import simplicial
 
@@ -23,3 +25,52 @@ def standard_suite():
 @pytest.fixture(scope="session")
 def complex_suite():
     return standard_suite()
+
+
+def complexes(max_m):
+    """Complexes on [m], 1 <= m <= max_m, from up to six drawn facets."""
+    return st.integers(1, max_m).flatmap(lambda m: st.lists(
+        st.sets(st.integers(1, m), min_size=1), max_size=6).map(
+            lambda facets: simplicial.from_facets(m, facets)))
+
+
+def last_position(F):
+    """The index of the block of the face (or letter of the word) F that
+    holds its largest element."""
+    n = max(map(max, F))
+    return next(k for k, block in enumerate(F) if n in block)
+
+
+def reduce_pairs(C, pairs):
+    """The boundary of the chain complex C, as {cell: {cell: coeff}} on its
+    basis labels, after eliminating the pairs (x, y) one at a time, y one
+    degree above x with <dy, x> = +-1: each other cell w whose boundary
+    holds x takes w - <dw, x> <dy, x> y, and x and y leave the basis.
+    The cells left are those in no pair.  A reference for the Morse
+    complex that never follows a gradient path."""
+    bd, cobd = {}, {}
+    for d, labels in C.basis.items():
+        for label, column in zip(labels, C.cols.get(d) or [{}] * len(labels)):
+            bd[label] = {C.basis[d - 1][i]: v for i, v in column.items()}
+            for row in bd[label]:
+                cobd.setdefault(row, set()).add(label)
+    for x, y in pairs:
+        a = bd[y][x]
+        assert a in (1, -1), (x, y, a)
+        for w in cobd.pop(x, set()) - {y}:
+            f = bd[w][x] * a
+            for z, v in bd[y].items():
+                new = bd[w].get(z, 0) - f * v
+                if new:
+                    bd[w][z] = new
+                    cobd.setdefault(z, set()).add(w)
+                else:  # always for z = x, whose coboundary is gone
+                    del bd[w][z]
+                    cobd.get(z, set()).discard(w)
+        for u in cobd.pop(y, ()):
+            del bd[u][y]
+        for cell in (x, y):
+            for z in bd.pop(cell):
+                if z != x:
+                    cobd[z].discard(cell)
+    return bd

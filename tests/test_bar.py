@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import example, given, settings
 
+from permcomplex import bar
 from permcomplex.bar import (
     bar_differential,
     component_1_1,
@@ -9,8 +11,11 @@ from permcomplex.bar import (
     tor_ranks,
 )
 from permcomplex.chains import FormalChain
-from permcomplex.permutohedron import boundary, build_perm_complex, face
+from permcomplex.homology import HomologySummary, homology
+from permcomplex.permutohedron import boundary, build_perm_complex, face, last_element_matching
 from permcomplex.simplicial import full_simplex, polygon_boundary, skeleton
+
+from conftest import complexes, last_position, reduce_pairs, standard_suite
 
 
 def test_barword_rejects_empty_letter():
@@ -102,3 +107,63 @@ def test_tor_ranks_complete_graph_on_4_vertices():
 def test_component_1_1_dd_zero():
     C = component_1_1(polygon_boundary([1, 2, 3, 4, 5]))
     assert C.check_dd_zero()
+
+
+@pytest.mark.parametrize("coefficients", ["Z", 2, 3])
+def test_tor_ranks_match_the_full_bar_complex(coefficients):
+    # tor_ranks eliminates the Morse complex of the last-element matching;
+    # component_1_1 lists every word
+    suite = standard_suite()
+    if coefficients == "Z":  # and every skeleton at m = 6, once
+        suite += [skeleton(6, d) for d in range(6)]
+    for K in suite:
+        full = homology(component_1_1(K), coefficients)
+        want = HomologySummary({-n: v for n, v in full.data.items()})
+        assert tor_ranks(K, coefficients) == want, (sorted(K.simplices), coefficients)
+
+
+def test_tor_morse_boundary_is_the_bar_differential_with_the_pairs_eliminated(monkeypatch):
+    # the Morse complex tor_ranks eliminates, against component_1_1 with
+    # every pair (x, split of x) eliminated one at a time
+    seen = []
+
+    def kept(C, coefficients="Z"):
+        seen.append(C)
+        return homology(C, coefficients)
+    monkeypatch.setattr(bar, "homology", kept)
+    for K in standard_suite() + [skeleton(m, d) for m in range(1, 6) for d in range(m)]:
+        _, partner = last_element_matching(K)
+        C = component_1_1(K)
+        pairs = [(x, partner(x)[0]) for x in build_perm_complex(K).all()
+                 if (partner(x) or (0, True))[1] is False]
+        want = reduce_pairs(C, pairs)
+        tor_ranks(K)
+        M = seen.pop()
+        got = {M.basis[n][j]: {M.basis[n - 1][i]: v for i, v in column.items()}
+               for n, columns in M.cols.items() for j, column in enumerate(columns)}
+        assert sorted(want) == sorted(c for cells in M.basis.values() for c in cells)
+        assert {c: got.get(c, {}) for c in want} == want, sorted(K.simplices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(6))
+@example(full_simplex(6))
+@example(skeleton(6, 1))
+@example(polygon_boundary([1, 2, 3, 4, 5, 6]))
+def test_bar_matching_is_acyclic(K):
+    """On bar words the pairs of the last-element matching are the same,
+    but a merge lowers the degree: a word with m in a letter of two or more
+    is paired with the word one degree up that splits {m} off, and every
+    gradient step moves m's letter strictly right."""
+    _, partner = last_element_matching(K)
+    for x in build_perm_complex(K).all():
+        pair = partner(x)
+        if pair is None or pair[1]:  # critical, or paired with a merge
+            continue
+        y = pair[0]
+        terms = bar_differential(y, K)
+        assert terms[x] in (1, -1)
+        for z, _ in terms:
+            # a gradient step continues from z when z is split, like x
+            if z != x and (partner(z) or (None, True))[1] is False:
+                assert last_position(z) > last_position(x), (x, y, z)

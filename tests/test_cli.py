@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permcomplex import cli
+from permcomplex import cli, diagonals, permutohedron, simplicial
 from permcomplex.cli import CliError, _write_json, build_parser, main
 from permcomplex.permutohedron import full_permutohedron
+from permcomplex.sumatrix import ConfigurationAmbiguityError
 
 
 @pytest.fixture()
@@ -302,6 +303,91 @@ def test_failed_write_is_a_usage_error(capsys, k1_path, argv, error):
     assert code == 2
     assert report["error"].startswith(error)
     assert report["payload"] is None
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_is_a_usage_error(k1_path):
+    """A report that cannot be written to stdout ends in exit 2 and a JSON
+    error report on stderr, not in a traceback."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "permcomplex.cli", "homology", "--complex", k1_path],
+            env=env, stdout=full, stderr=subprocess.PIPE)
+    report = json.loads(done.stderr)
+    assert done.returncode == 2
+    assert report["error"].startswith("cannot write the report to stdout")
+    assert report["command"] == ["homology"] and report["payload"] is None
+
+
+def _flip_split_sign(monkeypatch, size, i):
+    """Negate the sign of the i-th split of every block of `size` elements
+    in the boundary of the permutohedron."""
+    splits = permutohedron._splits
+
+    def flipped(block):
+        table = splits(block)
+        if len(block) != size:
+            return table
+        M, rest, sign = table[i]
+        return table[:i] + ((M, rest, -sign),) + table[i + 1:]
+    monkeypatch.setattr(permutohedron, "_splits", flipped)
+
+
+_MUTATION_SUITE = {"full5": simplicial.full_simplex(5), "skel5_2": simplicial.skeleton(5, 2),
+                   "polygon12345": simplicial.polygon_boundary([1, 2, 3, 4, 5])}
+
+
+@pytest.fixture(scope="module")
+def mutation_suite(tmp_path_factory):
+    """{label: (path, the unmutated homology report)} of the three inputs."""
+    root = tmp_path_factory.mktemp("mutation")
+    suite = {}
+    for label, K in _MUTATION_SUITE.items():
+        path = root / f"{label}.json"
+        path.write_text(json.dumps(simplicial.to_json_dict(K)))
+        out = root / f"{label}-report.json"
+        assert main(["--out", str(out), "homology", "--complex", str(path)]) == 0
+        suite[label] = str(path), json.loads(out.read_text())
+    return suite
+
+
+def test_internal_check_failure_is_a_json_error(capsys, monkeypatch, mutation_suite):
+    _flip_split_sign(monkeypatch, 2, 0)
+    code, report = run(capsys, "homology", "--complex", mutation_suite["full5"][0])
+    assert code == 1
+    assert report["error"].startswith("BoundaryError: D_")
+    assert report["payload"] is None and report["checks"] == []
+
+    def ambiguous(m):
+        raise ConfigurationAmbiguityError("two signs")
+    monkeypatch.setattr(diagonals, "_top_cell_terms", ambiguous)
+    code, report = run(capsys, "diagonal", "--m", "3")
+    assert code == 1
+    assert report["error"] == "ConfigurationAmbiguityError: two signs"
+    assert report["payload"] is None
+
+
+# the split signs of a block of 2, 3 and 4 elements: 2 + 6 + 14
+@pytest.mark.parametrize("size, i", [(size, i) for size in (2, 3, 4) for i in range(2 ** size - 2)])
+def test_a_flipped_split_sign_is_caught_or_harmless(capsys, monkeypatch, mutation_suite, size, i):
+    """With one split sign of the boundary flipped, `perm homology` either
+    fails with a JSON error or gives the unmutated answer: the d o d check
+    on the Morse complex catches every one of these flips on full5, and
+    those on blocks of 2 or 3 on skel5_2 too."""
+    _flip_split_sign(monkeypatch, size, i)
+    caught = set()
+    for label, (path, want) in mutation_suite.items():
+        code, report = run(capsys, "homology", "--complex", path)
+        if code:
+            assert code == 1 and report["error"].startswith("BoundaryError")
+            assert report["payload"] is None
+            caught.add(label)
+        else:
+            assert report == want, label
+    assert caught == ({"full5", "skel5_2"} if size < 4 else {"full5"})
 
 
 @pytest.mark.parametrize("argv, needs", [

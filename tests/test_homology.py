@@ -6,7 +6,7 @@ from math import comb, factorial, isqrt, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permcomplex import simplicial
+from permcomplex import FormalChain, simplicial
 from permcomplex.homology import (
     BoundaryError,
     ChainComplexData,
@@ -28,8 +28,12 @@ from permcomplex.homology import (
 from permcomplex.permutohedron import (
     boundary,
     build_perm_complex,
+    build_perm_complex_C,
     full_permutohedron,
+    last_element_matching,
 )
+
+from conftest import reduce_pairs, standard_suite
 
 
 def reassemble(M, result):
@@ -317,6 +321,79 @@ def test_full_permutohedron_seven_is_a_point():
     h = homology(complex_from_boundary(X.by_dim, boundary))
     assert h.betti_vector() == [1]
     assert all(not h.torsion(d) for d in range(7))
+
+
+# ---------------------------------------------------------------------------
+# the Morse complex of the last-element matching against full assembly
+
+def _morse_complex(K, doubled=False):
+    cells, partner = last_element_matching(K, doubled)
+    return complex_from_boundary(cells, boundary, partner)
+
+
+@pytest.mark.parametrize("coefficients", ["Z", 2, 3])
+def test_morse_complex_has_the_homology_of_perm(coefficients):
+    for K in standard_suite() + [simplicial.skeleton(m, d) for m in range(1, 7) for d in range(m)]:
+        X = build_perm_complex(K)
+        want = homology(complex_from_boundary(X.by_dim, boundary), coefficients)
+        assert homology(_morse_complex(K), coefficients) == want, sorted(K.simplices)
+
+
+def _labelled(C):
+    """The boundary of C as {cell: {cell: coeff}} on its basis labels."""
+    return {C.basis[d][j]: {C.basis[d - 1][i]: v for i, v in column.items()}
+            for d, columns in C.cols.items() for j, column in enumerate(columns)}
+
+
+def test_morse_boundary_is_the_full_boundary_with_the_pairs_eliminated():
+    # the homology alone would not show a wrong flow: with every flow
+    # dropped, the Betti numbers and torsion of the suite stay the same
+    suite = standard_suite() + [simplicial.skeleton(m, d) for m in range(1, 6) for d in range(m)]
+    for K, doubled in [(K, False) for K in suite] + [(K, True) for K in suite if K.m <= 3]:
+        X = build_perm_complex_C(K) if doubled else build_perm_complex(K)
+        cells, partner = last_element_matching(K, doubled)
+        pairs = [(x, partner(x)[0]) for x in X.all() if (partner(x) or (0, 0))[1]]
+        want = reduce_pairs(complex_from_boundary(X.by_dim, boundary), pairs)
+        got = _labelled(complex_from_boundary(cells, boundary, partner))
+        assert sorted(want) == sorted(c for fs in cells.values() for c in fs)
+        assert {c: got.get(c, {}) for c in want} == want, sorted(K.simplices)
+
+
+def test_doubled_morse_complex_has_the_homology_of_the_doubled_complex():
+    suite = [K for K in standard_suite() if K.m <= 3] + [
+        simplicial.from_facets(1, []), simplicial.from_facets(3, [[1, 2]])]
+    for K in suite:
+        X = build_perm_complex_C(K)
+        want = homology(complex_from_boundary(X.by_dim, boundary))
+        assert homology(_morse_complex(K, doubled=True)) == want, sorted(K.simplices)
+
+
+def test_morse_complex_of_full_perm_is_perm_one_down():
+    # on the full simplex the critical faces are ({m}, G), G a face of
+    # Perm^{m-2}, and their Morse boundary is that of G
+    for m in range(2, 7):
+        C = _morse_complex(simplicial.full_simplex(m))
+        inner = complex_from_boundary(full_permutohedron(m - 1).by_dim, boundary)
+        assert C.basis == {d: [((m,),) + G for G in fs] for d, fs in inner.basis.items()}
+        assert C.cols == inner.cols
+
+
+def test_a_face_neither_critical_nor_paired_is_a_boundary_error():
+    cells, partner = last_element_matching(simplicial.skeleton(4, 1))
+    with pytest.raises(BoundaryError, match="neither a critical cell nor paired"):
+        complex_from_boundary(cells, boundary, lambda F: None)
+
+
+@pytest.mark.parametrize("y2_boundary, error", [
+    ({"x2": 1, "x1": 1}, "the gradient flow from x1 returns to it"),  # x1 -> y1 -> x2 -> y2 -> x1
+    ({"x1": 1}, "x2 has incidence 0 in the boundary of y2"),
+])
+def test_a_matching_that_is_not_acyclic_or_not_unit_is_a_boundary_error(y2_boundary, error):
+    boundaries = {"c": {"x1": 1, "x2": 1}, "y1": {"x1": 1, "x2": 1}, "y2": y2_boundary}
+    pairs = {"x1": ("y1", True), "x2": ("y2", True)}
+    with pytest.raises(BoundaryError, match=error):
+        complex_from_boundary({1: ["c"], 0: ["v"]}, lambda cell: FormalChain(boundaries[cell]),
+                              pairs.get)
 
 
 def test_clearing_leaves_only_pivot_columns(monkeypatch):

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permcomplex import FormalChain
 from permcomplex.bar import phi_inverse
@@ -21,14 +21,17 @@ from permcomplex.permutohedron import (
     face_vertices,
     full_permutohedron,
     geometry_json,
+    last_element_matching,
     partitions_by_count,
     refines,
     shuffle_sign,
     top_face,
     vertex_coordinates,
 )
-from permcomplex.simplicial import from_facets, random_suite, skeleton
+from permcomplex.simplicial import from_facets, full_simplex, random_suite, skeleton
 from permcomplex.sumatrix import columns_partition, enumerate_configurations, rows_partition
+
+from conftest import complexes, last_position
 
 
 def test_face_validation():
@@ -344,3 +347,38 @@ def test_boundary_matches_reference_formula():
     for m in range(1, 6):
         for F in all_faces(m):
             assert list(boundary(F)) == list(_reference_boundary(F)), F
+
+
+# ---------------------------------------------------------------------------
+# the last-element matching
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(6), st.booleans())
+@example(full_simplex(6), False)
+@example(skeleton(6, 1), False)
+@example(skeleton(3, 0), True)
+@example(from_facets(3, [[1, 2]]), True)
+def test_last_element_matching_is_acyclic(K, doubled):
+    """The critical faces are the faces the matching leaves unpaired, the
+    pairs are facet pairs of the complex with a unit incidence, and every
+    gradient step moves the largest element's block strictly left."""
+    doubled = doubled and K.m <= 3
+    X = build_perm_complex_C(K) if doubled else build_perm_complex(K)
+    cells, partner = last_element_matching(K, doubled)
+    assert {d: sorted(fs) for d, fs in cells.items()} == {
+        d: sorted(F for F in fs if partner(F) is None) for d, fs in X.by_dim.items()
+        if any(partner(F) is None for F in fs)}
+    for x in X.all():
+        pair = partner(x)
+        if pair is None:
+            continue
+        y, up = pair
+        assert y in X and partner(y) == (x, not up)
+        assert len(y) == len(x) + (-1 if up else 1)
+        if not up:
+            continue
+        terms = boundary(y)
+        assert terms[x] in (1, -1)
+        for z, _ in terms:
+            if z != x and (partner(z) or (None, False))[1]:
+                assert last_position(z) < last_position(x), (x, y, z)
