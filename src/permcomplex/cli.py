@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -386,9 +387,26 @@ def main(argv=None) -> int:
         error = {"command": report["command"], "input_digest": None, "checks": [],
                  "payload": None,
                  "error": f"cannot write the report to {args.out or 'stdout'}: {exc}"}
-        _emit(error, sys.stdout if args.out else sys.stderr)
+        if args.out:
+            _emit(error, sys.stdout)
+        else:
+            _emit(error, sys.stderr)
+            _drop_stdout()
         return EXIT_USAGE
     return code
+
+
+def _drop_stdout():
+    """Point stdout's descriptor at the null device.  A buffered stdout
+    keeps the bytes a failed write could not take, and its flush at exit
+    would fail on them again, with a second error and exit code 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # not a file, or closed
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _run(args, report) -> int:

@@ -275,7 +275,10 @@ def last_element_matching(K: SimplicialComplex, doubled: bool = False):
     The critical faces are the ordered partitions of [n - 1] in the
     complex with {n} put first or after a block that cannot take it, so
     the complex itself is never enumerated.  On full Perm that leaves
-    Fubini(n - 1) of the Fubini(n) faces.
+    Fubini(n - 1) of the Fubini(n) faces.  A complex K without the vertex
+    m (as `projection.L_of_K` may build) has no block that can hold m, so
+    Perm(K) is empty, and so is its doubled complex, which {m} as a
+    minimal nonface empties: no cell is critical or paired.
 
     The matching is acyclic, because {n} moves strictly left along every
     gradient path.  A path runs from a face x = (..., A, B', {n}, ...)
@@ -289,6 +292,8 @@ def last_element_matching(K: SimplicialComplex, doubled: bool = False):
     face G paired with F, and whether G is one dimension up, which it is
     when G joins n to the block before it.
     """
+    if (K.m,) not in K.simplices:
+        return {}, lambda F: None
     if doubled:
         n, keep = 2 * K.m, _doubled_keep(K)
         partitions = {p: [G for G in lists if keep(G)]

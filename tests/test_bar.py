@@ -13,7 +13,7 @@ from permcomplex.bar import (
 from permcomplex.chains import FormalChain
 from permcomplex.homology import HomologySummary, homology
 from permcomplex.permutohedron import boundary, build_perm_complex, face, last_element_matching
-from permcomplex.simplicial import full_simplex, polygon_boundary, skeleton
+from permcomplex.simplicial import from_facets, full_simplex, polygon_boundary, skeleton
 
 from conftest import complexes, last_position, reduce_pairs, standard_suite
 
@@ -113,7 +113,9 @@ def test_component_1_1_dd_zero():
 def test_tor_ranks_match_the_full_bar_complex(coefficients):
     # tor_ranks eliminates the Morse complex of the last-element matching;
     # component_1_1 lists every word
-    suite = standard_suite()
+    # and two complexes without the vertex m, whose Perm(K) is empty
+    suite = standard_suite() + [from_facets(3, [[1, 2]], include_all_vertices=False),
+                                from_facets(4, [[1, 2], [2, 3]], include_all_vertices=False)]
     if coefficients == "Z":  # and every skeleton at m = 6, once
         suite += [skeleton(6, d) for d in range(6)]
     for K in suite:

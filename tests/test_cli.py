@@ -306,12 +306,18 @@ def test_failed_write_is_a_usage_error(capsys, k1_path, argv, error):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_unwritable_stdout_is_a_usage_error(k1_path):
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_unwritable_stdout_is_a_usage_error(k1_path, unbuffered):
     """A report that cannot be written to stdout ends in exit 2 and a JSON
-    error report on stderr, not in a traceback."""
+    error report on stderr, not in a traceback, whether stdout is buffered
+    (the report waits in the buffer and the flush at exit fails again) or
+    not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         done = subprocess.run(
             [sys.executable, "-m", "permcomplex.cli", "homology", "--complex", k1_path],

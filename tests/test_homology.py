@@ -333,7 +333,9 @@ def _morse_complex(K, doubled=False):
 
 @pytest.mark.parametrize("coefficients", ["Z", 2, 3])
 def test_morse_complex_has_the_homology_of_perm(coefficients):
-    for K in standard_suite() + [simplicial.skeleton(m, d) for m in range(1, 7) for d in range(m)]:
+    # and a complex without the vertex m, whose Perm(K) is empty
+    for K in standard_suite() + [simplicial.skeleton(m, d) for m in range(1, 7) for d in range(m)] + [
+            simplicial.from_facets(4, [[1, 2], [2, 3]], include_all_vertices=False)]:
         X = build_perm_complex(K)
         want = homology(complex_from_boundary(X.by_dim, boundary), coefficients)
         assert homology(_morse_complex(K), coefficients) == want, sorted(K.simplices)
@@ -361,7 +363,8 @@ def test_morse_boundary_is_the_full_boundary_with_the_pairs_eliminated():
 
 def test_doubled_morse_complex_has_the_homology_of_the_doubled_complex():
     suite = [K for K in standard_suite() if K.m <= 3] + [
-        simplicial.from_facets(1, []), simplicial.from_facets(3, [[1, 2]])]
+        simplicial.from_facets(1, []), simplicial.from_facets(3, [[1, 2]]),
+        simplicial.from_facets(3, [[1, 2]], include_all_vertices=False)]
     for K in suite:
         X = build_perm_complex_C(K)
         want = homology(complex_from_boundary(X.by_dim, boundary))

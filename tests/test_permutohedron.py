@@ -358,6 +358,8 @@ def test_boundary_matches_reference_formula():
 @example(skeleton(6, 1), False)
 @example(skeleton(3, 0), True)
 @example(from_facets(3, [[1, 2]]), True)
+@example(from_facets(3, [[1, 2]], include_all_vertices=False), False)  # Perm(K) is empty
+@example(from_facets(3, [[1, 2]], include_all_vertices=False), True)
 def test_last_element_matching_is_acyclic(K, doubled):
     """The critical faces are the faces the matching leaves unpaired, the
     pairs are facet pairs of the complex with a unit incidence, and every
