@@ -13,10 +13,12 @@ critical words of the last-element matching of Perm(K): the same pairs,
 with the roles flipped, since a merge lowers the bar degree.  A word
 with m in a letter of two or more is paired with the word one degree up
 that splits {m} off, and m's letter moves strictly right along every
-gradient path, so the matching is acyclic.  The Morse boundary follows
-`bar_differential`, never the cellular boundary, so the bar route stays
-a check on the cellular one, and `homology` checks d o d on the Morse
-complex it eliminates.
+gradient path, so the matching is acyclic.  `_bar_flow` follows a path
+one letter at a time, taking at each step only the merges that can
+matter, through `_merge`, the code of `bar_differential`.  It never
+takes the cellular boundary, so the bar route stays a check on the
+cellular one, and `homology` checks d o d on the Morse complex it
+eliminates.
 """
 
 from __future__ import annotations
@@ -31,10 +33,8 @@ def monomial_product(X, Y, K: SimplicialComplex):
     """Product of square-free exterior monomials in the Stanley-Reisner
     quotient: (sign, support) or None when the product is zero."""
     X, Y = tuple(X), tuple(Y)
-    if set(X) & set(Y):
-        return None
     union = tuple(sorted(X + Y))
-    if union not in K.simplices:
+    if union not in K.simplices:  # so is a union that repeats a vertex
         return None
     return shuffle_sign(X, Y), union
 
@@ -51,12 +51,21 @@ def bar_differential(w: tuple, K: SimplicialComplex) -> FormalChain:
     bar_sign = 1  # product of (-1)^(deg a_j + 1) over j <= i
     for i in range(len(w) - 1):
         bar_sign *= -1 if (len(w[i]) + 1) % 2 else 1
-        product = monomial_product(w[i], w[i + 1], K)
-        if product is None:
-            continue
-        sign, support = product
-        result.add_term(w[:i] + (support,) + w[i + 2:], -bar_sign * sign)
+        term = _merge(w, i, bar_sign, K)
+        if term is not None:
+            result.add_term(*term)
     return result
+
+
+def _merge(w: tuple, i: int, bar_sign: int, K: SimplicialComplex):
+    """The term (word, coefficient) of `bar_differential` that merges the
+    letters i and i + 1 of w, or None when their product is zero;
+    bar_sign is the product of (-1)^(deg a_j + 1) over j <= i."""
+    product = monomial_product(w[i], w[i + 1], K)
+    if product is None:
+        return None
+    sign, support = product
+    return w[:i] + (support,) + w[i + 2:], -bar_sign * sign
 
 
 def _words_by_count(K: SimplicialComplex) -> dict:
@@ -95,20 +104,61 @@ def tor_ranks(K: SimplicialComplex, coefficients="Z") -> HomologySummary:
     """Tor of the exterior Stanley-Reisner algebra in multidegree
     (1,...,1), keyed by bar degree -n: the homology of the Morse complex
     of `component_1_1` under the last-element matching, its roles flipped.
-
-    From a word x = (..., B, C, ...) with m in B, a gradient path goes up
-    to y = (..., B \\ {m}, {m}, C, ...) and down to a merge of y other
-    than x.  Only the merge of {m} with C holds m in a letter of two or
-    more again, one letter further right; every other merge is critical
-    or paired with a word one degree down, and the path ends there.
     """
-    words, partner = last_element_matching(K)
-
-    def flipped(w):
-        pair = partner(w)
-        return pair and (pair[0], not pair[1])
-
+    words, partner, _ = last_element_matching(K)
     C = complex_from_boundary({K.m - d: cells for d, cells in words.items()},
-                              lambda w: bar_differential(w, K), flipped)
+                              lambda w: bar_differential(w, K), _bar_flow(K, partner))
     summary = homology(C, coefficients)
     return HomologySummary({-n: v for n, v in summary.data.items()})
+
+
+def _bar_flow(K: SimplicialComplex, partner):
+    """The gradient flow of the bar words under the last-element matching
+    `partner` with its roles flipped, for `complex_from_boundary`: the
+    (critical word, coefficient) pairs a word that is not critical
+    reaches.
+
+    A word that `partner` pairs with a merge pairs down, and flows to 0.
+    A word z with m in a letter of two or more follows the bar step of
+    `last_element_matching`: from its partner x = (..., A, B', {m}, C,
+    ...), with a the coefficient of z in the differential of x, the merge
+    of A and B' is a critical word reached with -a times its coefficient
+    unless it pairs down, and the merge of {m} and C goes on with -a
+    times its coefficient.  Only those three merges of x are taken.
+
+    Nothing is memoised, because no path is followed twice.  A word (...,
+    A, C u {m}, ...) is a term of the differential of one critical word,
+    (..., A, {m}, C, ...), when A cannot take m or is not there, and
+    otherwise a step of one path only, the one from (..., A u {m}, C,
+    ...).
+    """
+    last = (K.m,)
+
+    def flow(z):
+        pair = partner(z)
+        if pair is None:  # critical, but not a cell: the assembler says so
+            return ((z, 1),)
+        x, up = pair
+        if up:  # z pairs down
+            return ()
+        reached = []
+        coeff = 1
+        k = x.index(last) - 1  # x = (..., A, B', {m}, C, ...) with B' letter k
+        while True:
+            # The bar sign over the letters before B' is in all three
+            # merges, so it cancels from -a times either other one and is
+            # left out; that of B' is in the last two, and that of {m} is 1.
+            sign = -1 if (len(x[k]) + 1) % 2 else 1
+            a = _merge(x, k, sign, K)[1]
+            if k:
+                left = _merge(x, k - 1, 1, K)
+                if left is not None and partner(left[0]) is None:
+                    reached.append((left[0], -a * coeff * left[1]))
+            right = _merge(x, k + 1, sign, K) if k + 2 < len(x) else None
+            if right is None:
+                return reached
+            coeff *= -a * right[1]
+            x = x[:k + 1] + (x[k + 2], last) + x[k + 3:]  # the partner of right
+            k += 1
+
+    return flow

@@ -9,14 +9,15 @@ cost.
 Every subcommand emits a JSON report to stdout (or --out) of the form
 {"command", "input_digest", "checks", "payload"}.  Exit codes: 0 all
 checks passed, 1 a verification check failed (including an internal
-check: a boundary that does not square to zero, or a face the Morse
-assembly finds neither critical nor paired, raises BoundaryError, and a
-configuration matrix with two signs ConfigurationAmbiguityError; the
-report names the error), 2 usage error (one that argparse finds, such
-as a missing or unknown option or command, a --coeff that is not Z, Q
-or a prime, an --m below 1, or an --out or --geometry file that cannot
-be opened or that a write to fails, as on a full disk, and so is a
-report that cannot be written to stdout; the error report of an
+check: a boundary that does not square to zero, a gradient flow that
+ends outside the critical cells, or a step of one whose incidence is not
++-1, raises BoundaryError, and a configuration matrix with two signs
+ConfigurationAmbiguityError; the report names the error), 2 usage
+error (one that argparse finds, such as a missing or unknown option or
+command, a --coeff that is not Z, Q or a prime, an --m below 1, or an
+--out or --geometry file that cannot be opened or that a write to
+fails, as on a full disk, and so is a report that cannot be written to
+stdout; the error report of an
 argparse error or of an unwritable --out goes to stdout, that of an
 unwritable stdout to stderr, and after an argparse error "command" is
 null),
@@ -140,8 +141,8 @@ def cmd_homology(args, report):
     K, report["input_digest"] = _load_complex(args.complex)
     coeff = _coeff(args.coeff)
     # the Morse complex of the last-element matching: only critical faces
-    cells, partner = permutohedron.last_element_matching(K, args.doubled)
-    C = complex_from_boundary(cells, permutohedron.boundary, partner)
+    cells, _, flow = permutohedron.last_element_matching(K, args.doubled)
+    C = complex_from_boundary(cells, permutohedron.boundary, flow)
     summary = compute_homology(C, coeff)
     report["payload"] = _summary_payload(summary)
     return []

@@ -18,17 +18,18 @@ step rescans the matrix.  Dense matrices (lists of rows) appear only at
 the edges: `ChainComplexData.matrix`, the Smith normal form,
 `invariant_factors` and `rank_mod_p`.
 
-`complex_from_boundary` is the one assembler.  Given an acyclic matching
-as a `partner` function, it assembles the Morse complex instead: only
-the critical cells, with the boundary that follows the gradient flows of
-the paired cells, memoised, down to the critical cells.  The CLI's
-`homology` and `tor` take that route with the last-element matching of
-`permutohedron.last_element_matching`, whose acyclicity rests on the
-last element moving one way along every gradient path.  `homology`
-checks d o d on whatever complex it is given, so on that route it checks
-the Morse complex.  The d o d of the full boundary stays checked where
-every face is assembled: acceptance criterion 1 (full Perm for m <= 7)
-and the benchmark's library jobs.
+`complex_from_boundary` is the one assembler.  Given the gradient flow
+of an acyclic matching as a `flow` function, it assembles the Morse
+complex instead: only the critical cells, each boundary term that is
+not critical replaced by the critical cells its gradient paths reach.
+The CLI's `homology` and `tor` take that route with the last-element
+matching of `permutohedron.last_element_matching`, whose paths have a
+closed form: the last element moves one block at a time, so no boundary
+of a paired cell is taken.  `homology` checks d o d on whatever complex
+it is given, so on that route it checks the Morse complex.  The d o d of
+the full boundary stays checked where every face is assembled:
+acceptance criterion 1 (full Perm for m <= 7) and the benchmark's
+library jobs.
 """
 
 from __future__ import annotations
@@ -379,27 +380,41 @@ class ChainComplexData:
         return sum((-1) ** d * self.dim(d) for d in self.degrees)
 
 
-def complex_from_boundary(cells_by_dim: dict, boundary_fn, partner=None) -> ChainComplexData:
+def complex_from_boundary(cells_by_dim: dict, boundary_fn, flow=None) -> ChainComplexData:
     """Assemble a ChainComplexData from graded cells and a boundary map
     returning FormalChain, straight into sparse columns.  Cell order within
     a degree is preserved.
 
-    With `partner`, an acyclic matching (Forman, "Morse theory for cell
-    complexes", 1998), the cells are the critical cells and the result is
-    the Morse complex: a boundary term that is not a critical cell follows
-    its gradient flow down to the critical cells (see `_morse_columns`).
-    partner(x) is None for a cell the matching leaves unpaired, and
-    otherwise (y, up): the cell y paired with x, and whether y is one
-    degree above x.  A term that is neither a critical cell nor paired
-    raises BoundaryError.
+    With `flow`, the gradient flow of an acyclic matching (Forman, "Morse
+    theory for cell complexes", 1998), the cells are the critical cells
+    and the result is the Morse complex: a boundary term z that is not a
+    critical cell stands for the (critical cell, coefficient) pairs that
+    flow(z) returns, those its gradient paths reach, each coefficient
+    times that of z.  A pair whose cell is not critical raises
+    BoundaryError.
     """
     C = ChainComplexData(cells_by_dim, {})
     for d in C.degrees:
         index = C.index.get(d - 1)
         if index is None:
             continue
-        if partner is not None:
-            C.cols[d] = _morse_columns(C.basis[d], index, boundary_fn, partner)
+        if flow is not None:
+            columns = []
+            for cell in C.basis[d]:
+                column = {}
+                for z, c in boundary_fn(cell):
+                    i = index.get(z)
+                    if i is not None:
+                        column[i] = column.get(i, 0) + c
+                        continue
+                    for w, v in flow(z):
+                        i = index.get(w)
+                        if i is None:
+                            raise BoundaryError(f"the gradient flow from {z} ends at "
+                                                f"{w}, which is not a critical cell")
+                        column[i] = column.get(i, 0) + c * v
+                columns.append({i: v for i, v in column.items() if v})
+            C.cols[d] = columns
             continue
         columns = []
         for cell in C.basis[d]:
@@ -413,64 +428,6 @@ def complex_from_boundary(cells_by_dim: dict, boundary_fn, partner=None) -> Chai
             columns.append(column)
         C.cols[d] = columns
     return C
-
-
-def _morse_columns(cells, index, boundary_fn, partner) -> list:
-    """The Morse boundary of each of the critical `cells`, as sparse
-    columns over the critical cells one degree down, whose rows `index`
-    gives.
-
-    A term x of a boundary that is not critical flows (Harker, Mischaikow,
-    Mrozek and Nanda, Found. Comput. Math. 2014).  If x is paired with a
-    cell below, it flows to 0.  If x is paired with a cell y above, the
-    incidence a = <dy, x> is +-1, and x flows to -a (dy - a x), the other
-    terms of dy, each flowing on in turn.  Flows are memoised per cell, so
-    each paired cell's partner boundary is taken once.  A matching that is
-    not acyclic would bring a flow back to a cell it started from, which
-    raises BoundaryError, as does an incidence that is not a unit.
-    """
-    flows = {}  # cell -> {row: coeff}, or None while its flow is computed
-
-    def add(acc, z, c):
-        i = index.get(z)
-        if i is not None:
-            acc[i] = acc.get(i, 0) + c
-            return
-        flow = flows.get(z)
-        if flow is None:
-            if z in flows:
-                raise BoundaryError(f"the gradient flow from {z} returns to it")
-            flow = flow_of(z)
-        for i, v in flow.items():
-            acc[i] = acc.get(i, 0) + c * v
-
-    def flow_of(x) -> dict:
-        pair = partner(x)
-        if pair is None:
-            raise BoundaryError(f"{x} is neither a critical cell nor paired")
-        y, up = pair
-        flow = {}
-        if up:
-            flows[x] = None
-            terms = boundary_fn(y)
-            a = terms[x]
-            if a != 1 and a != -1:
-                raise BoundaryError(f"{x} has incidence {a} in the boundary "
-                                    f"of {y}, which it is paired with")
-            for z, c in terms:
-                if z != x:
-                    add(flow, z, -a * c)
-            flow = {i: v for i, v in flow.items() if v}
-        flows[x] = flow
-        return flow
-
-    columns = []
-    for cell in cells:
-        column = {}
-        for z, c in boundary_fn(cell):
-            add(column, z, c)
-        columns.append({i: v for i, v in column.items() if v})
-    return columns
 
 
 def cochain_dual(C: ChainComplexData) -> ChainComplexData:

@@ -23,9 +23,11 @@ other element or more with the facet that splits {m} off to its right.
 The faces left unpaired, the critical ones, are those where {m} is a
 singleton block that is first or cannot join its left neighbour; they
 are made from the ordered partitions of [m - 1] alone.  {m} moves
-strictly left along every gradient path, so the matching is acyclic,
-and `homology.complex_from_boundary` assembles the Morse complex of the
-critical faces from it, which is what the CLI's `homology` eliminates.
+strictly left along every gradient path, one block at a time, so the
+matching is acyclic and a path has a closed form, and
+`homology.complex_from_boundary` assembles the Morse complex of the
+critical faces from that flow, which is what the CLI's `homology`
+eliminates.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import itertools
 from functools import cached_property, lru_cache
 
 from .chains import FormalChain
+from .homology import BoundaryError
 from .simplicial import SimplicialComplex, minimal_nonfaces
 
 
@@ -71,10 +74,9 @@ def shuffle_sign(M, N) -> int:
     Equals (-1)^inv where inv counts pairs a in M, b in N with a > b.
     """
     M, N = tuple(M), tuple(N)
-    if set(M) & set(N):
+    if not set(M).isdisjoint(N):
         raise ValueError(f"{M} and {N} are not disjoint")
-    inversions = sum(1 for a in M for b in N if a > b)
-    return -1 if inversions % 2 else 1
+    return -1 if sum(a > b for a in M for b in N) % 2 else 1
 
 
 def partitions_by_count(elements, block_ok=None) -> dict:
@@ -140,7 +142,9 @@ def refines(G: tuple, F: tuple) -> bool:
 @lru_cache(maxsize=None)
 def _splits(block: tuple) -> tuple:
     """(M, block \\ M, (-1)^|M| shuff(M; block \\ M)) for each proper
-    nonempty M of the block."""
+    nonempty M of the block, by |M| and then in lexicographic order: the
+    split {max} | rest is entry |block| - 1, and rest | {max} entry
+    -|block|."""
     table = []
     for r in range(1, len(block)):
         for M in itertools.combinations(block, r):
@@ -260,9 +264,9 @@ def build_perm_complex_C(K: SimplicialComplex) -> PermComplex:
 
 def last_element_matching(K: SimplicialComplex, doubled: bool = False):
     """The acyclic matching of Perm(K) (of the doubled complex on [2m] if
-    `doubled`) on its last element n, as (cells, partner) for
-    `complex_from_boundary`: the critical faces by dimension, and the
-    partner of a face.
+    `doubled`) on its last element n, as (cells, partner, flow): the
+    critical faces by dimension, the partner of a face, and the gradient
+    flow that `complex_from_boundary` assembles the Morse complex with.
 
     A face (..., B, ...) with n in B and |B| >= 2 is paired with its facet
     (..., B \\ {n}, {n}, ...), which the complex holds as it holds every
@@ -280,34 +284,55 @@ def last_element_matching(K: SimplicialComplex, doubled: bool = False):
     Perm(K) is empty, and so is its doubled complex, which {m} as a
     minimal nonface empties: no cell is critical or paired.
 
-    The matching is acyclic, because {n} moves strictly left along every
-    gradient path.  A path runs from a face x = (..., A, B', {n}, ...)
-    that B' can take, up to its partner y = (..., A, B' u {n}, ...), and
-    down to a face of the boundary of y other than x.  Every such face
-    but one holds n in a block of two or more, so the matching pairs it
-    with a face below and the path ends.  The one left is
-    (..., A, {n}, B', ...), with {n} one block further left.
+    The move lemma.  A gradient path runs from a face x = (..., A, B',
+    {n}, ...) that B' can take, up to its partner y = (..., A, B' u {n},
+    ...), and down to a face of the boundary of y other than x.  Every
+    such face but one holds n in a block of two or more, so the matching
+    pairs it with a face below and the path ends at 0.  The one left is
+    x' = (..., A, {n}, B', ...), with {n} one block further left; the
+    path goes on from x' unless x' is critical.  So {n} moves strictly
+    left, the matching is acyclic, and x flows to the one critical face
+    where {n} first stops, with the product over the moves of -a c,
+    where a = <dy, x> and c = <dy, x'> are the split signs of B' | {n}
+    and {n} | B' of the block B' u {n} in `_splits` (the parity of the
+    blocks before it is in both, and cancels).  The factor is +1 for
+    every block, but it is read from `_splits` at each move, so the flow
+    follows the boundary that `boundary` takes.
+
+    The bar step, for `bar.tor_ranks`, which follows the same pairs with
+    the roles flipped (a merge lowers the bar degree).  A word z = (...,
+    A, B' u {n}, C, ...) with |B' u {n}| >= 2 goes up to its partner x =
+    (..., A, B', {n}, C, ...) and down to a merge of x other than z.
+    Merging A and B' leaves {n} a singleton after A u B': that word is
+    critical, or 0 if it pairs down.  Merging {n} and C gives (..., A,
+    B', C u {n}, ...), where the path goes on with n's letter one further
+    right.  Every other merge leaves {n} after B', which takes it, and
+    pairs down to 0.
 
     partner(F) is None for a critical face, and otherwise (G, up): the
     face G paired with F, and whether G is one dimension up, which it is
-    when G joins n to the block before it.
+    when G joins n to the block before it.  flow(F), for a face F that is
+    not critical, is () when n is in a block of two or more, and
+    otherwise the one pair (critical face, coefficient) that {n} moving
+    left reaches; a move whose incidence is not +-1 raises BoundaryError.
     """
     if (K.m,) not in K.simplices:
-        return {}, lambda F: None
+        return {}, lambda F: None, lambda F: ()
+    n = 2 * K.m if doubled else K.m
+    last = (n,)
     if doubled:
-        n, keep = 2 * K.m, _doubled_keep(K)
+        keep = _doubled_keep(K)
         partitions = {p: [G for G in lists if keep(G)]
                       for p, lists in partitions_by_count(range(1, n)).items()}
 
-        def joins(F, j):  # the face F, whose block j holds n, is kept
-            return keep(F)
+        def takes(F, k):  # the block before the singleton {n} at k takes n
+            return keep(F[:k - 1] + (F[k - 1] + last,) + F[k + 1:])
     else:
-        n, simplices = K.m, K.simplices
+        simplices = K.simplices
         partitions = partitions_by_count(range(1, n), simplices.__contains__)
 
-        def joins(F, j):
-            return F[j] in simplices
-    last = (n,)
+        def takes(F, k):
+            return F[k - 1] + last in simplices
 
     def partner(F):
         for k, block in enumerate(F):
@@ -315,16 +340,32 @@ def last_element_matching(K: SimplicialComplex, doubled: bool = False):
                 break
         if len(block) > 1:
             return F[:k] + (block[:-1], last) + F[k + 1:], False
-        if k:
-            G = F[:k - 1] + (F[k - 1] + last,) + F[k + 1:]
-            if joins(G, k - 1):
-                return G, True
+        if k and takes(F, k):
+            return F[:k - 1] + (F[k - 1] + last,) + F[k + 1:], True
         return None
 
-    cells = {n - p - 1: [G[:k] + (last,) + G[k:] for G in lists for k in range(p + 1)
-                         if not k or not joins(G[:k - 1] + (G[k - 1] + last,) + G[k:], k - 1)]
+    def flow(F):
+        try:
+            k = F.index(last)
+        except ValueError:  # n is in a block of two or more: F pairs down
+            return ()
+        coeff = 1
+        while k and takes(F, k):
+            block = F[k - 1] + last
+            splits = _splits(block)
+            a = splits[-len(block)][2]  # B' | {n}, the first split of |B'| elements
+            if a != 1 and a != -1:
+                raise BoundaryError(f"{F} has incidence {a} in the boundary of "
+                                    f"{F[:k - 1] + (block,) + F[k + 1:]}, which it is paired with")
+            coeff *= -a * splits[len(block) - 1][2]  # {n} | B', the last split of one
+            F = F[:k - 1] + (last, F[k - 1]) + F[k + 1:]
+            k -= 1
+        return ((F, coeff),)
+
+    cells = {n - p - 1: [F for G in lists for k in range(p + 1)
+                         for F in (G[:k] + (last,) + G[k:],) if not k or not takes(F, k)]
              for p, lists in sorted(partitions.items(), reverse=True) if lists}
-    return cells, partner
+    return cells, partner, flow
 
 
 def vertex_coordinates(F: tuple) -> tuple:

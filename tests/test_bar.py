@@ -11,7 +11,7 @@ from permcomplex.bar import (
     tor_ranks,
 )
 from permcomplex.chains import FormalChain
-from permcomplex.homology import HomologySummary, homology
+from permcomplex.homology import HomologySummary, complex_from_boundary, homology
 from permcomplex.permutohedron import boundary, build_perm_complex, face, last_element_matching
 from permcomplex.simplicial import from_facets, full_simplex, polygon_boundary, skeleton
 
@@ -134,7 +134,7 @@ def test_tor_morse_boundary_is_the_bar_differential_with_the_pairs_eliminated(mo
         return homology(C, coefficients)
     monkeypatch.setattr(bar, "homology", kept)
     for K in standard_suite() + [skeleton(m, d) for m in range(1, 6) for d in range(m)]:
-        _, partner = last_element_matching(K)
+        _, partner, _ = last_element_matching(K)
         C = component_1_1(K)
         pairs = [(x, partner(x)[0]) for x in build_perm_complex(K).all()
                  if (partner(x) or (0, True))[1] is False]
@@ -147,6 +147,31 @@ def test_tor_morse_boundary_is_the_bar_differential_with_the_pairs_eliminated(mo
         assert {c: got.get(c, {}) for c in want} == want, sorted(K.simplices)
 
 
+def test_tor_morse_complex_is_the_transpose_of_the_cellular_one(monkeypatch):
+    # the bar differential of a word is the transpose of the cellular
+    # boundary on the same block tuples, and tor_ranks follows the same
+    # pairs with the roles flipped, so the Morse complex it eliminates is
+    # the transpose of the one `perm homology` eliminates, entry for
+    # entry, though neither flow reads the other
+    seen = []
+
+    def kept(C, coefficients="Z"):
+        seen.append(C)
+        return homology(C, coefficients)
+    monkeypatch.setattr(bar, "homology", kept)
+    for K in standard_suite() + [skeleton(m, d) for m in range(1, 7) for d in range(m)]:
+        cells, _, flow = last_element_matching(K)
+        C = complex_from_boundary(cells, boundary, flow)
+        tor_ranks(K)
+        M = seen.pop()
+        assert M.basis == {K.m - d: faces for d, faces in C.basis.items()}
+        cellular = {(C.basis[d - 1][i], C.basis[d][j]): v for d, columns in C.cols.items()
+                    for j, column in enumerate(columns) for i, v in column.items()}
+        merges = {(M.basis[n][j], M.basis[n - 1][i]): v for n, columns in M.cols.items()
+                  for j, column in enumerate(columns) for i, v in column.items()}
+        assert merges == cellular, sorted(K.simplices)
+
+
 @settings(max_examples=60, deadline=None)
 @given(complexes(6))
 @example(full_simplex(6))
@@ -157,7 +182,7 @@ def test_bar_matching_is_acyclic(K):
     but a merge lowers the degree: a word with m in a letter of two or more
     is paired with the word one degree up that splits {m} off, and every
     gradient step moves m's letter strictly right."""
-    _, partner = last_element_matching(K)
+    _, partner, _ = last_element_matching(K)
     for x in build_perm_complex(K).all():
         pair = partner(x)
         if pair is None or pair[1]:  # critical, or paired with a merge

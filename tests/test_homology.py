@@ -1,12 +1,13 @@
 import importlib
 import itertools
 import random
+import re
 from math import comb, factorial, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permcomplex import FormalChain, simplicial
+from permcomplex import permutohedron, simplicial
 from permcomplex.homology import (
     BoundaryError,
     ChainComplexData,
@@ -327,8 +328,8 @@ def test_full_permutohedron_seven_is_a_point():
 # the Morse complex of the last-element matching against full assembly
 
 def _morse_complex(K, doubled=False):
-    cells, partner = last_element_matching(K, doubled)
-    return complex_from_boundary(cells, boundary, partner)
+    cells, _, flow = last_element_matching(K, doubled)
+    return complex_from_boundary(cells, boundary, flow)
 
 
 @pytest.mark.parametrize("coefficients", ["Z", 2, 3])
@@ -353,10 +354,10 @@ def test_morse_boundary_is_the_full_boundary_with_the_pairs_eliminated():
     suite = standard_suite() + [simplicial.skeleton(m, d) for m in range(1, 6) for d in range(m)]
     for K, doubled in [(K, False) for K in suite] + [(K, True) for K in suite if K.m <= 3]:
         X = build_perm_complex_C(K) if doubled else build_perm_complex(K)
-        cells, partner = last_element_matching(K, doubled)
+        cells, partner, flow = last_element_matching(K, doubled)
         pairs = [(x, partner(x)[0]) for x in X.all() if (partner(x) or (0, 0))[1]]
         want = reduce_pairs(complex_from_boundary(X.by_dim, boundary), pairs)
-        got = _labelled(complex_from_boundary(cells, boundary, partner))
+        got = _labelled(complex_from_boundary(cells, boundary, flow))
         assert sorted(want) == sorted(c for fs in cells.values() for c in fs)
         assert {c: got.get(c, {}) for c in want} == want, sorted(K.simplices)
 
@@ -381,22 +382,38 @@ def test_morse_complex_of_full_perm_is_perm_one_down():
         assert C.cols == inner.cols
 
 
-def test_a_face_neither_critical_nor_paired_is_a_boundary_error():
-    cells, partner = last_element_matching(simplicial.skeleton(4, 1))
-    with pytest.raises(BoundaryError, match="neither a critical cell nor paired"):
-        complex_from_boundary(cells, boundary, lambda F: None)
+def test_a_flow_that_ends_outside_the_critical_cells_is_a_boundary_error():
+    # F(12|4|3) is critical, and the path from F(1|2|4|3) in its boundary
+    # moves {4} left past 2 and 1 to F(4|1|2|3), which is left out here
+    cells, _, flow = last_element_matching(simplicial.skeleton(4, 1))
+    end = ((4,), (1,), (2,), (3,))
+    assert flow(((1,), (2,), (4,), (3,))) == ((end, 1),)
+    cells[0].remove(end)
+    with pytest.raises(BoundaryError, match=re.escape(
+            f"ends at {end}, which is not a critical cell")):
+        complex_from_boundary(cells, boundary, flow)
 
 
-@pytest.mark.parametrize("y2_boundary, error", [
-    ({"x2": 1, "x1": 1}, "the gradient flow from x1 returns to it"),  # x1 -> y1 -> x2 -> y2 -> x1
-    ({"x1": 1}, "x2 has incidence 0 in the boundary of y2"),
-])
-def test_a_matching_that_is_not_acyclic_or_not_unit_is_a_boundary_error(y2_boundary, error):
-    boundaries = {"c": {"x1": 1, "x2": 1}, "y1": {"x1": 1, "x2": 1}, "y2": y2_boundary}
-    pairs = {"x1": ("y1", True), "x2": ("y2", True)}
-    with pytest.raises(BoundaryError, match=error):
-        complex_from_boundary({1: ["c"], 0: ["v"]}, lambda cell: FormalChain(boundaries[cell]),
-                              pairs.get)
+@pytest.mark.parametrize("sign", [0, 2])
+def test_a_move_whose_incidence_is_not_a_unit_is_a_boundary_error(monkeypatch, sign):
+    # the split 1 | 4 of the block 14 is the incidence of F(..., 1, 4, ...)
+    # in the boundary of its partner F(..., 14, ...), read at each move
+    splits = permutohedron._splits
+
+    def broken(block):
+        table = splits(block)
+        if block != (1, 4):
+            return table
+        (M, rest, _), other = table
+        return (M, rest, sign), other
+    monkeypatch.setattr(permutohedron, "_splits", broken)
+    cells, _, flow = last_element_matching(simplicial.skeleton(4, 1))
+    with pytest.raises(BoundaryError, match=re.escape(
+            f"{((1,), (4,), (2,), (3,))} has incidence {sign} in the boundary of "
+            f"{((1, 4), (2,), (3,))}")):
+        flow(((1,), (4,), (2,), (3,)))
+    with pytest.raises(BoundaryError, match=f"has incidence {sign} in the boundary"):
+        complex_from_boundary(cells, boundary, flow)
 
 
 def test_clearing_leaves_only_pivot_columns(monkeypatch):

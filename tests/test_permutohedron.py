@@ -366,7 +366,7 @@ def test_last_element_matching_is_acyclic(K, doubled):
     gradient step moves the largest element's block strictly left."""
     doubled = doubled and K.m <= 3
     X = build_perm_complex_C(K) if doubled else build_perm_complex(K)
-    cells, partner = last_element_matching(K, doubled)
+    cells, partner, _ = last_element_matching(K, doubled)
     assert {d: sorted(fs) for d, fs in cells.items()} == {
         d: sorted(F for F in fs if partner(F) is None) for d, fs in X.by_dim.items()
         if any(partner(F) is None for F in fs)}
