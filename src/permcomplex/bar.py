@@ -147,7 +147,8 @@ def _bar_flow(K: SimplicialComplex, partner):
         while True:
             # The bar sign over the letters before B' is in all three
             # merges, so it cancels from -a times either other one and is
-            # left out; that of B' is in the last two, and that of {m} is 1.
+            # left out; that of B' is in the merges of B' and of {m}, and
+            # that of {m} is 1.
             sign = -1 if (len(x[k]) + 1) % 2 else 1
             a = _merge(x, k, sign, K)[1]
             if k:
