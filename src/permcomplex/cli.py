@@ -1,10 +1,11 @@
 """Command-line front end.
 
 The subcommands are one table, COMMANDS: name, handler, help line and
-options.  build_parser builds the parser of only the command a run
-names, with every other command a choice and a help line alone, so help,
-usage and error texts are those of the whole parser at a quarter of the
-cost.
+options.  _scan reads a well-formed command line straight off it.  Only
+to word a usage error or to print help does main build argparse, with
+build_parser: the parser of only the command a run names, every other
+command a choice and a help line alone, so help, usage and error texts
+are those of the whole parser.
 
 Every subcommand emits a JSON report to stdout (or --out) of the form
 {"command", "input_digest", "checks", "payload"}.  Exit codes: 0 all
@@ -239,10 +240,11 @@ def cmd_project(args, report):
 
 def cmd_rmac(args, report):
     L, report["input_digest"] = _load_complex(args.complex)
+    coeff = _coeff(args.coeff)  # checked without --homology too
     R = cubes.build_rmac(L)
     payload = {"m": L.m, "cells": len(R.cells)}
     if args.homology:
-        summary = compute_homology(R.chain_complex(), _coeff(args.coeff))
+        summary = compute_homology(R.chain_complex(), coeff)
         payload.update(_summary_payload(summary))
     report["payload"] = payload
     return []
@@ -322,15 +324,72 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}", EXIT_USAGE)
 
 
+def _scan(argv):
+    """The Namespace that build_parser().parse_args(argv) returns, read
+    straight off COMMANDS, or None where argparse must decide.
+
+    It reads --out VALUE and --timing before the command, an exact command
+    name, and then that command's exact flags: a store_true flag alone,
+    any other flag followed by one value, which goes through the option's
+    type and must be one of its choices.  Anything else is left to
+    argparse, whose rules and texts are not repeated here: a missing
+    command or required option, a token that is not an exact flag in its
+    place (an abbreviation, --flag=value, -h, --, a global flag after the
+    command), a value that is missing, starts with "-", fails its type or
+    is not a choice.
+    """
+    flags = {"--out": {}, "--timing": {"action": "store_true"}}  # as build_parser adds them
+    namespace = {"out": None, "timing": False}
+    required = set()
+    tokens = iter(argv)
+    for token in tokens:
+        keywords = flags.get(token)
+        if keywords is None:
+            if "command" in namespace or token not in COMMANDS:
+                return None
+            fn, _, options = COMMANDS[token]
+            flags = dict(options)
+            namespace.update(command=token, fn=fn)
+            for flag, option in options:
+                store_true = option.get("action") == "store_true"
+                namespace[_dest(flag)] = False if store_true else option.get("default")
+            required = {flag for flag, option in options if option.get("required")}
+            continue
+        required.discard(token)
+        if keywords.get("action") == "store_true":
+            namespace[_dest(token)] = True
+            continue
+        value = next(tokens, "-")  # no value reads as one that starts with "-"
+        if value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        namespace[_dest(token)] = value
+    if "command" not in namespace or required:
+        return None
+    return argparse.Namespace(**namespace)
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a long flag in."""
+    return flag[2:].replace("-", "_")
+
+
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The `perm` parser for the tokens argv, which it does not parse.
 
-    Every command is a choice, with its help line, so the usage, help and
-    error texts are those of the parser holding them all.  But only the
+    main builds it only when _scan cannot read argv, to word a usage
+    error or print help, so its texts are the ones a user sees.  Every
+    command is a choice, with its help line, so the usage, help and error
+    texts are those of the parser holding them all.  But only the
     commands named among the tokens get a parser of their own (every
     command when none is named, so build_parser() is the whole parser):
     argparse runs only the parser of the token that names the command, so
-    no other is reached.  Building all nine would be most of a small job.
+    no other is reached.
     """
     built = set(COMMANDS).intersection(argv) or COMMANDS
 
@@ -364,7 +423,7 @@ def main(argv=None) -> int:
     report = {"command": None, "input_digest": None, "checks": [],
               "payload": None}
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _scan(argv) or build_parser(argv).parse_args(argv)
         report["command"] = [args.command]
         try:
             out = open(args.out, "w") if args.out else nullcontext(sys.stdout)

@@ -422,8 +422,9 @@ def test_help_exits_zero(capsys, argv):
 
 
 @pytest.mark.parametrize("coeff", ["4", "1", "0", "-2", "x"])
-@pytest.mark.parametrize("command", ["homology", "tor"])
+@pytest.mark.parametrize("command", ["homology", "tor", "rmac"])
 def test_bad_coeff_is_a_usage_error(capsys, k1_path, command, coeff):
+    """rmac checks --coeff without --homology too."""
     code, report = run(capsys, command, "--coeff", coeff, "--complex", k1_path)
     assert code == 2
     assert coeff in report["error"]
@@ -656,7 +657,83 @@ def test_parser_matches_the_full_parser():
     assert sorted(_COMMAND_NAMES) == sorted(cli.COMMANDS)
 
 
+def test_scan_reads_every_well_formed_example():
+    """The fast path is taken: every README example and every argv of
+    _EVERY_OPTION, with and without the global flags, is read off COMMANDS
+    to the Namespace of the full parser."""
+    full = build_parser()
+    for argv in _readme_examples() + [argv for argv, _ in _EVERY_OPTION]:
+        for argv in (argv, ["--out", "r.json", "--timing"] + argv):
+            scanned = cli._scan(argv)
+            assert scanned is not None and scanned == _parse(full, argv), argv
+
+
+# Values argparse reads by rules of its own, or that a type or choices
+# reject, put where a token stood.
+_ODD_VALUES = ["", " 3", "0x3", "both", "su-cai", *_COMMAND_NAMES, "-1", "-", "--", "-h", "--complex"]
+
+
+@st.composite
+def _mutated_argvs(draw):
+    """An argv of _EVERY_OPTION, with or without --out r.json --timing,
+    after a few mutations: a token dropped, repeated, swapped, cut to a
+    prefix, joined to the next by "=", or a value replaced by an odd one, a
+    global flag moved after the command, or -h put in."""
+    argv = list(draw(st.sampled_from(_EVERY_OPTION))[0])
+    if draw(st.booleans()):
+        argv = ["--out", "r.json", "--timing"] + argv
+    for _ in range(draw(st.integers(1, 3))):
+        if not argv:
+            break
+        i = draw(st.integers(0, len(argv) - 1))
+        token = argv[i]
+        kind = draw(st.sampled_from(
+            ["drop", "repeat", "swap", "prefix", "equals", "value", "move", "help"]))
+        if kind == "drop":
+            del argv[i]
+        elif kind == "repeat":
+            argv.insert(i, token)
+        elif kind == "swap":
+            j = draw(st.integers(0, len(argv) - 1))
+            argv[i], argv[j] = argv[j], token
+        elif kind == "prefix" and token.startswith("--") and len(token) > 3:
+            argv[i] = token[:draw(st.integers(3, len(token) - 1))]
+        elif kind == "equals" and token.startswith("--") and i + 1 < len(argv):
+            argv[i:i + 2] = [token + "=" + argv[i + 1]]
+        elif kind == "value":  # most often a token that follows a flag
+            after_flag = [k for k in range(1, len(argv)) if argv[k - 1].startswith("--")]
+            argv[draw(st.sampled_from(after_flag or [i]))] = draw(st.sampled_from(_ODD_VALUES))
+        elif kind == "move":
+            flag = draw(st.sampled_from([["--timing"], ["--out", "r.json"]]))
+            command = next((k for k, a in enumerate(argv) if a in cli.COMMANDS), 0)
+            k = draw(st.integers(command + 1, len(argv)))
+            argv[k:k] = flag
+        elif kind == "help":
+            argv.insert(draw(st.integers(0, len(argv))), "-h")
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_argvs())
+@example(["tor", "--complex", "--"])
+@example(["tor", "--complex"])
+@example(["verify", "--theorem", "both", "--m", "3"])
+@example(["diagonal", "--m", "0x3"])
+@example(["homology", "--coeff", "2"])
+@example(["tor", "--complex", "k.json", "--out", "r.json"])
+@example(["--out", "tor", "homology", "--complex", "k.json"])
+@example(["--out=r.json", "tor", "--complex", "k.json"])
+@example(["tor", "--comp", "k.json"])
+def test_scan_agrees_with_the_full_parser(argv):
+    """_scan either leaves argv to argparse or reads it as the full parser
+    does."""
+    scanned = cli._scan(argv)
+    assert scanned is None or scanned == _parse(build_parser(), argv), argv
+
+
 def test_a_run_builds_the_parser_of_its_command_only(tmp_path, monkeypatch, k1_path):
+    """A well-formed run is read off COMMANDS and builds no parser; a usage
+    error builds the parser of its command only, to word the error."""
     progs = []
     init = cli._Parser.__init__
 
@@ -665,7 +742,11 @@ def test_a_run_builds_the_parser_of_its_command_only(tmp_path, monkeypatch, k1_p
         progs.append(self.prog)
 
     monkeypatch.setattr(cli._Parser, "__init__", counted)
-    assert main(["--out", str(tmp_path / "r.json"), "tor", "--complex", k1_path]) == 0
+    out = str(tmp_path / "r.json")
+    assert main(["--out", out, "tor", "--complex", k1_path]) == 0
+    assert progs == []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--out", out, "tor"]) == 2
     assert progs == ["perm", "perm tor"]
 
 
