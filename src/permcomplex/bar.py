@@ -15,10 +15,12 @@ with m in a letter of two or more is paired with the word one degree up
 that splits {m} off, and m's letter moves strictly right along every
 gradient path, so the matching is acyclic.  `_bar_flow` follows a path
 one letter at a time, taking at each step only the merges that can
-matter, through `_merge`, the code of `bar_differential`.  It never
-takes the cellular boundary, so the bar route stays a check on the
-cellular one, and `homology` checks d o d on the Morse complex it
-eliminates.
+matter, through `_merge`, the code of `bar_differential`; the
+differential and the flow of one `tor_ranks` call read the products of
+letter pairs from one table, `_Products`, which computes each pair once
+with the bar route's own `shuffle_sign`.  It never takes the cellular
+boundary, so the bar route stays a check on the cellular one, and
+`homology` checks d o d on the Morse complex it eliminates.
 """
 
 from __future__ import annotations
@@ -39,6 +41,20 @@ def monomial_product(X, Y, K: SimplicialComplex):
     return shuffle_sign(X, Y), union
 
 
+class _Products(dict):
+    """(X, Y) -> monomial_product(X, Y, K), each pair computed once: a
+    merge table local to one `tor_ranks` call, shared by its differential
+    and its flow."""
+
+    def __init__(self, K: SimplicialComplex):
+        super().__init__()
+        self.K = K
+
+    def __missing__(self, pair: tuple):
+        product = self[pair] = monomial_product(*pair, self.K)
+        return product
+
+
 def bar_differential(w: tuple, K: SimplicialComplex) -> FormalChain:
     """Merge adjacent letters of the word w with bar signs; the terms are
     plain letter tuples.
@@ -47,21 +63,26 @@ def bar_differential(w: tuple, K: SimplicialComplex) -> FormalChain:
     a-bar = (-1)^(deg a + 1) a.  deg x_i = 1, so even-degree letters do
     flip sign under the bar.
     """
+    return _differential(w, _Products(K))
+
+
+def _differential(w: tuple, products: _Products) -> FormalChain:
+    """`bar_differential` of w, its products read from `products`."""
     result = FormalChain()
     bar_sign = 1  # product of (-1)^(deg a_j + 1) over j <= i
     for i in range(len(w) - 1):
         bar_sign *= -1 if (len(w[i]) + 1) % 2 else 1
-        term = _merge(w, i, bar_sign, K)
+        term = _merge(w, i, bar_sign, products)
         if term is not None:
             result.add_term(*term)
     return result
 
 
-def _merge(w: tuple, i: int, bar_sign: int, K: SimplicialComplex):
+def _merge(w: tuple, i: int, bar_sign: int, products: _Products):
     """The term (word, coefficient) of `bar_differential` that merges the
     letters i and i + 1 of w, or None when their product is zero;
     bar_sign is the product of (-1)^(deg a_j + 1) over j <= i."""
-    product = monomial_product(w[i], w[i + 1], K)
+    product = products[w[i], w[i + 1]]
     if product is None:
         return None
     sign, support = product
@@ -106,17 +127,19 @@ def tor_ranks(K: SimplicialComplex, coefficients="Z") -> HomologySummary:
     of `component_1_1` under the last-element matching, its roles flipped.
     """
     words, partner, _ = last_element_matching(K)
+    products = _Products(K)
     C = complex_from_boundary({K.m - d: cells for d, cells in words.items()},
-                              lambda w: bar_differential(w, K), _bar_flow(K, partner))
+                              lambda w: _differential(w, products),
+                              _bar_flow(K.m, partner, products))
     summary = homology(C, coefficients)
     return HomologySummary({-n: v for n, v in summary.data.items()})
 
 
-def _bar_flow(K: SimplicialComplex, partner):
-    """The gradient flow of the bar words under the last-element matching
-    `partner` with its roles flipped, for `complex_from_boundary`: the
-    (critical word, coefficient) pairs a word that is not critical
-    reaches.
+def _bar_flow(m: int, partner, products: _Products):
+    """The gradient flow of the bar words on [m] under the last-element
+    matching `partner` with its roles flipped, for `complex_from_boundary`:
+    the (critical word, coefficient) pairs a word that is not critical
+    reaches, each merge's product read from `products`.
 
     A word that `partner` pairs with a merge pairs down, and flows to 0.
     A word z with m in a letter of two or more follows the bar step of
@@ -126,13 +149,14 @@ def _bar_flow(K: SimplicialComplex, partner):
     unless it pairs down, and the merge of {m} and C goes on with -a
     times its coefficient.  Only those three merges of x are taken.
 
-    Nothing is memoised, because no path is followed twice.  A word (...,
+    No path is memoised, because none is followed twice; only the
+    products of letter pairs repeat.  A word (...,
     A, C u {m}, ...) is a term of the differential of one critical word,
     (..., A, {m}, C, ...), when A cannot take m or is not there, and
     otherwise a step of one path only, the one from (..., A u {m}, C,
     ...).
     """
-    last = (K.m,)
+    last = (m,)
 
     def flow(z):
         pair = partner(z)
@@ -150,12 +174,12 @@ def _bar_flow(K: SimplicialComplex, partner):
             # left out; that of B' is in the merges of B' and of {m}, and
             # that of {m} is 1.
             sign = -1 if (len(x[k]) + 1) % 2 else 1
-            a = _merge(x, k, sign, K)[1]
+            a = _merge(x, k, sign, products)[1]
             if k:
-                left = _merge(x, k - 1, 1, K)
+                left = _merge(x, k - 1, 1, products)
                 if left is not None and partner(left[0]) is None:
                     reached.append((left[0], -a * coeff * left[1]))
-            right = _merge(x, k + 1, sign, K) if k + 2 < len(x) else None
+            right = _merge(x, k + 1, sign, products) if k + 2 < len(x) else None
             if right is None:
                 return reached
             coeff *= -a * right[1]

@@ -32,28 +32,47 @@ from functools import lru_cache
 from .chains import FormalChain
 from .cubes import CubeCell, inversion_count
 from .permutohedron import PermComplex
-from .sumatrix import (columns_partition, enumerate_configurations, partition_sign,
-                       rows_partition, step_sign)
+from .sumatrix import partition_sign, signed_partitions, step_sign
 
 
 @lru_cache(maxsize=None)
 def _top_cell_terms(m: int) -> tuple:
     """Terms of the diagonal of the top cell of Perm^{m-1}: (sign, left
     blocks, right blocks), in canonical (q ascending, matrix lex) order:
-    the left blocks are c(A) and the right blocks r(A).  Each distinct
-    block is one object, shared by every term that holds it."""
-    terms = []
+    the sign is csgn(A, E), the left blocks are c(A) and the right blocks
+    r(A), for each q x p configuration matrix A, q + p = m + 1, reached
+    from the step matrix E.  Each distinct block is one object, shared by
+    every term that holds it.
+
+    One walk of each shape with q <= p gives the terms of two shapes, by
+    two exact facts that the sumatrix module docstring proves in full:
+    - Transposition.  A down shift at (i, j) is a right shift at (j, i) of
+      the transpose, with the same admissibility, and the monotonicity and
+      no-refill rules swap the same way, so closure(E^T) = closure(E)^T.
+      The columns of A^T are the rows of A and its rows the columns of A,
+      so the term of A^T is (csgn(A^T, E^T), r(A) reversed, c(A)
+      reversed), in the same block objects, ordered by the flat entries
+      of A^T.
+    - Carried sign.  A down shift of v from (i, j) leaves c(A) and the
+      step factor alone and moves v from row i to row i+1, adjacent blocks
+      of r(A) whose weights differ in parity, which flips the parity of
+      the sizes at odd weight; in the word of r(A) v passes the a entries
+      of row i left of j and the b of row i+1 right of j, so csgn is
+      multiplied by (-1)^{1+a+b}.  A right shift multiplies it by
+      (-1)^{1+c+d} with c the entries of column j below row i and d those
+      of column j+1 above it.  The walk carries csgn(A, E) and
+      csgn(A^T, E^T) from csgn(E, E) and csgn(E^T, E^T), each factor a
+      popcount of the occupancy against a mask built once per move, so
+      no partition is built to sign a term."""
+    terms, transposed = [], {}
     share = {}.setdefault  # block -> its one copy
     for q in range(1, m + 1):
         p = m - q + 1
-        step_signs = {}  # source step matrix -> its factor of csgn
-        for A, E in enumerate_configurations(q, p):
-            step = step_signs.get(E)
-            if step is None:
-                step = step_signs[E] = step_sign(q, columns_partition(E))
-            left, right = columns_partition(A), rows_partition(A)
-            left, right = tuple(map(share, left, left)), tuple(map(share, right, right))
-            terms.append((partition_sign(step, right, left), left, right))
+        if q > p:
+            terms += transposed.pop(q)
+        else:
+            shape, transposed[p] = signed_partitions(q, p, share)
+            terms += shape
     return tuple(terms)
 
 

@@ -1,6 +1,8 @@
 """Shared fixtures: the standard suite of simplicial complexes used by the
-intertwining and Tor-consistency tests, and a strategy drawing small
-complexes for property tests."""
+intertwining and Tor-consistency tests, a strategy drawing small
+complexes for property tests, and references read off the definitions:
+the Morse complex by pair elimination, and the shifts and closures of
+configuration matrices on row tuples."""
 
 import pytest
 from hypothesis import strategies as st
@@ -74,3 +76,63 @@ def reduce_pairs(C, pairs):
                 if z != x:
                     cobd[z].discard(cell)
     return bd
+
+
+def reference_shift(M, i, j, down):
+    """D_{i,j} or R_{i,j} read off the rule in matrix indices: move the
+    entry one row down (column right) into an empty cell when the target
+    row (column) stays increasing and the donor row (column) stays
+    nonempty."""
+    q, p = len(M), len(M[0])
+    v = M[i - 1][j - 1]
+    if down:
+        if v == 0 or i == q or M[i][j - 1]:
+            return M
+        line = [M[i][l - 1] for l in range(1, p + 1)]
+        at, donor = j, [M[i - 1][l - 1] for l in range(1, p + 1) if l != j]
+    else:
+        if v == 0 or j == p or M[i - 1][j]:
+            return M
+        line = [M[l - 1][j] for l in range(1, q + 1)]
+        at, donor = i, [M[l - 1][j - 1] for l in range(1, q + 1) if l != i]
+    if any(w >= v for w in line[:at - 1]) or any(0 < w < v for w in line[at:]):
+        return M
+    if not any(donor):
+        return M
+    rows = [list(row) for row in M]
+    rows[i - 1][j - 1] = 0
+    if down:
+        rows[i][j - 1] = v
+    else:
+        rows[i - 1][j] = v
+    return tuple(map(tuple, rows))
+
+
+def reference_closure(E):
+    """The configuration matrices reached from the step matrix E, read off
+    the definition: every sequence of admissible shifts whose down-shift
+    rows and right-shift columns never decrease, and that never moves an
+    entry into a cell an earlier shift of the sequence vacated.  A state
+    is (matrix, least down-shift row, least right-shift column, vacated
+    cells), 1-based."""
+    q, p = len(E), len(E[0])
+    start = (E, 1, 1, frozenset())
+    seen, stack = {start}, [start]
+    while stack:
+        M, low_i, low_j, vacated = stack.pop()
+        for i in range(1, q + 1):
+            for j in range(1, p + 1):
+                for down in (True, False):
+                    if i < low_i if down else j < low_j:
+                        continue
+                    if ((i + 1, j) if down else (i, j + 1)) in vacated:
+                        continue
+                    N = reference_shift(M, i, j, down)
+                    if N != M:
+                        state = (N, i if down else low_i, low_j if down else j,
+                                 vacated | {(i, j)})
+                        if state not in seen:
+                            seen.add(state)
+                            stack.append(state)
+    return {state[0] for state in seen}
+

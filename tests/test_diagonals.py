@@ -83,9 +83,10 @@ def test_top_cell_terms_digests():
 
 
 def test_top_cell_signs_are_csgn():
-    # the terms take each step matrix's factor of the sign once; csgn
-    # computes the whole sign of each configuration from its matrices
-    for m in range(1, 6):
+    # the walk carries csgn(A, E) and csgn(A^T, E^T) through each shift;
+    # csgn computes the whole sign of each configuration from its matrices,
+    # on the walked shapes and on their transposes alike
+    for m in range(1, 7):
         pairs = [pair for q in range(1, m + 1)
                  for pair in enumerate_configurations(q, m - q + 1)]
         assert [sign for sign, _, _ in _top_cell_terms(m)] == [csgn(A, E) for A, E in pairs]
@@ -198,7 +199,7 @@ def test_su_terms_are_the_terms_of_su_diagonal():
 
 
 def test_su_chain_map_small():
-    for m in (2, 3, 4, 5):
+    for m in (2, 3, 4, 5, 6):
         for G in all_faces(m):
             assert not chain_map_defect(G, su_diagonal, boundary, face_dim)
 

@@ -140,17 +140,27 @@ def test_non_interval_blocks_keep_no_su_term():
 def test_verify_su_cai_matches_the_full_expansion_on_a_wrong_su_sign(monkeypatch):
     # the sign of the top-cell term F(1|2) (x) F(12) flipped where both the
     # full expansion and the kept terms read it, so the factor of every
-    # two-element block carries it, for the pruned and the full check alike
-    real = diagonals.partition_sign
+    # two-element block carries it, for the pruned and the full check
+    # alike: the full expansion takes its signs from the walk, through
+    # signed_partitions, and kept_top_terms from partition_sign
+    real_sign, real_partitions = diagonals.partition_sign, diagonals.signed_partitions
 
     def wrong(step, rA, cA):
-        sign = real(step, rA, cA)
+        sign = real_sign(step, rA, cA)
         return -sign if (rA, cA) == (((1, 2),), ((1,), (2,))) else sign
+
+    def flipped(terms):
+        return [(-sign if (left, right) == (((1,), (2,)), ((1, 2),)) else sign, left, right)
+                for sign, left, right in terms]
+
+    def wrong_partitions(q, p, share):
+        return tuple(map(flipped, real_partitions(q, p, share)))
 
     caches = (diagonals._top_cell_terms, diagonals._block_terms)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(diagonals, "partition_sign", wrong)
+    monkeypatch.setattr(diagonals, "signed_partitions", wrong_partitions)
     try:
         report = verify_su_cai(5)
         assert not report["passed"]

@@ -4,12 +4,14 @@ import re
 
 import pytest
 
-from permcomplex import sumatrix
+from permcomplex import diagonals, sumatrix
 from permcomplex.sumatrix import (
     ConfigurationAmbiguityError,
-    _closure,
+    _decode,
     _from_flat,
     _step_tuples,
+    _transpose,
+    _walk,
     columns_partition,
     csgn,
     down_shift,
@@ -20,8 +22,9 @@ from permcomplex.sumatrix import (
     matrix,
     right_shift,
     rows_partition,
-    step_sign,
 )
+
+from conftest import reference_closure, reference_shift
 
 
 def test_is_ordered():
@@ -92,36 +95,6 @@ def test_step_matrices_match_brute_force():
             assert set(enumerate_step_matrices(q, p)) == _brute_force_step_matrices(q, p)
 
 
-def _reference_shift(M, i, j, down):
-    """D_{i,j} or R_{i,j} read off the rule in matrix indices: move the
-    entry one row down (column right) into an empty cell when the target
-    row (column) stays increasing and the donor row (column) stays
-    nonempty."""
-    q, p = len(M), len(M[0])
-    v = M[i - 1][j - 1]
-    if down:
-        if v == 0 or i == q or M[i][j - 1]:
-            return M
-        line = [M[i][l - 1] for l in range(1, p + 1)]
-        at, donor = j, [M[i - 1][l - 1] for l in range(1, p + 1) if l != j]
-    else:
-        if v == 0 or j == p or M[i - 1][j]:
-            return M
-        line = [M[l - 1][j] for l in range(1, q + 1)]
-        at, donor = i, [M[l - 1][j - 1] for l in range(1, q + 1) if l != i]
-    if any(w >= v for w in line[:at - 1]) or any(0 < w < v for w in line[at:]):
-        return M
-    if not any(donor):
-        return M
-    rows = [list(row) for row in M]
-    rows[i - 1][j - 1] = 0
-    if down:
-        rows[i][j - 1] = v
-    else:
-        rows[i - 1][j] = v
-    return matrix(rows)
-
-
 def test_shifts_match_reference_rule():
     # every ordered matrix of these shapes, every cell, both directions
     for q, p in [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]:
@@ -135,8 +108,8 @@ def test_shifts_match_reference_rule():
                 continue
             for i in range(1, q + 1):
                 for j in range(1, p + 1):
-                    assert down_shift(M, i, j) == _reference_shift(M, i, j, True)
-                    assert right_shift(M, i, j) == _reference_shift(M, i, j, False)
+                    assert down_shift(M, i, j) == reference_shift(M, i, j, True)
+                    assert right_shift(M, i, j) == reference_shift(M, i, j, False)
 
 
 def test_down_shift_basic():
@@ -201,18 +174,48 @@ def test_known_multi_source_configuration_sign_agrees():
     assert sources == [target]
 
 
+def _injected(monkeypatch, q, p, pick):
+    """Hand the walk of the q x p shape one more source: a configuration
+    matrix A of a step matrix E, the first pair that `pick(A, E)`
+    accepts.  The walk from E reaches A with csgn(A, E), the one from A
+    with csgn(A, A).  Returns (A, E)."""
+    A, E = next((A, E) for A, E in enumerate_configurations(q, p) if A != E and pick(A, E))
+    steps = _step_tuples(q, p) + (sum(A, ()),)
+    monkeypatch.setattr(sumatrix, "_step_tuples",
+                        lambda *shape: steps if shape == (q, p) else _step_tuples(*shape))
+    return A, E
+
+
+def _transposed_sign_differs(A, E):
+    T, S = _transpose(A), _transpose(E)
+    return csgn(T, T) != csgn(T, S)
+
+
 def test_conflicting_sources_raise_naming_both(monkeypatch):
-    # no configuration matrix is reached from two step matrices, so make
-    # every step matrix reach the first one; the first whose factor of
-    # csgn differs from the first one's must be named with it
-    first, *rest = _step_tuples(2, 2)
-    monkeypatch.setattr(sumatrix, "_closure", lambda q, p, E: {first})
-    sign = {E: step_sign(2, columns_partition(_from_flat(E, 2))) for E in _step_tuples(2, 2)}
-    second = next(E for E in rest if sign[E] != sign[first])
-    A, E1, E2 = (_from_flat(E, 2) for E in (first, first, second))
-    message = f"{A} derived from {E1} and {E2} with conflicting signs"
+    # no configuration matrix is reached from two step matrices, so give
+    # the walk of 3 x 3 a source that reaches a matrix of another with a
+    # different sign; the error names the matrix and both sources, from
+    # the enumeration and from the top-cell terms
+    A, E = _injected(monkeypatch, 3, 3, lambda A, E: csgn(A, A) != csgn(A, E))
+    message = f"{A} derived from {E} and {A} with conflicting signs"
     with pytest.raises(ConfigurationAmbiguityError, match=re.escape(message)):
-        sumatrix.enumerate_configurations.__wrapped__(2, 2)
+        sumatrix.enumerate_configurations.__wrapped__(3, 3)
+    with pytest.raises(ConfigurationAmbiguityError, match=re.escape(message)):
+        diagonals._top_cell_terms.__wrapped__(5)
+
+
+def test_conflicting_transposed_sources_raise_naming_both(monkeypatch):
+    # the 3 x 2 matrices are the transposes of the walk of 2 x 3: sources
+    # whose signs agree on A but not on A^T must still raise, naming the
+    # 3 x 2 matrices
+    A, E = _injected(monkeypatch, 2, 3, lambda A, E: csgn(A, A) == csgn(A, E)
+                     and _transposed_sign_differs(A, E))
+    T, S = _transpose(A), _transpose(E)
+    message = f"{T} derived from {S} and {T} with conflicting signs"
+    with pytest.raises(ConfigurationAmbiguityError, match=re.escape(message)):
+        sumatrix.enumerate_configurations.__wrapped__(3, 2)
+    with pytest.raises(ConfigurationAmbiguityError, match=re.escape(message)):
+        diagonals._top_cell_terms.__wrapped__(4)
 
 
 def test_step_configurations_are_disjoint():
@@ -221,10 +224,30 @@ def test_step_configurations_are_disjoint():
     for m in range(1, 7):
         for q in range(1, m + 1):
             p = m + 1 - q
-            closures = [_closure(q, p, E) for E in _step_tuples(q, p)]
+            closures = [_walk(q, p, (E,)) for E in _step_tuples(q, p)]
             union = set().union(*closures)
             assert sum(map(len, closures)) == len(union)
             assert len(union) == len(enumerate_configurations(q, p))
+
+
+def test_closure_of_the_transpose_is_the_transpose():
+    # closure(E^T) = closure(E)^T, by the reference closure read off the
+    # definition, so the walk runs only the shapes with q <= p: each of
+    # its closures is the reference one, and the pairs of a shape with
+    # q > p are the transposes, each under its own source
+    for m in range(1, 7):
+        for q in range(1, (m + 1) // 2 + 1):
+            p = m + 1 - q
+            transposed = {}
+            for E in _step_tuples(q, p):
+                M = _from_flat(E, p)
+                closure = reference_closure(M)
+                assert {_decode(code, q, p) for code in _walk(q, p, (E,))} == closure
+                transposed[_transpose(M)] = reference_closure(_transpose(M))
+                assert transposed[_transpose(M)] == set(map(_transpose, closure))
+            pairs = enumerate_configurations(p, q)
+            assert len(pairs) == sum(map(len, transposed.values()))
+            assert all(A in transposed[E] for A, E in pairs)
 
 
 def test_row_and_column_partitions():
