@@ -16,11 +16,12 @@ that splits {m} off, and m's letter moves strictly right along every
 gradient path, so the matching is acyclic.  `_bar_flow` follows a path
 one letter at a time, taking at each step only the merges that can
 matter, through `_merge`, the code of `bar_differential`; the
-differential and the flow of one `tor_ranks` call read the products of
-letter pairs from one table, `_Products`, which computes each pair once
-with the bar route's own `shuffle_sign`.  It never takes the cellular
-boundary, so the bar route stays a check on the cellular one, and
-`homology` checks d o d on the Morse complex it eliminates.
+differential and the flow of one `tor_ranks` call, and the differential
+of one `component_1_1` call, read the products of letter pairs from one
+table, `_Products`, which computes each pair once with the bar route's
+own `shuffle_sign`.  It never takes the cellular boundary, so the bar
+route stays a check on the cellular one, and `homology` checks d o d on
+the Morse complex it eliminates.
 """
 
 from __future__ import annotations
@@ -95,22 +96,17 @@ def _words_by_count(K: SimplicialComplex) -> dict:
     return partitions_by_count(range(1, K.m + 1), K.simplices.__contains__)
 
 
-def component_words(K: SimplicialComplex, n: int) -> list:
-    """Basis of the (1,...,1) component in bar degree -n: ordered
-    partitions of [m] into n simplices of K, as letter tuples."""
-    return _words_by_count(K).get(n, [])
-
-
 def component_1_1(K: SimplicialComplex) -> ChainComplexData:
     """Chain complex of the (1,...,1) component.
 
     Graded here by the number of letters n (so the container differential
     lowers the degree); bar degree is -n.  The words of every degree come
-    from one enumeration.
+    from one enumeration, and their differentials from one merge table.
     """
     by_count = _words_by_count(K)
     cells = {n: by_count.get(n, []) for n in range(1, K.m + 1)}
-    return complex_from_boundary(cells, lambda w: bar_differential(w, K))
+    products = _Products(K)
+    return complex_from_boundary(cells, lambda w: _differential(w, products))
 
 
 def phi_inverse(w: tuple, m: int) -> tuple:

@@ -73,12 +73,3 @@ class FormalChain:
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else text
 
-
-def tensor(left: FormalChain, right: FormalChain, sign=1) -> FormalChain:
-    """Tensor product of chains; labels of the result are (left, right)
-    pairs."""
-    result = FormalChain()
-    for a, ca in left:
-        for b, cb in right:
-            result.add_term((a, b), sign * ca * cb)
-    return result

@@ -3,9 +3,7 @@
 The subcommands are one table, COMMANDS: name, handler, help line and
 options.  _scan reads a well-formed command line straight off it.  Only
 to word a usage error or to print help does main build argparse, with
-build_parser: the parser of only the command a run names, every other
-command a choice and a help line alone, so help, usage and error texts
-are those of the whole parser.
+build_parser, the whole parser.
 
 Every subcommand emits a JSON report to stdout (or --out) of the form
 {"command", "input_digest", "checks", "payload"}.  Exit codes: 0 all
@@ -379,30 +377,12 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The `perm` parser for the tokens argv, which it does not parse.
+def build_parser() -> argparse.ArgumentParser:
+    """The `perm` parser, every command a subparser with its options.
 
     main builds it only when _scan cannot read argv, to word a usage
-    error or print help, so its texts are the ones a user sees.  Every
-    command is a choice, with its help line, so the usage, help and error
-    texts are those of the parser holding them all.  But only the
-    commands named among the tokens get a parser of their own (every
-    command when none is named, so build_parser() is the whole parser):
-    argparse runs only the parser of the token that names the command, so
-    no other is reached.
+    error or print help, so its texts are the ones a user sees.
     """
-    built = set(COMMANDS).intersection(argv) or COMMANDS
-
-    def command_parser(command, **kwargs):
-        if command not in built:
-            return None
-        fn, _, options = COMMANDS[command]
-        parser = _Parser(**kwargs)
-        parser.set_defaults(fn=fn)
-        for flag, keywords in options:
-            parser.add_argument(flag, **keywords)
-        return parser
-
     parser = _Parser(
         prog="perm",
         description="Permutohedral complexes, their (co)homology, and the "
@@ -410,10 +390,12 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--timing", action="store_true",
                         help="attach wall-clock timing to the report")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=command_parser)
-    for name, (_, help_line, _) in COMMANDS.items():
-        sub.add_parser(name, help=help_line, command=name)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, help_line, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        command.set_defaults(fn=fn)
+        for flag, keywords in options:
+            command.add_argument(flag, **keywords)
     return parser
 
 
@@ -423,7 +405,7 @@ def main(argv=None) -> int:
     report = {"command": None, "input_digest": None, "checks": [],
               "payload": None}
     try:
-        args = _scan(argv) or build_parser(argv).parse_args(argv)
+        args = _scan(argv) or build_parser().parse_args(argv)
         report["command"] = [args.command]
         try:
             out = open(args.out, "w") if args.out else nullcontext(sys.stdout)

@@ -16,12 +16,11 @@ interleaves the renamed kept terms over the interval faces alone.
 over (left, right) pairs of faces, as `cai_diagonal` collects the cube
 diagonal's terms as pairs of CubeCell; `cai_terms` gives those terms as
 (sigma, tau) keys, which `verify_su_cai` reads with no cell built.  The
-boundary on tensors is d(a (x) b) = da (x) b +
-(-1)^dim(a) a (x) db, with dim a function the caller passes
-(`permutohedron.face_dim` for faces, a cell's `dim` for cube cells); the
-comultiplicative extension interleaves per-block factors with the
-matching Koszul sign, which is what makes the chain-map identities
-close.
+comultiplicative extension interleaves per-block factors with the Koszul
+sign, which is what makes the SU diagonal a chain map for the boundary
+on tensors, d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db, as the Cai
+diagonal is.  Both chain-map identities and the counit are checked in
+the tests, by oracles of their own in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -223,48 +222,6 @@ def cai_diagonal(c: CubeCell) -> FormalChain:
     for left, right, sign in cai_terms(c.sigma, c.tau):
         result.add_term((CubeCell(c.m, *left), CubeCell(c.m, *right)), sign)
     return result
-
-
-# ---------------------------------------------------------------------------
-# chain-level identities
-
-def tensor_boundary(chain: FormalChain, boundary_fn, dim) -> FormalChain:
-    """Boundary of a chain of (left, right) pairs; `dim` gives the
-    dimension of a left factor."""
-    result = FormalChain()
-    for (a, b), coeff in chain:
-        for a2, c2 in boundary_fn(a):
-            result.add_term((a2, b), coeff * c2)
-        sign = -1 if dim(a) % 2 else 1
-        for b2, c2 in boundary_fn(b):
-            result.add_term((a, b2), coeff * sign * c2)
-    return result
-
-
-def chain_map_defect(cell, diagonal_fn, boundary_fn, dim) -> FormalChain:
-    """diagonal(boundary) - boundary(diagonal); zero iff the diagonal is a
-    chain map at this cell.  `dim` gives the dimension of a cell."""
-    lhs = FormalChain()
-    for c2, coeff in boundary_fn(cell):
-        for label, c3 in diagonal_fn(c2):
-            lhs.add_term(label, coeff * c3)
-    rhs = tensor_boundary(diagonal_fn(cell), boundary_fn, dim)
-    return lhs - rhs
-
-
-def counit_defect(cell, diagonal_fn, dim) -> FormalChain:
-    """Collapse each tensor factor through the augmentation (vertices to 1);
-    both collapses must return the original cell.  `dim` gives the
-    dimension of a cell."""
-    left_collapse = FormalChain()
-    right_collapse = FormalChain()
-    for (a, b), coeff in diagonal_fn(cell):
-        if dim(a) == 0:
-            left_collapse.add_term(b, coeff)
-        if dim(b) == 0:
-            right_collapse.add_term(a, coeff)
-    original = FormalChain.basis(cell)
-    return (left_collapse - original) + (right_collapse - original)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
 """Integer chain complexes, Smith normal form, and (co)homology.
 
-All linear algebra is exact: Python integers for elimination and Smith
-normal form, Fractions only transiently when inverting unimodular
-matrices.  A chain complex holds each boundary matrix as sparse columns,
-one {row index: nonzero coefficient} dict per column, from assembly
-through the d o d check to elimination.  `homology` reduces the boundary
-matrices from the top degree down by sparse unit-pivot elimination and
-runs the dense Smith normal form only on the block that has no unit
-pivot.  Before it reduces D_d it drops the columns at the unit pivot rows
-of D_{d+1} (clearing, the "twist" of Chen and Kerber): D_{d+1} is
-unimodular on those rows and its pivot columns, so modulo boundaries each
-such basis element is an integer chain on the others, and D_d D_{d+1} = 0
-puts its column of D_d in the span of the columns that stay.  Candidate
+All linear algebra is exact, in Python integers throughout.  A chain
+complex holds each boundary matrix as sparse columns, one {row index:
+nonzero coefficient} dict per column, from assembly through the d o d
+check to elimination.  `homology` reduces the boundary matrices from the
+top degree down by sparse unit-pivot elimination and runs the dense
+Smith normal form only on the block that has no unit pivot.  Before it
+reduces D_d it drops the columns at the unit pivot rows of D_{d+1}
+(clearing, the "twist" of Chen and Kerber): D_{d+1} is unimodular on
+those rows and its pivot columns, so modulo boundaries each such basis
+element is an integer chain on the others, and D_d D_{d+1} = 0 puts its
+column of D_d in the span of the columns that stay.  Candidate
 pivots wait in a heap keyed by Markowitz cost; a key is checked and, if
 the cost has risen, renewed only when its entry reaches the top, so no
 step rescans the matrix.  Dense matrices (lists of rows) appear only at
@@ -34,7 +33,6 @@ library jobs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 
@@ -50,35 +48,6 @@ def zeros(rows: int, cols: int) -> list:
 
 def identity(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-def transpose(M: list) -> list:
-    return [list(col) for col in zip(*M)] if M else []
-
-def mat_mult(A: list, B: list) -> list:
-    if not A or not B:
-        return []
-    n, k, p = len(A), len(B), len(B[0])
-    Bt = transpose(B)
-    return [[sum(A[i][t] * Bt[j][t] for t in range(k)) for j in range(p)]
-            for i in range(n)]
-
-def integer_inverse(U: list) -> list:
-    """Inverse of a unimodular integer matrix (exact, via Fractions)."""
-    n = len(U)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(U)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    inv = [[x for x in row[n:]] for row in aug]
-    assert all(x.denominator == 1 for row in inv for x in row)
-    return [[int(x) for x in row] for row in inv]
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +292,8 @@ class ChainComplexData:
     {row index: nonzero coefficient} dict per degree-d basis element, the
     row indices into the degree-(d-1) basis.  The constructor also takes a
     matrix as a dense list of len(basis[d-1]) rows.  Degrees may be
-    negative (used for cochain duals, where degree -q holds the
-    q-cochains).
+    negative (a cochain complex holds the q-cochains in degree -q, as
+    `cubes.cochain_complex` builds it).
     """
 
     def __init__(self, basis: dict, diff: dict):
@@ -430,23 +399,6 @@ def complex_from_boundary(cells_by_dim: dict, boundary_fn, flow=None) -> ChainCo
     return C
 
 
-def cochain_dual(C: ChainComplexData) -> ChainComplexData:
-    """Transpose of a chain complex, regraded so that degree -q carries the
-    q-cochains; homology of the result at -q is H^q."""
-    basis = {-d: [("dual", label) for label in labels]
-             for d, labels in C.basis.items()}
-    diff = {}
-    for q in C.degrees:
-        # d on q-cochains is the transpose of the boundary out of q+1
-        if C.dim(q + 1) and C.dim(q):
-            columns = [{} for _ in range(C.dim(q))]
-            for j, column in enumerate(C.cols.get(q + 1, ())):
-                for i, v in column.items():
-                    columns[i][j] = v
-            diff[-q] = columns
-    return ChainComplexData(basis, diff)
-
-
 class HomologySummary:
     """Per-degree free rank and torsion coefficients."""
 
@@ -520,56 +472,3 @@ def homology(C: ChainComplexData, coefficients="Z") -> HomologySummary:
         data[d] = (C.dim(d) - out_rank - len(in_factors), torsion)
     return HomologySummary(data)
 
-
-def homology_generators(C: ChainComplexData, d: int):
-    """Representatives of the free part of H_d, plus a coordinate map.
-
-    Returns (gens, coords): `gens` are integer vectors in the degree-d
-    basis; `coords(v)` maps a cycle vector to its class coordinates in
-    that free basis (well defined modulo boundaries and torsion).
-    """
-    n = C.dim(d)
-    A = C.matrix(d)       # out of degree d
-    B = C.matrix(d + 1)   # into degree d
-    if C.dim(d - 1) == 0:
-        kernel_cols = identity(n)
-        kernel_idx = list(range(n))
-        Tinv = identity(n)
-        T = identity(n)
-    else:
-        _, D, T = smith_normal_form(A)
-        kernel_idx = [j for j in range(n)
-                      if all(D[i][j] == 0 for i in range(len(D)))]
-        Tinv = integer_inverse(T)
-        kernel_cols = [[T[i][j] for j in kernel_idx] for i in range(n)]
-    z = len(kernel_idx)
-
-    # image of B, written in kernel coordinates
-    if C.dim(d + 1):
-        full = mat_mult(Tinv, B)
-        X = [full[i] for i in kernel_idx]
-    else:
-        X = zeros(z, 0)
-    Sx, Dx, _ = smith_normal_form(X) if z else ([], [], [])
-    r = sum(1 for i in range(min(len(Dx), len(Dx[0]) if Dx else 0))
-            if Dx[i][i] != 0)
-    free_idx = [i for i in range(z) if i >= r]
-    Sx_inv = integer_inverse(Sx) if z else []
-
-    gens = []
-    for i in free_idx:
-        col = [Sx_inv[row][i] for row in range(z)]
-        vec = [sum(kernel_cols[row][t] * col[t] for t in range(z))
-               for row in range(n)]
-        gens.append(vec)
-
-    def coords(v: list) -> tuple:
-        full = [sum(Tinv[i][j] * v[j] for j in range(n)) for i in range(n)]
-        for i in range(n):
-            if i not in kernel_idx and full[i] != 0:
-                raise ValueError("vector is not a cycle")
-        xk = [full[i] for i in kernel_idx]
-        y = [sum(Sx[i][t] * xk[t] for t in range(z)) for i in range(z)]
-        return tuple(y[i] for i in free_idx)
-
-    return gens, coords

@@ -64,10 +64,6 @@ def face(m: int, *blocks) -> tuple:
     return blocks
 
 
-def top_face(m: int) -> tuple:
-    return (tuple(range(1, m + 1)),)
-
-
 def shuffle_sign(M, N) -> int:
     """Sign of the permutation rearranging sorted(M u N) into M followed by N.
 
@@ -107,36 +103,6 @@ def partitions_by_count(elements, block_ok=None) -> dict:
                     out += [first + tail for tail in tails]
         table.append(by_count)
     return table[-1]
-
-
-def enumerate_faces(m: int, dim: int) -> list:
-    """All faces of Perm^{m-1} of the given dimension, in lexicographic
-    block order."""
-    if not 0 <= dim <= m - 1:
-        raise ValueError(f"dim {dim} out of range [0, {m - 1}]")
-    return partitions_by_count(range(1, m + 1))[m - dim]
-
-
-def all_faces(m: int) -> list:
-    """All faces of Perm^{m-1} in basis order: by dimension, then in
-    lexicographic block order."""
-    return full_permutohedron(m).all()
-
-
-def refines(G: tuple, F: tuple) -> bool:
-    """True iff the blocks of G split those of F into consecutive runs,
-    preserving order."""
-    if sum(map(len, G)) != sum(map(len, F)):
-        raise ValueError("faces live on different ground sets")
-    i = 0
-    for block in F:
-        acc = set()
-        while acc != set(block):
-            if i >= len(G) or not set(G[i]) <= set(block):
-                return False
-            acc.update(G[i])
-            i += 1
-    return i == len(G)
 
 
 @lru_cache(maxsize=None)
@@ -378,12 +344,6 @@ def vertex_coordinates(F: tuple) -> tuple:
     for j, block in enumerate(F, start=1):
         coords[block[0] - 1] = j
     return tuple(coords)
-
-
-def face_vertices(F: tuple) -> list:
-    """All vertex faces refining F."""
-    return [tuple((i,) for ordering in orderings for i in ordering)
-            for orderings in itertools.product(*map(itertools.permutations, F))]
 
 
 def face_from_json(data, m: int | None = None) -> tuple:

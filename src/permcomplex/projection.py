@@ -1,6 +1,5 @@
-"""Projection from the permutohedron to the cube, snake detection, and
-the machine checks tying the two diagonals together.  Snakes are read off
-a configuration matrix as `sumatrix` gives it, a tuple of row tuples.
+"""Projection from the permutohedron to the cube, and the machine checks
+tying the two diagonals together.
 
 The face rule sends F(U_1|...|U_p) on [m] to the cube cell in I^{m-1}
 with interval coordinates {i : i, i+1 share a block} and +1 coordinates
@@ -15,9 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .chains import FormalChain
 from .cubes import CubeCell, all_cells, subsets
 from .diagonals import _renamed, cai_terms, interleave, kept_top_terms
 from .permutohedron import build_perm_complex, face_label, partitions_by_count
@@ -62,100 +59,6 @@ def rho_sign(F: tuple) -> int:
             for k in range(j + 1, len(F))
             if mins[j] > mins[k])
     return -1 if e % 2 else 1
-
-
-def rho_chain(chain: FormalChain) -> FormalChain:
-    """Induced chain map: faces whose dimension drops are sent to zero,
-    the rest to their image cell with the orientation sign."""
-    result = FormalChain()
-    for F, coeff in chain:
-        if blocks_are_intervals(F):
-            result.add_term(rho_face(F), coeff * rho_sign(F))
-    return result
-
-
-# ---------------------------------------------------------------------------
-# snakes
-
-@dataclass(frozen=True)
-class SnakeStructure:
-    values: tuple       # the consecutive run of entries, in order
-    nodes: tuple        # values where the direction turns
-    segments: tuple     # ("row"|"col", values) pieces, alternating
-    continuous: bool
-
-
-def _positions(M: tuple) -> dict:
-    """value -> (i, j), 1-based, for the nonzero entries of M."""
-    return {v: (i, j)
-            for i, row in enumerate(M, 1)
-            for j, v in enumerate(row, 1) if v}
-
-
-def _snake_run(M: tuple, lo: int, hi: int, first: str):
-    pos = _positions(M)
-    values = list(range(lo, hi + 1))
-    if any(v not in pos for v in values):
-        return None
-    if lo == hi:
-        seg = ((first, (lo,)),)
-        return SnakeStructure((lo,), (lo,), seg, _continuous(pos, [lo]))
-    segments = []
-    nodes = [lo]
-    orient = first
-    start = lo
-    v = lo
-    while v < hi:
-        axis = 0 if orient == "row" else 1
-        if pos[v + 1][axis] != pos[v][axis]:
-            if v == start:  # segments must have at least two elements
-                return None
-            nodes.append(v)
-            segments.append((orient, tuple(range(start, v + 1))))
-            orient = "col" if orient == "row" else "row"
-            start = v
-        else:
-            v += 1
-    segments.append((orient, tuple(range(start, hi + 1))))
-    nodes.append(hi)
-    return SnakeStructure(tuple(values), tuple(nodes), tuple(segments),
-                          _continuous(pos, values))
-
-
-def _continuous(pos: dict, values) -> bool:
-    """Same-row elements in consecutive columns and same-column elements
-    in consecutive rows, for entries at the positions `pos`."""
-    rows, cols = {}, {}
-    for v in values:
-        i, j = pos[v]
-        rows.setdefault(i, []).append(j)
-        cols.setdefault(j, []).append(i)
-    for js in rows.values():
-        js.sort()
-        if js != list(range(js[0], js[-1] + 1)):
-            return False
-    for is_ in cols.values():
-        is_.sort()
-        if is_ != list(range(is_[0], is_[-1] + 1)):
-            return False
-    return True
-
-
-def snake_run(M: tuple, lo: int, hi: int):
-    """SnakeStructure for the entries lo..hi, or None if they do not form
-    a snake."""
-    for first in ("row", "col"):
-        snake = _snake_run(M, lo, hi, first)
-        if snake is not None:
-            return snake
-    return None
-
-
-def detect_snake(M: tuple):
-    """The snake formed by ALL nonzero entries of the matrix M (a tuple of
-    row tuples), or None.  The returned structure's `continuous` flag
-    records whether the run segments occupy consecutive rows and columns."""
-    return snake_run(M, 1, len(M) + len(M[0]) - 1)
 
 
 # ---------------------------------------------------------------------------

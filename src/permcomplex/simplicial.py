@@ -131,10 +131,6 @@ def polygon_boundary(vertex_cycle) -> SimplicialComplex:
     return from_facets(n, edges)
 
 
-def two_points() -> SimplicialComplex:
-    return from_facets(2, [])
-
-
 def random_complex(m: int, rng: random.Random) -> SimplicialComplex:
     """A random complex on [m]: each subset of size >= 2 is proposed as a
     facet with probability 1/2 (closure fixes the rest)."""

@@ -66,11 +66,6 @@ import itertools
 from functools import lru_cache
 
 
-def matrix(rows) -> tuple:
-    """The matrix with the given rows, as a tuple of row tuples."""
-    return tuple(map(tuple, rows))
-
-
 def _from_flat(flat: tuple, p: int) -> tuple:
     """The matrix with p columns whose row-major entries are `flat`."""
     return tuple(zip(*[iter(flat)] * p))
@@ -78,39 +73,6 @@ def _from_flat(flat: tuple, p: int) -> tuple:
 
 def _transpose(M: tuple) -> tuple:
     return tuple(zip(*M))
-
-
-def is_ordered(M: tuple) -> bool:
-    values = sorted(v for row in M for v in row if v)
-    if values != list(range(1, len(M) + len(M[0]))):
-        return False
-    for row in M:
-        nz = [v for v in row if v]
-        if not nz or nz != sorted(nz):
-            return False
-    for col in zip(*M):
-        nz = [v for v in col if v]
-        if not nz or nz != sorted(nz):
-            return False
-    return True
-
-
-def is_step(M: tuple) -> bool:
-    """Ordered, with consecutive nonzero runs in rows/columns and exactly
-    one nonzero entry per diagonal j - i = const."""
-    if not is_ordered(M):
-        return False
-    for row in M:
-        support = [j for j, v in enumerate(row) if v]
-        if support != list(range(support[0], support[-1] + 1)):
-            return False
-    for col in zip(*M):
-        support = [i for i, v in enumerate(col) if v]
-        if support != list(range(support[0], support[-1] + 1)):
-            return False
-    diagonals = [j - i for (i, row) in enumerate(M)
-                 for (j, v) in enumerate(row) if v]
-    return sorted(diagonals) == list(range(1 - len(M), len(M[0])))
 
 
 def columns_partition(M: tuple) -> tuple:
@@ -220,27 +182,6 @@ def _decode(code: int, q: int, p: int) -> tuple:
     return _from_flat(tuple(code >> W * k & (1 << W) - 1 for k in range(q * p - 1, -1, -1)), p)
 
 
-def _shift_at(M: tuple, i: int, j: int, down: bool) -> tuple:
-    q, p = len(M), len(M[0])
-    W, _, downs, rights, _, _ = _moves(q, p)
-    move = (downs if down else rights)[q * p - ((i - 1) * p + j - 1)]
-    if move is None:
-        return M
-    shifted = _shifted(_code(M, W), _occupancy(M), move, W)
-    return M if shifted is None else _decode(shifted[1], q, p)
-
-
-def down_shift(M: tuple, i: int, j: int) -> tuple:
-    """D_{i,j}: move the entry at (i, j) one row down when admissible,
-    otherwise return M unchanged."""
-    return _shift_at(M, i, j, True)
-
-
-def right_shift(M: tuple, i: int, j: int) -> tuple:
-    """R_{i,j}: move the entry at (i, j) one column right when admissible."""
-    return _shift_at(M, i, j, False)
-
-
 @lru_cache(maxsize=None)
 def _steps(m: int) -> tuple:
     """The flat step matrices with q + p - 1 = m, one tuple for each q.
@@ -270,11 +211,6 @@ def _steps(m: int) -> tuple:
 def _step_tuples(q: int, p: int) -> tuple:
     """The flat q x p step matrices."""
     return _steps(q + p - 1)[q - 1]
-
-
-def enumerate_step_matrices(q: int, p: int) -> list:
-    """All q x p step matrices."""
-    return [_from_flat(E, p) for E in _step_tuples(q, p)]
 
 
 class ConfigurationAmbiguityError(RuntimeError):

@@ -1,13 +1,25 @@
 """Shared fixtures: the standard suite of simplicial complexes used by the
 intertwining and Tor-consistency tests, a strategy drawing small
 complexes for property tests, and references read off the definitions:
-the Morse complex by pair elimination, and the shifts and closures of
-configuration matrices on row tuples."""
+the Morse complex by pair elimination, the shifts and closures of
+configuration matrices on row tuples, and the oracles the paper's
+criteria are checked against (homology generators and the torus cup
+pairing, the cochain dual, the chain-map and counit defects of a
+diagonal, the induced chain map of the projection, the vertices of a
+face, ordered and step matrices, and snakes)."""
+
+import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from permcomplex import simplicial
+from permcomplex.chains import FormalChain
+from permcomplex.cubes import build_rmac, cochain_complex, cup_whitney, pair
+from permcomplex.homology import ChainComplexData, identity, smith_normal_form, zeros
+from permcomplex.projection import blocks_are_intervals, rho_face, rho_sign
+from permcomplex.sumatrix import _from_flat, _step_tuples
 
 
 def standard_suite():
@@ -136,3 +148,239 @@ def reference_closure(E):
                             stack.append(state)
     return {state[0] for state in seen}
 
+
+# ---------------------------------------------------------------------------
+# homology generators, the cochain dual and the torus cup pairing
+
+def integer_inverse(U: list) -> list:
+    """Inverse of a unimodular integer matrix (exact, via Fractions)."""
+    n = len(U)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(U)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    inv = [[x for x in row[n:]] for row in aug]
+    assert all(x.denominator == 1 for row in inv for x in row)
+    return [[int(x) for x in row] for row in inv]
+
+
+def homology_generators(C: ChainComplexData, d: int):
+    """Representatives of the free part of H_d, plus a coordinate map.
+
+    Returns (gens, coords): `gens` are integer vectors in the degree-d
+    basis; `coords(v)` maps a cycle vector to its class coordinates in
+    that free basis (well defined modulo boundaries and torsion).
+    """
+    n = C.dim(d)
+    A = C.matrix(d)       # out of degree d
+    B = C.matrix(d + 1)   # into degree d
+    if C.dim(d - 1) == 0:
+        kernel_cols = identity(n)
+        kernel_idx = list(range(n))
+        Tinv = identity(n)
+        T = identity(n)
+    else:
+        _, D, T = smith_normal_form(A)
+        kernel_idx = [j for j in range(n)
+                      if all(D[i][j] == 0 for i in range(len(D)))]
+        Tinv = integer_inverse(T)
+        kernel_cols = [[T[i][j] for j in kernel_idx] for i in range(n)]
+    z = len(kernel_idx)
+
+    # image of B, written in kernel coordinates
+    if C.dim(d + 1):
+        full = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+                for row in Tinv]
+        X = [full[i] for i in kernel_idx]
+    else:
+        X = zeros(z, 0)
+    Sx, Dx, _ = smith_normal_form(X) if z else ([], [], [])
+    r = sum(1 for i in range(min(len(Dx), len(Dx[0]) if Dx else 0))
+            if Dx[i][i] != 0)
+    free_idx = [i for i in range(z) if i >= r]
+    Sx_inv = integer_inverse(Sx) if z else []
+
+    gens = []
+    for i in free_idx:
+        col = [Sx_inv[row][i] for row in range(z)]
+        vec = [sum(kernel_cols[row][t] * col[t] for t in range(z))
+               for row in range(n)]
+        gens.append(vec)
+
+    def coords(v: list) -> tuple:
+        full = [sum(Tinv[i][j] * v[j] for j in range(n)) for i in range(n)]
+        for i in range(n):
+            if i not in kernel_idx and full[i] != 0:
+                raise ValueError("vector is not a cycle")
+        xk = [full[i] for i in kernel_idx]
+        y = [sum(Sx[i][t] * xk[t] for t in range(z)) for i in range(z)]
+        return tuple(y[i] for i in free_idx)
+
+    return gens, coords
+
+
+def cochain_dual(C: ChainComplexData) -> ChainComplexData:
+    """Transpose of a chain complex, regraded so that degree -q carries the
+    q-cochains; homology of the result at -q is H^q."""
+    basis = {-d: [("dual", label) for label in labels]
+             for d, labels in C.basis.items()}
+    diff = {}
+    for q in C.degrees:
+        # d on q-cochains is the transpose of the boundary out of q+1
+        if C.dim(q + 1) and C.dim(q):
+            columns = [{} for _ in range(C.dim(q))]
+            for j, column in enumerate(C.cols.get(q + 1, ())):
+                for i, v in column.items():
+                    columns[i][j] = v
+            diff[-q] = columns
+    return ChainComplexData(basis, diff)
+
+
+def torus_cup_pairing():
+    """The matrix <a cup b, z> of the Whitney product on the free basis of
+    H^1 of the torus, the real moment-angle complex of the square, against
+    the generator z of H_2."""
+    L = simplicial.polygon_boundary([1, 2, 3, 4])
+    Cc = cochain_complex(4, L)
+    vecs, _ = homology_generators(Cc, -1)
+    basis1 = Cc.basis[-1]
+    gens1 = [FormalChain({basis1[i]: v for i, v in enumerate(vec) if v})
+             for vec in vecs]
+    chain = build_rmac(L).chain_complex()
+    g2, _ = homology_generators(chain, 2)
+    basis2 = chain.basis[2]
+    z = FormalChain({basis2[i]: v for i, v in enumerate(g2[0]) if v})
+    M = []
+    for a in gens1:
+        row = []
+        for b in gens1:
+            ab = cup_whitney(a, b, L)
+            row.append(sum(co * c2 * pair(x, c) for x, co in ab for c, c2 in z))
+        M.append(row)
+    return M
+
+
+# ---------------------------------------------------------------------------
+# diagonals: the chain-map and counit identities
+
+def tensor_boundary(chain: FormalChain, boundary_fn, dim) -> FormalChain:
+    """Boundary of a chain of (left, right) pairs; `dim` gives the
+    dimension of a left factor."""
+    result = FormalChain()
+    for (a, b), coeff in chain:
+        for a2, c2 in boundary_fn(a):
+            result.add_term((a2, b), coeff * c2)
+        sign = -1 if dim(a) % 2 else 1
+        for b2, c2 in boundary_fn(b):
+            result.add_term((a, b2), coeff * sign * c2)
+    return result
+
+
+def chain_map_defect(cell, diagonal_fn, boundary_fn, dim) -> FormalChain:
+    """diagonal(boundary) - boundary(diagonal); zero iff the diagonal is a
+    chain map at this cell.  `dim` gives the dimension of a cell."""
+    lhs = FormalChain()
+    for c2, coeff in boundary_fn(cell):
+        for label, c3 in diagonal_fn(c2):
+            lhs.add_term(label, coeff * c3)
+    rhs = tensor_boundary(diagonal_fn(cell), boundary_fn, dim)
+    return lhs - rhs
+
+
+def counit_defect(cell, diagonal_fn, dim) -> FormalChain:
+    """Collapse each tensor factor through the augmentation (vertices to 1);
+    both collapses must return the original cell.  `dim` gives the
+    dimension of a cell."""
+    left_collapse = FormalChain()
+    right_collapse = FormalChain()
+    for (a, b), coeff in diagonal_fn(cell):
+        if dim(a) == 0:
+            left_collapse.add_term(b, coeff)
+        if dim(b) == 0:
+            right_collapse.add_term(a, coeff)
+    original = FormalChain.basis(cell)
+    return (left_collapse - original) + (right_collapse - original)
+
+
+# ---------------------------------------------------------------------------
+# the projection and the faces of the permutohedron
+
+def rho_chain(chain: FormalChain) -> FormalChain:
+    """Induced chain map: faces whose dimension drops are sent to zero,
+    the rest to their image cell with the orientation sign."""
+    result = FormalChain()
+    for F, coeff in chain:
+        if blocks_are_intervals(F):
+            result.add_term(rho_face(F), coeff * rho_sign(F))
+    return result
+
+
+def face_vertices(F: tuple) -> list:
+    """All vertex faces refining F."""
+    return [tuple((i,) for ordering in orderings for i in ordering)
+            for orderings in itertools.product(*map(itertools.permutations, F))]
+
+
+# ---------------------------------------------------------------------------
+# ordered, step and snake matrices
+
+def matrix(rows) -> tuple:
+    """The matrix with the given rows, as a tuple of row tuples."""
+    return tuple(map(tuple, rows))
+
+
+def is_ordered(M: tuple) -> bool:
+    values = sorted(v for row in M for v in row if v)
+    if values != list(range(1, len(M) + len(M[0]))):
+        return False
+    for row in M:
+        nz = [v for v in row if v]
+        if not nz or nz != sorted(nz):
+            return False
+    for col in zip(*M):
+        nz = [v for v in col if v]
+        if not nz or nz != sorted(nz):
+            return False
+    return True
+
+
+def is_step(M: tuple) -> bool:
+    """Ordered, with consecutive nonzero runs in rows/columns and exactly
+    one nonzero entry per diagonal j - i = const."""
+    if not is_ordered(M):
+        return False
+    for row in M:
+        support = [j for j, v in enumerate(row) if v]
+        if support != list(range(support[0], support[-1] + 1)):
+            return False
+    for col in zip(*M):
+        support = [i for i, v in enumerate(col) if v]
+        if support != list(range(support[0], support[-1] + 1)):
+            return False
+    diagonals = [j - i for (i, row) in enumerate(M)
+                 for (j, v) in enumerate(row) if v]
+    return sorted(diagonals) == list(range(1 - len(M), len(M[0])))
+
+
+def enumerate_step_matrices(q: int, p: int) -> list:
+    """All q x p step matrices."""
+    return [_from_flat(E, p) for E in _step_tuples(q, p)]
+
+
+def is_snake(M) -> bool:
+    """Whether the entries 1, ..., q + p - 1 of the q x p matrix M step one
+    cell right or down at a time, from (1, 1) to (q, p).  By the snake
+    lemma of `diagonals.kept_top_terms`, a configuration matrix is such a
+    snake exactly when its rows and its columns are all intervals."""
+    q, p = len(M), len(M[0])
+    place = {v: (i, j) for i, row in enumerate(M) for j, v in enumerate(row) if v}
+    path = [place.get(v) for v in range(1, q + p)]
+    return (None not in path and path[0] == (0, 0) and path[-1] == (q - 1, p - 1)
+            and all(b in ((i + 1, j), (i, j + 1)) for (i, j), b in zip(path, path[1:])))

@@ -16,17 +16,14 @@ from permcomplex.cubes import (
 )
 from permcomplex.diagonals import (
     cai_diagonal,
-    chain_map_defect,
     su_diagonal,
     su_top_diagonal,
 )
 from permcomplex.homology import (
-    cochain_dual,
     complex_from_boundary,
     homology,
 )
 from permcomplex.permutohedron import (
-    all_faces,
     boundary,
     build_perm_complex,
     build_perm_complex_C,
@@ -34,12 +31,10 @@ from permcomplex.permutohedron import (
     face_dim,
     face_label,
     full_permutohedron,
-    top_face,
 )
 from permcomplex.projection import (
     L_of_K,
     blocks_are_intervals,
-    detect_snake,
     rho_face,
     rho_sign,
     verify_image,
@@ -49,7 +44,6 @@ from permcomplex.simplicial import (
     from_facets,
     polygon_boundary,
     skeleton,
-    two_points,
 )
 from permcomplex.sumatrix import (
     columns_partition,
@@ -57,7 +51,7 @@ from permcomplex.sumatrix import (
     rows_partition,
 )
 
-from conftest import standard_suite
+from conftest import chain_map_defect, cochain_dual, is_snake, standard_suite, torus_cup_pairing
 
 
 def announce(capsys, number, description, passed, elapsed):
@@ -154,7 +148,7 @@ def test_criterion_04_printed_diagonal_expansions(capsys):
 
 
 def top_cell_projection_agrees(m):
-    F = top_face(m)
+    F = face(m, range(1, m + 1))
     lhs = FormalChain()
     for (left, right), sign in su_diagonal(F):
         if blocks_are_intervals(left) and blocks_are_intervals(right):
@@ -179,7 +173,7 @@ def test_criterion_06_chain_maps_and_duality(capsys):
     t0 = time.time()
     passed = True
     for m in (2, 3, 4, 5):
-        for F in all_faces(m):
+        for F in full_permutohedron(m).all():
             if chain_map_defect(F, su_diagonal, boundary, face_dim):
                 passed = False
     for m in (1, 2, 3, 4):
@@ -235,7 +229,7 @@ def test_criterion_07_image_fixtures(capsys):
 def test_criterion_08_complete_graph_complex(capsys):
     t0 = time.time()
     X = build_perm_complex(skeleton(4, 1))
-    small_blocks = {F for F in all_faces(4)
+    small_blocks = {F for F in full_permutohedron(4).all()
                     if all(len(b) <= 2 for b in F)}
     passed = set(X.all()) == small_blocks
     passed = passed and X.f_vector() == [24, 36, 6]
@@ -246,26 +240,6 @@ def test_criterion_08_complete_graph_complex(capsys):
     announce(capsys, 8, "complete-graph complex: faces, f-vector (24, 36, 6), "
              "Betti (1, 7)", passed, elapsed)
     assert passed
-
-
-def torus_cup_determinant():
-    from permcomplex.cubes import cochain_complex, cup_whitney
-    from permcomplex.homology import homology_generators
-
-    L = polygon_boundary([1, 2, 3, 4])
-    Cc = cochain_complex(4, L)
-    vecs, _ = homology_generators(Cc, -1)
-    basis1 = Cc.basis[-1]
-    gens1 = [FormalChain({basis1[i]: v for i, v in enumerate(vec) if v})
-             for vec in vecs]
-    chain = build_rmac(L).chain_complex()
-    g2, _ = homology_generators(chain, 2)
-    basis2 = chain.basis[2]
-    z = FormalChain({basis2[i]: v for i, v in enumerate(g2[0]) if v})
-    M = [[sum(co * c2 * pair(x, c)
-              for x, co in cup_whitney(a, b, L) for c, c2 in z)
-          for b in gens1] for a in gens1]
-    return M[0][0] * M[1][1] - M[0][1] * M[1][0]
 
 
 def test_criterion_09_known_homotopy_oracles(capsys):
@@ -282,11 +256,12 @@ def test_criterion_09_known_homotopy_oracles(capsys):
     passed = passed and betti_of(
         build_perm_complex(polygon_boundary([1, 2, 3]))) == [1, 1]
     # doubled two-point complex: also a circle
-    passed = passed and betti_of(build_perm_complex_C(two_points())) == [1, 1]
+    passed = passed and betti_of(build_perm_complex_C(from_facets(2, []))) == [1, 1]
     # torus: Betti (1, 2, 1) and a unimodular cup pairing
     h = homology(build_rmac(polygon_boundary([1, 2, 3, 4])).chain_complex())
     passed = passed and h.betti_vector() == [1, 2, 1]
-    passed = passed and torus_cup_determinant() in (1, -1)
+    M = torus_cup_pairing()
+    passed = passed and M[0][0] * M[1][1] - M[0][1] * M[1][0] in (1, -1)
     elapsed = time.time() - t0
     announce(capsys, 9, "known-homotopy oracles (points, circles, torus cup "
              "pairing)", passed, elapsed)
@@ -303,7 +278,9 @@ def test_criterion_10_snakes(capsys):
                 if (blocks_are_intervals(columns_partition(A))
                         and blocks_are_intervals(rows_partition(A))):
                     preserved += 1
-                    if detect_snake(A) is None:
+                    # continuous: 1, ..., m step one cell right or down
+                    # from (1, 1) to (q, p), so the snake is all of A
+                    if not is_snake(A):
                         passed = False
         if preserved != 2 ** (m - 1):
             passed = False

@@ -7,13 +7,14 @@ from permcomplex.cubes import (
     cochain_complex,
     cochain_differential,
     cube_boundary,
-    cup_whitney,
     cup_whitney_basis,
     inversion_count,
     pair,
 )
-from permcomplex.homology import cochain_dual, homology, homology_generators
-from permcomplex.simplicial import polygon_boundary, two_points
+from permcomplex.homology import homology
+from permcomplex.simplicial import from_facets, polygon_boundary
+
+from conftest import cochain_dual, torus_cup_pairing
 
 
 def test_all_cells_count():
@@ -39,7 +40,7 @@ def test_cube_boundary_squares_to_zero():
 
 def test_rmac_two_points_is_circle():
     # (D^1, S^0) pairs over two bare points: the boundary of a square
-    R = build_rmac(two_points())
+    R = build_rmac(from_facets(2, []))
     h = homology(R.chain_complex())
     assert h.betti_vector() == [1, 1]
 
@@ -91,27 +92,6 @@ def test_pair():
     assert pair(cochain(2, [1], []), cell(2, [1], [2])) == 1  # tau subset
     assert pair(cochain(2, [1], [2]), cell(2, [1], [])) == 0
     assert pair(cochain(2, [2], []), cell(2, [1], [])) == 0
-
-
-def torus_cup_pairing():
-    L = polygon_boundary([1, 2, 3, 4])
-    Cc = cochain_complex(4, L)
-    vecs, _ = homology_generators(Cc, -1)
-    basis1 = Cc.basis[-1]
-    gens1 = [FormalChain({basis1[i]: v for i, v in enumerate(vec) if v})
-             for vec in vecs]
-    chain = build_rmac(L).chain_complex()
-    g2, _ = homology_generators(chain, 2)
-    basis2 = chain.basis[2]
-    z = FormalChain({basis2[i]: v for i, v in enumerate(g2[0]) if v})
-    M = []
-    for a in gens1:
-        row = []
-        for b in gens1:
-            ab = cup_whitney(a, b, L)
-            row.append(sum(co * c2 * pair(x, c) for x, co in ab for c, c2 in z))
-        M.append(row)
-    return M
 
 
 def test_torus_cup_pairing_is_unimodular_and_alternating():

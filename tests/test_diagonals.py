@@ -2,14 +2,12 @@ import hashlib
 import itertools
 from operator import attrgetter
 
-from permcomplex.chains import FormalChain, tensor
+from permcomplex.chains import FormalChain
 from permcomplex.cubes import all_cells, cube_boundary
 from permcomplex.diagonals import (
     _block_terms,
     _top_cell_terms,
     cai_diagonal,
-    chain_map_defect,
-    counit_defect,
     cup_su,
     kept_top_terms,
     su_diagonal,
@@ -17,18 +15,17 @@ from permcomplex.diagonals import (
     su_top_diagonal,
 )
 from permcomplex.permutohedron import (
-    all_faces,
     boundary,
     build_perm_complex,
     face,
     face_dim,
     full_permutohedron,
-    top_face,
 )
 from permcomplex.projection import blocks_are_intervals
 from permcomplex.simplicial import polygon_boundary
-from permcomplex.sumatrix import (columns_partition, csgn, enumerate_configurations,
-                                  matrix, rows_partition)
+from permcomplex.sumatrix import columns_partition, csgn, enumerate_configurations, rows_partition
+
+from conftest import chain_map_defect, counit_defect, matrix
 
 
 def F(*blocks):
@@ -191,7 +188,7 @@ def test_diagonal_blocks_are_shared():
 
 def test_su_terms_are_the_terms_of_su_diagonal():
     for m in range(1, 6):
-        for G in all_faces(m):
+        for G in full_permutohedron(m).all():
             terms = list(su_terms(G))
             pairs = {(left, right): sign for sign, left, right in terms}
             assert len(pairs) == len(terms), G  # each pair once
@@ -200,13 +197,13 @@ def test_su_terms_are_the_terms_of_su_diagonal():
 
 def test_su_chain_map_small():
     for m in (2, 3, 4, 5, 6):
-        for G in all_faces(m):
+        for G in full_permutohedron(m).all():
             assert not chain_map_defect(G, su_diagonal, boundary, face_dim)
 
 
 def test_su_counit():
     for m in (2, 3, 4):
-        assert not counit_defect(top_face(m), su_diagonal, face_dim)
+        assert not counit_defect(face(m, range(1, m + 1)), su_diagonal, face_dim)
 
 
 def test_cai_vertex_and_interval():
@@ -233,10 +230,3 @@ def test_cup_su_square_on_hexagon_vanishes():
     X = build_perm_complex(K)
     a = FormalChain({f: 1 for f in X.faces(1)})
     assert not cup_su(a, a, X, 1, 1)
-
-
-def test_tensor_sign():
-    a = FormalChain.basis("x")
-    b = FormalChain.basis("y", -2)
-    t = tensor(a, b)
-    assert t[("x", "y")] == -2

@@ -9,29 +9,24 @@ from permcomplex import FormalChain
 from permcomplex.bar import phi_inverse
 from permcomplex.diagonals import su_diagonal, su_top_diagonal
 from permcomplex.permutohedron import (
-    all_faces,
     boundary,
     build_perm_complex,
     build_perm_complex_C,
-    enumerate_faces,
     face,
     face_dim,
     face_from_json,
     face_label,
-    face_vertices,
     full_permutohedron,
     geometry_json,
     last_element_matching,
     partitions_by_count,
-    refines,
     shuffle_sign,
-    top_face,
     vertex_coordinates,
 )
 from permcomplex.simplicial import from_facets, full_simplex, random_suite, skeleton
 from permcomplex.sumatrix import columns_partition, enumerate_configurations, rows_partition
 
-from conftest import complexes, last_position
+from conftest import complexes, face_vertices, last_position
 
 
 def test_face_validation():
@@ -72,7 +67,7 @@ def _assert_partitions(faces, m):
 
 def test_built_faces_are_partitions():
     for m in range(1, 6):
-        faces = all_faces(m)
+        faces = full_permutohedron(m).all()
         _assert_partitions(faces, m)
         for F in faces:
             _assert_partitions((G for G, _ in boundary(F)), m)
@@ -95,7 +90,7 @@ def _assert_plain(faces):
 
 def test_a_face_is_its_block_tuple():
     for m in range(1, 6):
-        faces = all_faces(m)
+        faces = full_permutohedron(m).all()
         _assert_plain(faces)
         for F in faces:
             _assert_plain(G for G, _ in boundary(F))
@@ -103,29 +98,29 @@ def test_a_face_is_its_block_tuple():
             for (left, right), _ in su_diagonal(F):
                 _assert_plain((left, right))
             _assert_plain((face_from_json(_as_json(F), m), phi_inverse(F, m)))
-    _assert_plain(enumerate_faces(4, 1))
+    _assert_plain(partitions_by_count(range(1, 5))[3])
     _assert_plain(build_perm_complex(skeleton(4, 1)).all())
     _assert_plain(build_perm_complex_C(from_facets(3, [[1, 2]])).all())
-    _assert_plain((face(4, [4, 2], [1], [3]), top_face(4)))
+    _assert_plain((face(4, [4, 2], [1], [3]), face(4, [1, 2, 3, 4])))
     _assert_plain((phi_inverse([[2, 4], [1], [3]], 4),))
     assert face(4, [4, 2], [1], [3]) == ((2, 4), (1,), (3,))
     assert ((2, 4), (1,), (3,)) in full_permutohedron(4)
-    assert boundary(top_face(2))[((2,), (1,))] == 1
+    assert boundary(face(2, [1, 2]))[((2,), (1,))] == 1
     assert face_label(((2, 4), (1,), (3,))) == "F(24|1|3)"
     assert face_label(()) == "F()"
     # the dimension m - p is read off the blocks
     assert face_dim(()) == 0
     for m in range(1, 6):
-        for G in all_faces(m):
+        for G in full_permutohedron(m).all():
             assert face_dim(G) == m - len(G)
 
 
 def test_face_counts():
     # f-vector of Perm^2 (hexagon): 6 vertices, 6 edges, 1 top cell
-    assert [len(enumerate_faces(3, d)) for d in range(3)] == [6, 6, 1]
+    assert full_permutohedron(3).f_vector() == [6, 6, 1]
     # total face counts: ordered set partitions (Fubini numbers a(m,p))
-    assert len(all_faces(4)) == 75
-    assert len(all_faces(5)) == 541
+    assert len(full_permutohedron(4).all()) == 75
+    assert len(full_permutohedron(5).all()) == 541
     # faces of dimension m - p are the ordered partitions into p blocks:
     # p! S(m, p), with S(n, k) = k S(n - 1, k) + S(n - 1, k - 1)
     S = {(0, 0): 1}
@@ -138,7 +133,7 @@ def test_face_counts():
 
 
 def test_dimension():
-    assert face_dim(top_face(4)) == 3
+    assert face_dim(face(4, [1, 2, 3, 4])) == 3
     assert face_dim(face(4, [1], [2], [3], [4])) == 0
     assert face_dim(face(4, [1, 2], [3, 4])) == 2
 
@@ -171,17 +166,11 @@ def test_boundary_of_edge():
 
 def test_boundary_squares_to_zero_small():
     for m in (2, 3, 4):
-        for F in all_faces(m):
+        for F in full_permutohedron(m).all():
             dd = FormalChain()
             for G, c in boundary(F):
                 dd = dd + c * boundary(G)
             assert not dd, "dd != 0 at %r" % (F,)
-
-
-def test_refines():
-    assert refines(face(3, [1], [2, 3]), face(3, [1, 2, 3]))
-    assert refines(face(3, [1], [3], [2]), face(3, [1, 3], [2]))
-    assert not refines(face(3, [2], [1, 3]), face(3, [1, 2], [3]))
 
 
 def test_full_permutohedron_euler_characteristic():
@@ -204,7 +193,7 @@ def test_vertex_coordinates():
 
 def test_barycenter_of_top_cell():
     faces = geometry_json(full_permutohedron(3))["faces"]
-    assert [f["barycenter"] for f in faces if f["face"] == top_face(3)] == [["2", "2", "2"]]
+    assert [f["barycenter"] for f in faces if f["face"] == ((1, 2, 3),)] == [["2", "2", "2"]]
 
 
 @pytest.mark.parametrize("X", [full_permutohedron(m) for m in range(1, 5)]
@@ -322,9 +311,9 @@ def test_bases_are_in_block_order():
             assert all(face_dim(f) == d for f in fs)
         assert len(X) == len(set(X.all())) == sum(X.f_vector())
     for m in range(1, 6):
-        assert all_faces(m) == full_permutohedron(m).all()
+        by_count = partitions_by_count(range(1, m + 1))
         for d in range(m):
-            assert enumerate_faces(m, d) == full_permutohedron(m).faces(d)
+            assert by_count[m - d] == full_permutohedron(m).faces(d)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +334,7 @@ def _reference_boundary(F):
 
 def test_boundary_matches_reference_formula():
     for m in range(1, 6):
-        for F in all_faces(m):
+        for F in full_permutohedron(m).all():
             assert list(boundary(F)) == list(_reference_boundary(F)), F
 
 

@@ -4,7 +4,6 @@ from permcomplex import diagonals, projection
 from permcomplex.chains import FormalChain
 from permcomplex.cubes import CubeCell, cube_boundary
 from permcomplex.permutohedron import (
-    all_faces,
     boundary,
     face,
     face_dim,
@@ -14,8 +13,6 @@ from permcomplex.permutohedron import (
 from permcomplex.projection import (
     L_of_K,
     blocks_are_intervals,
-    detect_snake,
-    rho_chain,
     rho_face,
     rho_sign,
     verify_image,
@@ -27,7 +24,9 @@ from permcomplex.simplicial import (
     random_suite,
     skeleton,
 )
-from permcomplex.sumatrix import enumerate_configurations, matrix
+from permcomplex.sumatrix import columns_partition, enumerate_configurations, rows_partition
+
+from conftest import is_snake, matrix, rho_chain
 
 
 def test_rho_face_vertices():
@@ -41,7 +40,7 @@ def test_rho_face_vertices():
 def test_rho_face_dimension_preserved_on_interval_blocks():
     # rho_chain and verify_su_cai rely on this equivalence
     for m in range(1, 6):
-        for F in all_faces(m):
+        for F in full_permutohedron(m).all():
             assert blocks_are_intervals(F) == (rho_face(F).dim == m - len(F)), F
 
 
@@ -53,7 +52,7 @@ def test_rho_face_drops_dimension_on_non_intervals():
 
 def test_rho_sign_is_one_on_vertices_and_top():
     for m in (2, 3, 4):
-        for F in all_faces(m):
+        for F in full_permutohedron(m).all():
             if len(F) == m or len(F) == 1:
                 assert rho_sign(F) == 1
 
@@ -66,7 +65,7 @@ def test_rho_sign_known_negative():
 
 def test_rho_chain_commutes_with_boundaries():
     for m in (2, 3, 4, 5):
-        for F in all_faces(m):
+        for F in full_permutohedron(m).all():
             lhs = rho_chain(boundary(F))
             rhs = FormalChain()
             G = rho_face(F)
@@ -225,23 +224,18 @@ def test_verify_image_random():
         assert verify_image(K)["passed"]
 
 
-def test_snake_dimension_preserved_configurations():
-    # configuration matrices whose both projections preserve dimension
-    # carry exactly one continuous snake; there are 2^(m-1) of them
-    from permcomplex.sumatrix import columns_partition, rows_partition
-
-    for m in (2, 3, 4, 5):
-        count = 0
-        for q in range(1, m + 1):
-            p = m + 1 - q
-            for A, _ in enumerate_configurations(q, p):
-                if (blocks_are_intervals(columns_partition(A))
-                        and blocks_are_intervals(rows_partition(A))):
-                    count += 1
-                    assert detect_snake(A) is not None, A
-        assert count == 2 ** (m - 1)
-
-
-def test_detect_snake_rejects_disconnected():
+def test_snake_lemma_both_directions():
+    # a configuration matrix is a snake, its entries stepping one cell
+    # right or down from (1, 1) to (q, p), exactly when its rows and
+    # columns are all intervals, and 2^(n-1) of them have q + p - 1 = n
+    for n in range(1, 7):
+        snakes = 0
+        for q in range(1, n + 1):
+            for A, _ in enumerate_configurations(q, n + 1 - q):
+                intervals = (blocks_are_intervals(columns_partition(A))
+                             and blocks_are_intervals(rows_partition(A)))
+                assert is_snake(A) == intervals, A
+                snakes += intervals
+        assert snakes == 2 ** (n - 1)
     # 1 at (2,1) and 2 at (1,2) share no row or column: not a snake
-    assert detect_snake(matrix([[0, 2], [1, 0]])) is None
+    assert not is_snake(matrix([[0, 2], [1, 0]]))

@@ -7,24 +7,33 @@ import pytest
 from permcomplex import diagonals, sumatrix
 from permcomplex.sumatrix import (
     ConfigurationAmbiguityError,
+    _code,
     _decode,
     _from_flat,
+    _moves,
+    _occupancy,
+    _shifted,
     _step_tuples,
     _transpose,
     _walk,
     columns_partition,
     csgn,
-    down_shift,
     enumerate_configurations,
-    enumerate_step_matrices,
-    is_ordered,
-    is_step,
-    matrix,
-    right_shift,
     rows_partition,
 )
 
-from conftest import reference_closure, reference_shift
+from conftest import (enumerate_step_matrices, is_ordered, is_step, matrix, reference_closure,
+                      reference_shift)
+
+
+def shift(M, i, j, down):
+    """D_{i,j} (down) or R_{i,j} of M by the walk's `_shifted` on int
+    codes, or M when the shift is inadmissible."""
+    q, p = len(M), len(M[0])
+    W, _, downs, rights, _, _ = _moves(q, p)
+    move = (downs if down else rights)[q * p - ((i - 1) * p + j - 1)]
+    shifted = move and _shifted(_code(M, W), _occupancy(M), move, W)
+    return _decode(shifted[1], q, p) if shifted else M
 
 
 def test_is_ordered():
@@ -108,26 +117,26 @@ def test_shifts_match_reference_rule():
                 continue
             for i in range(1, q + 1):
                 for j in range(1, p + 1):
-                    assert down_shift(M, i, j) == reference_shift(M, i, j, True)
-                    assert right_shift(M, i, j) == reference_shift(M, i, j, False)
+                    assert shift(M, i, j, True) == reference_shift(M, i, j, True)
+                    assert shift(M, i, j, False) == reference_shift(M, i, j, False)
 
 
 def test_down_shift_basic():
     # move the entry at (1, 2) down into the row below
     M = matrix([[1, 3], [2, 0]])
-    assert down_shift(M, 1, 2) == matrix([[1, 0], [2, 3]])
+    assert shift(M, 1, 2, True) == matrix([[1, 0], [2, 3]])
 
 
 def test_down_shift_inadmissible_returns_input():
     # shifting the lone entry of row 1 would empty the row
     M = matrix([[0, 1], [2, 3]])
-    assert down_shift(M, 1, 2) == M
+    assert shift(M, 1, 2, True) == M
 
 
 def test_right_shift_basic():
     # move the entry at (2, 1) right into the next column
     M = matrix([[1, 2], [3, 0]])
-    assert right_shift(M, 2, 1) == matrix([[1, 2], [0, 3]])
+    assert shift(M, 2, 1, False) == matrix([[1, 2], [0, 3]])
 
 
 def test_configuration_shape_counts():
