@@ -3,7 +3,7 @@
 diagonals, and the projection between them."""
 
 from .chains import FormalChain
-from .cubes import CubeCell, CubeCochain, build_rmac
+from .cubes import build_rmac
 from .homology import ChainComplexData, HomologySummary, homology, smith_normal_form
 from .permutohedron import (
     PermComplex,
@@ -15,8 +15,6 @@ from .simplicial import SimplicialComplex, from_facets, full_simplex, polygon_bo
 
 __all__ = [
     "FormalChain",
-    "CubeCell",
-    "CubeCochain",
     "build_rmac",
     "ChainComplexData",
     "HomologySummary",

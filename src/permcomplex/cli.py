@@ -228,8 +228,8 @@ def cmd_project(args, report):
     payload = {"L": simplicial.to_json_dict(L)}
     if args.face is not None:
         F = _parse_face(args.face, K.m)
-        c = projection.rho_face(F)
-        payload["face_image"] = {"sigma": list(c.sigma), "tau": list(c.tau),
+        sigma, tau = projection.rho_face(F)
+        payload["face_image"] = {"sigma": list(sigma), "tau": list(tau),
                                  "dimension_preserved":
                                      projection.blocks_are_intervals(F)}
     report["payload"] = payload
@@ -253,16 +253,13 @@ def cmd_verify(args, report):
         if args.m is None:
             raise CliError("--theorem su-cai needs --m", EXIT_USAGE)
         result = projection.verify_su_cai(_positive_m(args.m))
-        report["payload"] = result
-        return [("su-cai", result["passed"])]
-    if args.theorem == "image":
+    else:  # "image", the only other choice
         if args.complex is None:
             raise CliError("--theorem image needs --complex", EXIT_USAGE)
         K, report["input_digest"] = _load_projectable(args.complex)
         result = projection.verify_image(K)
-        report["payload"] = result
-        return [("image", result["passed"])]
-    raise CliError(f"unknown theorem {args.theorem}", EXIT_USAGE)
+    report["payload"] = result
+    return [(args.theorem, result["passed"])]
 
 
 def cmd_geometry(args, report):

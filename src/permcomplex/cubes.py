@@ -1,71 +1,30 @@
 """Cells and cochains of the cube [-1, 1]^m, and real moment-angle
 subcomplexes.
 
-A cell is a pair of disjoint subsets (sigma, tau) of [m]: interval
-factors on sigma, the +1 endpoint on tau, the -1 endpoint elsewhere.
-Cochains use the basis u^sigma t^tau (with the delta = t* + tbar*
-cochain implicit on the remaining coordinates), which is dual to the
-chain basis u_sigma eps_tau with eps_i = t_i - tbar_i.
+A cell is a pair (sigma, tau) of disjoint increasing tuples from [m]:
+interval factors on sigma, the +1 endpoint on tau, the -1 endpoint
+elsewhere; its dimension is len(sigma).  The same pair names the basis
+cochain u^sigma t^tau (with the delta = t* + tbar* cochain implicit on
+the remaining coordinates), which is dual to the chain basis
+u_sigma eps_tau with eps_i = t_i - tbar_i.  Every pair is made here or by
+the projection and diagonal code, each of which keeps sigma and tau
+disjoint; `cell_label` gives the text that reports print.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .chains import FormalChain
 from .homology import ChainComplexData, complex_from_boundary
 from .simplicial import SimplicialComplex
 
 
-@dataclass(frozen=True)
-class CubeCell:
-    m: int
-    sigma: tuple
-    tau: tuple
-
-    def __post_init__(self):
-        if set(self.sigma) & set(self.tau):
-            raise ValueError(f"sigma {self.sigma} and tau {self.tau} intersect")
-
-    @property
-    def dim(self) -> int:
-        return len(self.sigma)
-
-    def __repr__(self):
-        s = "".join(map(str, self.sigma)) or "-"
-        t = "".join(map(str, self.tau)) or "-"
-        return f"c(u:{s},t:{t})"
-
-
-@dataclass(frozen=True)
-class CubeCochain:
-    """Basis cochain u^sigma t^tau (delta on the other coordinates)."""
-
-    m: int
-    sigma: tuple
-    tau: tuple
-
-    def __post_init__(self):
-        if set(self.sigma) & set(self.tau):
-            raise ValueError(f"sigma {self.sigma} and tau {self.tau} intersect")
-
-    @property
-    def degree(self) -> int:
-        return len(self.sigma)
-
-    def __repr__(self):
-        s = "".join(map(str, self.sigma)) or "-"
-        t = "".join(map(str, self.tau)) or "-"
-        return f"c*(u:{s},t:{t})"
-
-
-def cell(m: int, sigma, tau) -> CubeCell:
-    return CubeCell(m, tuple(sorted(sigma)), tuple(sorted(tau)))
-
-
-def cochain(m: int, sigma, tau) -> CubeCochain:
-    return CubeCochain(m, tuple(sorted(sigma)), tuple(sorted(tau)))
+def cell_label(c: tuple) -> str:
+    """The report text of a cell, c(u:12,t:-) for ((1, 2), ())."""
+    s = "".join(map(str, c[0])) or "-"
+    t = "".join(map(str, c[1])) or "-"
+    return f"c(u:{s},t:{t})"
 
 
 def all_cells(m: int) -> list:
@@ -73,7 +32,7 @@ def all_cells(m: int) -> list:
     for sigma in subsets(range(1, m + 1)):
         rest = [i for i in range(1, m + 1) if i not in sigma]
         for tau in subsets(rest):
-            result.append(CubeCell(m, sigma, tau))
+            result.append((sigma, tau))
     return result
 
 
@@ -83,15 +42,16 @@ def subsets(elements):
         yield from itertools.combinations(elements, k)
 
 
-def cube_boundary(c: CubeCell) -> FormalChain:
+def cube_boundary(c: tuple) -> FormalChain:
     """Leibniz boundary across the tensor coordinates in increasing order:
     the i-th term picks up (-1)^(number of interval factors before i)."""
+    sigma, tau = c
     result = FormalChain()
-    for pos, i in enumerate(c.sigma):
+    for pos, i in enumerate(sigma):
         sign = -1 if pos % 2 else 1
-        sigma = tuple(x for x in c.sigma if x != i)
-        result.add_term(CubeCell(c.m, sigma, tuple(sorted(c.tau + (i,)))), sign)
-        result.add_term(CubeCell(c.m, sigma, c.tau), -sign)
+        rest = sigma[:pos] + sigma[pos + 1:]
+        result.add_term((rest, tuple(sorted(tau + (i,)))), sign)
+        result.add_term((rest, tau), -sign)
     return result
 
 
@@ -101,16 +61,12 @@ class RealMomentAngleComplex:
     def __init__(self, L: SimplicialComplex):
         self.L = L
         self.m = L.m
-        self.cells = [c for c in all_cells(L.m) if c.sigma in L.simplices]
-        self.cell_set = set(self.cells)
-
-    def __contains__(self, c: CubeCell) -> bool:
-        return c in self.cell_set
+        self.cells = [c for c in all_cells(L.m) if c[0] in L.simplices]
 
     def chain_complex(self) -> ChainComplexData:
         by_dim = {}
-        for c in sorted(self.cells, key=lambda c: (c.dim, c.sigma, c.tau)):
-            by_dim.setdefault(c.dim, []).append(c)
+        for c in sorted(self.cells, key=lambda c: (len(c[0]), c)):
+            by_dim.setdefault(len(c[0]), []).append(c)
         return complex_from_boundary(by_dim, cube_boundary)
 
 
@@ -121,17 +77,17 @@ def build_rmac(L: SimplicialComplex) -> RealMomentAngleComplex:
 # ---------------------------------------------------------------------------
 # cochains
 
-def cochain_differential(a: CubeCochain, L: SimplicialComplex | None = None) -> FormalChain:
+def cochain_differential(a: tuple, L: SimplicialComplex | None = None) -> FormalChain:
     """Coordinate rule dt* = u* (du* = 0, ddelta* = 0) with Koszul signs;
     terms leaving R_L (sigma not in L) are dropped when L is given."""
+    sigma, tau = a
     result = FormalChain()
-    for i in a.tau:
-        sigma = tuple(sorted(a.sigma + (i,)))
-        if L is not None and sigma not in L.simplices:
+    for i in tau:
+        raised = tuple(sorted(sigma + (i,)))
+        if L is not None and raised not in L.simplices:
             continue
-        sign = -1 if sum(1 for j in a.sigma if j < i) % 2 else 1
-        result.add_term(CubeCochain(a.m, sigma, tuple(x for x in a.tau if x != i)),
-                        sign)
+        sign = -1 if sum(1 for j in sigma if j < i) % 2 else 1
+        result.add_term((raised, tuple(x for x in tau if x != i)), sign)
     return result
 
 
@@ -140,10 +96,10 @@ def cochain_complex(m: int, L: SimplicialComplex | None = None) -> ChainComplexD
     container differential lowers the degree; homology at -q is H^q."""
     basis = {}
     for c in all_cells(m):
-        if L is None or c.sigma in L.simplices:
-            basis.setdefault(-c.dim, []).append(CubeCochain(m, c.sigma, c.tau))
+        if L is None or c[0] in L.simplices:
+            basis.setdefault(-len(c[0]), []).append(c)
     for labels in basis.values():
-        labels.sort(key=lambda a: (a.sigma, a.tau))
+        labels.sort()
     return complex_from_boundary(basis, lambda a: cochain_differential(a, L))
 
 
@@ -152,19 +108,18 @@ def inversion_count(A, B) -> int:
     return sum(1 for i in A for j in B if i > j)
 
 
-def cup_whitney_basis(a: CubeCochain, b: CubeCochain,
-                      L: SimplicialComplex | None = None):
-    """Whitney product of basis cochains: (sign, CubeCochain) or None."""
-    sa, ta = set(a.sigma), set(a.tau)
-    sb, tb = set(b.sigma), set(b.tau)
+def cup_whitney_basis(a: tuple, b: tuple, L: SimplicialComplex | None = None):
+    """Whitney product of basis cochains: (sign, cochain) or None."""
+    sa, ta = set(a[0]), set(a[1])
+    sb, tb = set(b[0]), set(b[1])
     if (sa & sb) or (ta & sb):
         return None
     sigma = tuple(sorted(sa | sb))
     if L is not None and sigma not in L.simplices:
         return None
     tau = tuple(sorted(ta | (tb - sa)))
-    sign = -1 if inversion_count(a.sigma, b.sigma) % 2 else 1
-    return sign, CubeCochain(a.m, sigma, tau)
+    sign = -1 if inversion_count(a[0], b[0]) % 2 else 1
+    return sign, (sigma, tau)
 
 
 def cup_whitney(a: FormalChain, b: FormalChain,
@@ -180,15 +135,7 @@ def cup_whitney(a: FormalChain, b: FormalChain,
     return result
 
 
-def pair(a: CubeCochain, c: CubeCell) -> int:
+def pair(a: tuple, c: tuple) -> int:
     """Evaluation of u^sigma t^tau against a cell: 1 iff the sigmas agree
     and every t-coordinate of the cochain sits at +1 in the cell."""
-    return int(a.sigma == c.sigma and set(a.tau) <= set(c.tau))
-
-
-def evaluate(a: FormalChain, chain: FormalChain) -> int:
-    total = 0
-    for x, cx in a:
-        for c, cc in chain:
-            total += cx * cc * pair(x, c)
-    return total
+    return int(a[0] == c[0] and set(a[1]) <= set(c[1]))

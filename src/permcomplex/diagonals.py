@@ -13,9 +13,9 @@ terms whose blocks are all intervals: `kept_top_terms(n)` builds the
 and a block with a gap keeps none, so `projection.verify_su_cai`
 interleaves the renamed kept terms over the interval faces alone.
 `su_top_diagonal` and `su_diagonal` collect the terms in a FormalChain
-over (left, right) pairs of faces, as `cai_diagonal` collects the cube
-diagonal's terms as pairs of CubeCell; `cai_terms` gives those terms as
-(sigma, tau) keys, which `verify_su_cai` reads with no cell built.  The
+over (left, right) pairs of faces, as `cai_diagonal` collects the terms
+of `cai_terms` over (left, right) pairs of cube cells, a cell being its
+(sigma, tau) pair; `verify_su_cai` reads `cai_terms` directly.  The
 comultiplicative extension interleaves per-block factors with the Koszul
 sign, which is what makes the SU diagonal a chain map for the boundary
 on tensors, d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db, as the Cai
@@ -29,7 +29,7 @@ import itertools
 from functools import lru_cache
 
 from .chains import FormalChain
-from .cubes import CubeCell, inversion_count
+from .cubes import inversion_count
 from .permutohedron import PermComplex
 from .sumatrix import partition_sign, signed_partitions, step_sign
 
@@ -215,12 +215,12 @@ def cai_terms(sigma: tuple, tau: tuple):
             yield (sub, tau), (rest, tuple(sorted(sub + tau))), sign
 
 
-def cai_diagonal(c: CubeCell) -> FormalChain:
+def cai_diagonal(c: tuple) -> FormalChain:
     """Diagonal of a cube cell, dual to the Whitney product: the terms of
     `cai_terms` as pairs of cells."""
     result = FormalChain()
-    for left, right, sign in cai_terms(c.sigma, c.tau):
-        result.add_term((CubeCell(c.m, *left), CubeCell(c.m, *right)), sign)
+    for left, right, sign in cai_terms(*c):
+        result.add_term((left, right), sign)
     return result
 
 

@@ -146,18 +146,17 @@ class PermComplex:
     `by_dim` maps each dimension that has faces to its faces in basis
     order, lexicographic in the blocks."""
 
-    def __init__(self, m: int, by_dim: dict, source: SimplicialComplex | None = None):
+    def __init__(self, m: int, by_dim: dict):
         self.m = m
-        self.source = source
         self.by_dim = by_dim
 
     @classmethod
-    def from_partitions(cls, m: int, by_count: dict, source=None):
+    def from_partitions(cls, m: int, by_count: dict):
         """The complex whose faces are the block tuples of
         `partitions_by_count`, kept in its order."""
         return cls(m, {m - p: lists
                        for p, lists in sorted(by_count.items(), reverse=True)
-                       if lists}, source)
+                       if lists})
 
     @cached_property
     def _face_set(self) -> frozenset:
@@ -193,7 +192,7 @@ def full_permutohedron(m: int) -> PermComplex:
 def build_perm_complex(K: SimplicialComplex) -> PermComplex:
     """Perm(K): faces whose every block is a simplex of K."""
     return PermComplex.from_partitions(
-        K.m, partitions_by_count(range(1, K.m + 1), K.simplices.__contains__), K)
+        K.m, partitions_by_count(range(1, K.m + 1), K.simplices.__contains__))
 
 
 def _doubled_keep(K: SimplicialComplex):
@@ -225,7 +224,7 @@ def build_perm_complex_C(K: SimplicialComplex) -> PermComplex:
     by_count = partitions_by_count(range(1, 2 * K.m + 1))
     return PermComplex.from_partitions(
         2 * K.m, {p: [blocks for blocks in lists if keep(blocks)]
-                  for p, lists in by_count.items()}, K)
+                  for p, lists in by_count.items()})
 
 
 def last_element_matching(K: SimplicialComplex, doubled: bool = False):

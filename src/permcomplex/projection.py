@@ -1,10 +1,11 @@
 """Projection from the permutohedron to the cube, and the machine checks
 tying the two diagonals together.
 
-The face rule sends F(U_1|...|U_p) on [m] to the cube cell in I^{m-1}
-with interval coordinates {i : i, i+1 share a block} and +1 coordinates
-{i : i+1 sits in an earlier block than i}.  Dimension is preserved
-exactly when every block is a run of consecutive integers.
+The face rule sends F(U_1|...|U_p) on [m] to the cube cell (sigma, tau)
+of I^{m-1}, with interval coordinates sigma = {i : i, i+1 share a block}
+and +1 coordinates tau = {i : i+1 sits in an earlier block than i}.
+Dimension is preserved exactly when every block is a run of consecutive
+integers.
 `verify_su_cai` walks only the faces whose blocks are all such runs:
 rho sends every other face to 0, and rho (x) rho every term of its SU
 diagonal, by the snake lemma of `diagonals.kept_top_terms`.
@@ -15,14 +16,14 @@ from __future__ import annotations
 import itertools
 import math
 
-from .cubes import CubeCell, all_cells, subsets
+from .cubes import build_rmac, cell_label, subsets
 from .diagonals import _renamed, cai_terms, interleave, kept_top_terms
 from .permutohedron import build_perm_complex, face_label, partitions_by_count
 from .simplicial import SimplicialComplex, from_facets
 
 
-def rho_face(F: tuple) -> CubeCell:
-    """Image cell of a face, even when the dimension drops."""
+def rho_face(F: tuple) -> tuple:
+    """Image cell (sigma, tau) of a face, even when the dimension drops."""
     block_of = {}
     for j, block in enumerate(F):
         for i in block:
@@ -34,7 +35,7 @@ def rho_face(F: tuple) -> CubeCell:
             sigma.append(i)
         elif block_of[i + 1] < block_of[i]:
             tau.append(i)
-    return CubeCell(m - 1, tuple(sigma), tuple(tau))
+    return tuple(sigma), tuple(tau)
 
 
 def blocks_are_intervals(F: tuple) -> bool:
@@ -71,8 +72,8 @@ def verify_su_cai(m: int) -> dict:
     Faces are checked by dimension, least first, so the first mismatch
     names a failing face of least dimension.  A mismatch lists only the
     terms of lhs - rhs, each as its left and right cube cells and its
-    coefficient.  The terms of both sides are keyed by the (sigma, tau)
-    of their cells.
+    coefficient.  The terms of both sides are keyed by their (sigma, tau)
+    cells.
 
     Only the interval faces are walked, and only the SU terms that
     rho (x) rho keeps are generated.  rho sends a face with a non-interval
@@ -88,10 +89,8 @@ def verify_su_cai(m: int) -> dict:
     by_count = partitions_by_count(range(1, m + 1),
                                    lambda block: blocks_are_intervals((block,)))
     faces = [F for p in range(m, 0, -1) for F in by_count[p]]
-    images = {}  # interval face -> ((sigma, tau), rho_sign)
-    for F in faces:
-        c = rho_face(F)
-        images[F] = ((c.sigma, c.tau), rho_sign(F))
+    # interval face -> (its image cell, rho_sign)
+    images = {F: (rho_face(F), rho_sign(F)) for F in faces}
     kept = {}  # interval block -> its kept terms, renamed
 
     def factor(block):
@@ -100,12 +99,9 @@ def verify_su_cai(m: int) -> dict:
             terms = kept[block] = _renamed(kept_top_terms(len(block)), block)
         return terms
 
-    def cell(key):
-        return CubeCell(m - 1, *key)
-
     mismatches = []
     for F in faces:
-        lhs = {}  # (left cell, right cell) as (sigma, tau) pairs -> coefficient
+        lhs = {}  # (left cell, right cell) -> coefficient
         for sign, left, right in interleave(map(factor, F)):
             (a, sa), (b, sb) = images[left], images[right]
             key = (a, b)
@@ -114,7 +110,7 @@ def verify_su_cai(m: int) -> dict:
         for a, b, coeff in cai_terms(*c):
             key = (a, b)
             lhs[key] = lhs.get(key, 0) - s * coeff
-        terms = sorted((repr(cell(a)), repr(cell(b)), v)
+        terms = sorted((cell_label(a), cell_label(b), v)
                        for (a, b), v in lhs.items() if v)
         if terms:
             mismatches.append({
@@ -162,11 +158,11 @@ def _maximal_runs(J):
 
 def _cell_closure(cells) -> set:
     closure = set()
-    for c in set(cells):  # many faces share one image cell
-        for sub in subsets(c.sigma):
-            removed = [i for i in c.sigma if i not in sub]
+    for sigma, tau in set(cells):  # many faces share one image cell
+        for sub in subsets(sigma):
+            removed = [i for i in sigma if i not in sub]
             for extra in subsets(removed):
-                closure.add(CubeCell(c.m, sub, tuple(sorted(c.tau + extra))))
+                closure.add((sub, tuple(sorted(tau + extra))))
     return closure
 
 
@@ -176,15 +172,15 @@ def verify_image(K: SimplicialComplex) -> dict:
     X = build_perm_complex(K)
     image = _cell_closure(rho_face(F) for F in X.all())
     L = L_of_K(K)
-    expected = {c for c in all_cells(K.m - 1) if c.sigma in L.simplices}
+    expected = set(build_rmac(L).cells)
     report = {
         "m": K.m,
         "L": [list(s) for s in L.simplices_sorted() if s],
         "image_cells": len(image),
         "expected_cells": len(expected),
         "passed": image == expected,
-        "missing": sorted(map(repr, expected - image)),
-        "extra": sorted(map(repr, image - expected)),
+        "missing": sorted(map(cell_label, expected - image)),
+        "extra": sorted(map(cell_label, image - expected)),
         "notes": [],
     }
     # Known prose/formula mismatch in the source example for m = 4: the

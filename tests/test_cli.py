@@ -165,6 +165,19 @@ _WEIGHTED_EDGES = [{"face": F, "coeff": 1 + [len(b) for b in F].index(2)} for F 
      "5f6212fcb783359e116126a11ea47b2da4f189b65d7bd591d06cc1693bfa6d5d"),
     (["verify", "--theorem", "su-cai", "--m", "6"],
      "331fdf33898ad3c74202eb7238f65361916199103c3bffa78b2f5ae315e9c670"),
+    # the reports that carry cube cells: the image check (skeleton(4, 1)
+    # with its F(13|24) note), the image cell of an interval and of a
+    # non-interval face, and the homology of a real moment-angle complex
+    (["verify", "--theorem", "image", "--complex", _skeleton(4, 2)],
+     "1d25eab32795dd3ce740a24f5804c62dfd4a1541d222fcb78f25e90086d02d49"),
+    (["verify", "--theorem", "image", "--complex", _skeleton(6, 3)],
+     "52c7a259ee8b4692f95811c2f30566704b9eb85de04f3907cac8727dc8ce4c7c"),
+    (["project", "--complex", 5, "--face", "12|3|45"],
+     "644b1929f9bdf7b8d1e1c071b58fe9b85c4aa7d6c544d635c60993f391c73339"),
+    (["project", "--complex", 5, "--face", "13|2|45"],
+     "fbce7e93668f227f50c115bd7c5c10c7a382b1369df92e96e3ee36108034b2a1"),
+    (["rmac", "--homology", "--complex", {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]}],
+     "045702b0427aaa4635db353afd9b997bebe47e480bfe52fcd1eec2272ad7fd48"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
     assert _pinned_run(tmp_path, argv) == (0, digest)

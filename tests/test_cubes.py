@@ -2,8 +2,6 @@ from permcomplex.chains import FormalChain
 from permcomplex.cubes import (
     all_cells,
     build_rmac,
-    cell,
-    cochain,
     cochain_complex,
     cochain_differential,
     cube_boundary,
@@ -25,9 +23,9 @@ def test_all_cells_count():
 
 
 def test_cube_boundary_interval():
-    d = cube_boundary(cell(1, [1], []))
-    assert d[cell(1, [], [1])] == 1
-    assert d[cell(1, [], [])] == -1
+    d = cube_boundary(((1,), ()))
+    assert d[((), (1,))] == 1
+    assert d[((), ())] == -1
 
 
 def test_cube_boundary_squares_to_zero():
@@ -53,8 +51,8 @@ def test_rmac_square_boundary_is_torus():
 
 
 def test_cochain_differential_unit_interval():
-    d = cochain_differential(cochain(1, [], [1]))
-    assert d[cochain(1, [1], [])] == 1
+    d = cochain_differential(((), (1,)))
+    assert d[((1,), ())] == 1
 
 
 def test_cochain_complex_matches_dual():
@@ -73,25 +71,25 @@ def test_inversion_count():
 
 
 def test_cup_whitney_basis_overlap_vanishes():
-    a = cochain(2, [1], [])
+    a = ((1,), ())
     assert cup_whitney_basis(a, a) is None
 
 
 def test_cup_whitney_basis_sign():
-    a = cochain(2, [2], [])
-    b = cochain(2, [], [1])
+    a = ((2,), ())
+    b = ((), (1,))
     ab = cup_whitney_basis(a, b)
-    assert ab == (1, cochain(2, [2], [1]))
-    c = cochain(2, [1], [])
-    assert cup_whitney_basis(a, c) == (-1, cochain(2, [1, 2], []))
-    assert cup_whitney_basis(c, a) == (1, cochain(2, [1, 2], []))
+    assert ab == (1, ((2,), (1,)))
+    c = ((1,), ())
+    assert cup_whitney_basis(a, c) == (-1, ((1, 2), ()))
+    assert cup_whitney_basis(c, a) == (1, ((1, 2), ()))
 
 
 def test_pair():
-    assert pair(cochain(2, [1], [2]), cell(2, [1], [2])) == 1
-    assert pair(cochain(2, [1], []), cell(2, [1], [2])) == 1  # tau subset
-    assert pair(cochain(2, [1], [2]), cell(2, [1], [])) == 0
-    assert pair(cochain(2, [2], []), cell(2, [1], [])) == 0
+    assert pair(((1,), (2,)), ((1,), (2,))) == 1
+    assert pair(((1,), ()), ((1,), (2,))) == 1  # tau subset
+    assert pair(((1,), (2,)), ((1,), ())) == 0
+    assert pair(((2,), ()), ((1,), ())) == 0
 
 
 def test_torus_cup_pairing_is_unimodular_and_alternating():

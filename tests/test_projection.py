@@ -2,7 +2,7 @@ import itertools
 
 from permcomplex import diagonals, projection
 from permcomplex.chains import FormalChain
-from permcomplex.cubes import CubeCell, cube_boundary
+from permcomplex.cubes import cell_label, cube_boundary
 from permcomplex.permutohedron import (
     boundary,
     face,
@@ -32,22 +32,22 @@ from conftest import is_snake, matrix, rho_chain
 def test_rho_face_vertices():
     # a vertex goes to the corner recording which coordinates sit above
     # their right neighbour in the natural interleaving
-    c = rho_face(face(3, [1], [2], [3]))
-    assert c.sigma == ()
-    assert c.dim == 0
+    sigma, tau = rho_face(face(3, [1], [2], [3]))
+    assert sigma == ()  # dimension len(sigma) = 0
+    assert tau == ()
 
 
 def test_rho_face_dimension_preserved_on_interval_blocks():
     # rho_chain and verify_su_cai rely on this equivalence
     for m in range(1, 6):
         for F in full_permutohedron(m).all():
-            assert blocks_are_intervals(F) == (rho_face(F).dim == m - len(F)), F
+            assert blocks_are_intervals(F) == (len(rho_face(F)[0]) == m - len(F)), F
 
 
 def test_rho_face_drops_dimension_on_non_intervals():
     F = face(3, [1, 3], [2])
     assert not blocks_are_intervals(F)
-    assert rho_face(F).dim < face_dim(F)
+    assert len(rho_face(F)[0]) < face_dim(F)
 
 
 def test_rho_sign_is_one_on_vertices_and_top():
@@ -87,13 +87,9 @@ def _reference_verify_su_cai(m):
     images = {}
     for F in faces:
         if blocks_are_intervals(F):
-            c = rho_face(F)
-            images[F] = ((c.sigma, c.tau), rho_sign(F))
+            images[F] = (rho_face(F), rho_sign(F))
         else:
             images[F] = None
-
-    def cell_of(key):
-        return CubeCell(m - 1, *key)
 
     mismatches = []
     for F in faces:
@@ -105,10 +101,9 @@ def _reference_verify_su_cai(m):
                 lhs[key] = lhs.get(key, 0) + sign * a[1] * b[1]
         c = images[F]
         if c:
-            for (a, b), coeff in diagonals.cai_diagonal(cell_of(c[0])):
-                key = ((a.sigma, a.tau), (b.sigma, b.tau))
+            for key, coeff in diagonals.cai_diagonal(c[0]):
                 lhs[key] = lhs.get(key, 0) - c[1] * coeff
-        terms = sorted((repr(cell_of(a)), repr(cell_of(b)), v)
+        terms = sorted((cell_label(a), cell_label(b), v)
                        for (a, b), v in lhs.items() if v)
         if terms:
             mismatches.append({
@@ -182,7 +177,7 @@ def test_verify_su_cai_names_least_failing_face(monkeypatch):
             flip = (sigma, tau) == edge and left == ((), ())
             yield left, right, -sign if flip else sign
 
-    # verify_su_cai reads the terms, the reference reads cai_diagonal's cells
+    # verify_su_cai reads the terms, the reference reads them through cai_diagonal
     monkeypatch.setattr(projection, "cai_terms", wrong)
     monkeypatch.setattr(diagonals, "cai_terms", wrong)
     report = verify_su_cai(4)
@@ -217,6 +212,29 @@ def test_verify_image_fixtures():
 def test_verify_image_flags_known_example_note():
     report = verify_image(skeleton(4, 1))
     assert report["notes"]  # the documented vertex-image swap
+
+
+def test_verify_image_reports_missing_cells(monkeypatch):
+    # L(skeleton(4, 1)) is {1, 2, 3, 13}; the full simplex on [3] adds the
+    # cells on 12, 23 and 123, which no face of Perm(K) reaches
+    monkeypatch.setattr(projection, "L_of_K", lambda K: full_simplex(3))
+    report = verify_image(skeleton(4, 1))
+    assert report["passed"] is False
+    assert report["missing"] == ["c(u:12,t:-)", "c(u:12,t:3)", "c(u:123,t:-)",
+                                 "c(u:23,t:-)", "c(u:23,t:1)"]
+    assert report["extra"] == []
+    assert (report["image_cells"], report["expected_cells"]) == (22, 27)
+
+
+def test_verify_image_reports_extra_cells(monkeypatch):
+    # the vertices of [3] alone leave out the two cells on 13, the images
+    # of F(12|34) and F(34|12)
+    monkeypatch.setattr(projection, "L_of_K", lambda K: skeleton(3, 0))
+    report = verify_image(skeleton(4, 1))
+    assert report["passed"] is False
+    assert report["missing"] == []
+    assert report["extra"] == ["c(u:13,t:-)", "c(u:13,t:2)"]
+    assert (report["image_cells"], report["expected_cells"]) == (22, 20)
 
 
 def test_verify_image_random():
