@@ -239,10 +239,10 @@ def cmd_project(args, report):
 def cmd_rmac(args, report):
     L, report["input_digest"] = _load_complex(args.complex)
     coeff = _coeff(args.coeff)  # checked without --homology too
-    R = cubes.build_rmac(L)
-    payload = {"m": L.m, "cells": len(R.cells)}
+    cells = cubes.build_rmac(L)
+    payload = {"m": L.m, "cells": sum(map(len, cells.values()))}
     if args.homology:
-        summary = compute_homology(R.chain_complex(), coeff)
+        summary = compute_homology(complex_from_boundary(cells, cubes.cube_boundary), coeff)
         payload.update(_summary_payload(summary))
     report["payload"] = payload
     return []

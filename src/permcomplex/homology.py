@@ -293,7 +293,7 @@ class ChainComplexData:
     row indices into the degree-(d-1) basis.  The constructor also takes a
     matrix as a dense list of len(basis[d-1]) rows.  Degrees may be
     negative (a cochain complex holds the q-cochains in degree -q, as
-    `cubes.cochain_complex` builds it).
+    the tests' `cochain_complex` builds it).
     """
 
     def __init__(self, basis: dict, diff: dict):

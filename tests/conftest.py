@@ -2,9 +2,11 @@
 intertwining and Tor-consistency tests, a strategy drawing small
 complexes for property tests, and references read off the definitions:
 the Morse complex by pair elimination, the shifts and closures of
-configuration matrices on row tuples, and the oracles the paper's
-criteria are checked against (homology generators and the torus cup
-pairing, the cochain dual, the chain-map and counit defects of a
+configuration matrices on row tuples, the cells, cochains and Whitney
+product of the cube, the chain complex of R_L, the closure of a set of
+cube cells under faces, and the oracles the paper's criteria are
+checked against (homology generators and the torus cup pairing, the
+cochain dual, the chain-map and counit defects of a
 diagonal, the induced chain map of the projection, the vertices of a
 face, ordered and step matrices, and snakes)."""
 
@@ -16,9 +18,10 @@ from hypothesis import strategies as st
 
 from permcomplex import simplicial
 from permcomplex.chains import FormalChain
-from permcomplex.cubes import build_rmac, cochain_complex, cup_whitney, pair
-from permcomplex.homology import ChainComplexData, identity, smith_normal_form, zeros
+from permcomplex.cubes import build_rmac, cube_boundary, inversion_count, subsets
+from permcomplex.homology import ChainComplexData, complex_from_boundary, identity, smith_normal_form, zeros
 from permcomplex.projection import blocks_are_intervals, rho_face, rho_sign
+from permcomplex.simplicial import SimplicialComplex
 from permcomplex.sumatrix import _from_flat, _step_tuples
 
 
@@ -150,6 +153,95 @@ def reference_closure(E):
 
 
 # ---------------------------------------------------------------------------
+# cube cells and cochains: a basis cochain u^sigma t^tau is named by the
+# cell (sigma, tau), with the delta = t* + tbar* cochain implicit on the
+# remaining coordinates, dual to the chain basis u_sigma eps_tau with
+# eps_i = t_i - tbar_i
+
+def all_cells(m: int) -> list:
+    result = []
+    for sigma in subsets(range(1, m + 1)):
+        rest = [i for i in range(1, m + 1) if i not in sigma]
+        for tau in subsets(rest):
+            result.append((sigma, tau))
+    return result
+
+
+def rmac_complex(L: SimplicialComplex) -> ChainComplexData:
+    """The chain complex of the real moment-angle complex R_L."""
+    return complex_from_boundary(build_rmac(L), cube_boundary)
+
+
+def _cell_closure(cells) -> set:
+    closure = set()
+    for sigma, tau in set(cells):  # many faces share one image cell
+        for sub in subsets(sigma):
+            removed = [i for i in sigma if i not in sub]
+            for extra in subsets(removed):
+                closure.add((sub, tuple(sorted(tau + extra))))
+    return closure
+
+
+def cochain_differential(a: tuple, L: SimplicialComplex | None = None) -> FormalChain:
+    """Coordinate rule dt* = u* (du* = 0, ddelta* = 0) with Koszul signs;
+    terms leaving R_L (sigma not in L) are dropped when L is given."""
+    sigma, tau = a
+    result = FormalChain()
+    for i in tau:
+        raised = tuple(sorted(sigma + (i,)))
+        if L is not None and raised not in L.simplices:
+            continue
+        sign = -1 if sum(1 for j in sigma if j < i) % 2 else 1
+        result.add_term((raised, tuple(x for x in tau if x != i)), sign)
+    return result
+
+
+def cochain_complex(m: int, L: SimplicialComplex | None = None) -> ChainComplexData:
+    """Cochain complex of I^m (or of R_L), graded by -degree so that the
+    container differential lowers the degree; homology at -q is H^q."""
+    basis = {}
+    for c in all_cells(m):
+        if L is None or c[0] in L.simplices:
+            basis.setdefault(-len(c[0]), []).append(c)
+    for labels in basis.values():
+        labels.sort()
+    return complex_from_boundary(basis, lambda a: cochain_differential(a, L))
+
+
+def cup_whitney_basis(a: tuple, b: tuple, L: SimplicialComplex | None = None):
+    """Whitney product of basis cochains: (sign, cochain) or None."""
+    sa, ta = set(a[0]), set(a[1])
+    sb, tb = set(b[0]), set(b[1])
+    if (sa & sb) or (ta & sb):
+        return None
+    sigma = tuple(sorted(sa | sb))
+    if L is not None and sigma not in L.simplices:
+        return None
+    tau = tuple(sorted(ta | (tb - sa)))
+    sign = -1 if inversion_count(a[0], b[0]) % 2 else 1
+    return sign, (sigma, tau)
+
+
+def cup_whitney(a: FormalChain, b: FormalChain,
+                L: SimplicialComplex | None = None) -> FormalChain:
+    """Bilinear extension of the Whitney product to cochain combinations."""
+    result = FormalChain()
+    for x, cx in a:
+        for y, cy in b:
+            product = cup_whitney_basis(x, y, L)
+            if product is not None:
+                sign, z = product
+                result.add_term(z, sign * cx * cy)
+    return result
+
+
+def pair(a: tuple, c: tuple) -> int:
+    """Evaluation of u^sigma t^tau against a cell: 1 iff the sigmas agree
+    and every t-coordinate of the cochain sits at +1 in the cell."""
+    return int(a[0] == c[0] and set(a[1]) <= set(c[1]))
+
+
+# ---------------------------------------------------------------------------
 # homology generators, the cochain dual and the torus cup pairing
 
 def integer_inverse(U: list) -> list:
@@ -253,7 +345,7 @@ def torus_cup_pairing():
     basis1 = Cc.basis[-1]
     gens1 = [FormalChain({basis1[i]: v for i, v in enumerate(vec) if v})
              for vec in vecs]
-    chain = build_rmac(L).chain_complex()
+    chain = rmac_complex(L)
     g2, _ = homology_generators(chain, 2)
     basis2 = chain.basis[2]
     z = FormalChain({basis2[i]: v for i, v in enumerate(g2[0]) if v})

@@ -5,13 +5,7 @@ import time
 
 from permcomplex.bar import bar_differential, tor_ranks
 from permcomplex.chains import FormalChain
-from permcomplex.cubes import (
-    all_cells,
-    build_rmac,
-    cube_boundary,
-    cup_whitney_basis,
-    pair,
-)
+from permcomplex.cubes import cube_boundary
 from permcomplex.diagonals import (
     cai_diagonal,
     su_diagonal,
@@ -49,7 +43,17 @@ from permcomplex.sumatrix import (
     rows_partition,
 )
 
-from conftest import chain_map_defect, cochain_dual, is_snake, standard_suite, torus_cup_pairing
+from conftest import (
+    all_cells,
+    chain_map_defect,
+    cochain_dual,
+    cup_whitney_basis,
+    is_snake,
+    pair,
+    rmac_complex,
+    standard_suite,
+    torus_cup_pairing,
+)
 
 
 def announce(capsys, number, description, passed, elapsed):
@@ -256,7 +260,7 @@ def test_criterion_09_known_homotopy_oracles(capsys):
     # doubled two-point complex: also a circle
     passed = passed and betti_of(build_perm_complex_C(from_facets(2, []))) == [1, 1]
     # torus: Betti (1, 2, 1) and a unimodular cup pairing
-    h = homology(build_rmac(polygon_boundary([1, 2, 3, 4])).chain_complex())
+    h = homology(rmac_complex(polygon_boundary([1, 2, 3, 4])))
     passed = passed and h.betti_vector() == [1, 2, 1]
     M = torus_cup_pairing()
     passed = passed and M[0][0] * M[1][1] - M[0][1] * M[1][0] in (1, -1)

@@ -74,6 +74,18 @@ def test_verify_image(capsys, k1_path):
     assert report["payload"]["notes"]
 
 
+def test_rmac_homology_of_the_octagon(tmp_path, capsys):
+    # R_L of the m-gon is an orientable surface of genus 1 + (m - 4) 2^(m - 3),
+    # with 2^m + m 2^(m - 1) + m 2^(m - 2) cells
+    path = tmp_path / "octagon.json"
+    path.write_text(json.dumps({"m": 8, "facets": [[i, i % 8 + 1] for i in range(1, 9)]}))
+    code, report = run(capsys, "rmac", "--homology", "--complex", str(path))
+    assert code == 0
+    assert report["payload"]["cells"] == 1792
+    assert report["payload"]["betti"] == [1, 258, 1]
+    assert all(not g["torsion"] for g in report["payload"]["groups"])
+
+
 def test_project_bar_notation(capsys, k1_path):
     code, report = run(capsys, "project", "--complex", k1_path,
                        "--face", "12|34")

@@ -1,18 +1,20 @@
 from permcomplex.chains import FormalChain
-from permcomplex.cubes import (
+from permcomplex.cubes import build_rmac, cube_boundary, inversion_count
+from permcomplex.homology import homology
+from permcomplex.projection import L_of_K
+from permcomplex.simplicial import from_facets, full_simplex, polygon_boundary
+
+from conftest import (
     all_cells,
-    build_rmac,
     cochain_complex,
     cochain_differential,
-    cube_boundary,
+    cochain_dual,
     cup_whitney_basis,
-    inversion_count,
     pair,
+    rmac_complex,
+    standard_suite,
+    torus_cup_pairing,
 )
-from permcomplex.homology import homology
-from permcomplex.simplicial import from_facets, polygon_boundary
-
-from conftest import cochain_dual, torus_cup_pairing
 
 
 def test_all_cells_count():
@@ -38,16 +40,55 @@ def test_cube_boundary_squares_to_zero():
 
 def test_rmac_two_points_is_circle():
     # (D^1, S^0) pairs over two bare points: the boundary of a square
-    R = build_rmac(from_facets(2, []))
-    h = homology(R.chain_complex())
+    h = homology(rmac_complex(from_facets(2, [])))
     assert h.betti_vector() == [1, 1]
 
 
 def test_rmac_square_boundary_is_torus():
     L = polygon_boundary([1, 2, 3, 4])
-    h = homology(build_rmac(L).chain_complex())
+    h = homology(rmac_complex(L))
     assert h.betti_vector() == [1, 2, 1]
     assert all(h.torsion(d) == [] for d in (0, 1, 2))
+
+
+def test_rmac_is_its_definition():
+    # the cells (sigma, tau) of the cube with sigma in L, each once and
+    # under len(sigma); L(K) may miss vertices
+    suite = standard_suite()
+    complexes = (suite + [L_of_K(K) for K in suite]
+                 + [from_facets(m, []) for m in range(1, 6)])
+    for L in complexes:
+        cells = build_rmac(L)
+        flat = [c for d in sorted(cells) for c in cells[d]]
+        assert len(flat) == len(set(flat))
+        assert set(flat) == {c for c in all_cells(L.m) if c[0] in L.simplices}
+        assert all(len(c[0]) == d for d, cs in cells.items() for c in cs)
+
+
+def test_rmac_of_a_polygon_is_an_orientable_surface():
+    # R_L of the m-gon is a closed orientable surface of genus
+    # 1 + (m - 4) 2^(m - 3): its Euler characteristic is
+    # 2^m (1 - m/2 + m/4) = 2 - 2g
+    for m in range(4, 10):
+        h = homology(rmac_complex(polygon_boundary(range(1, m + 1))))
+        g = 1 + (m - 4) * 2 ** (m - 3)
+        assert h.betti_vector() == [1, 2 * g, 1], m
+        assert all(h.torsion(d) == [] for d in (0, 1, 2))
+
+
+def test_rmac_of_points_is_a_graph():
+    # 2^m vertices and m 2^(m-1) edges, connected for m >= 2
+    for m in range(2, 7):
+        h = homology(rmac_complex(from_facets(m, [])))
+        assert h.betti_vector() == [1, (m - 2) * 2 ** (m - 1) + 1], m
+        assert h.torsion(0) == []
+
+
+def test_rmac_of_the_full_simplex_is_the_cube():
+    for m in range(1, 6):
+        cells = build_rmac(full_simplex(m))
+        assert sum(map(len, cells.values())) == 3 ** m
+        assert homology(rmac_complex(full_simplex(m))).betti_vector() == [1]
 
 
 def test_cochain_differential_unit_interval():
@@ -59,7 +100,7 @@ def test_cochain_complex_matches_dual():
     # cohomology from the cochain complex equals the dual of homology
     L = polygon_boundary([1, 2, 3, 4])
     hc = homology(cochain_complex(4, L))
-    hd = homology(cochain_dual(build_rmac(L).chain_complex()))
+    hd = homology(cochain_dual(rmac_complex(L)))
     for q in range(3):
         assert hc.betti(-q) == hd.betti(-q)
         assert hc.torsion(-q) == hd.torsion(-q)

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 
 from permcomplex.chains import FormalChain
-from permcomplex.cubes import all_cells, cube_boundary
+from permcomplex.cubes import cube_boundary
 from permcomplex.diagonals import (
     _block_terms,
     _top_cell_terms,
@@ -24,7 +24,7 @@ from permcomplex.projection import blocks_are_intervals
 from permcomplex.simplicial import polygon_boundary
 from permcomplex.sumatrix import columns_partition, csgn, enumerate_configurations, rows_partition
 
-from conftest import chain_map_defect, counit_defect, matrix
+from conftest import all_cells, chain_map_defect, counit_defect, matrix
 
 
 def F(*blocks):

@@ -5,6 +5,8 @@ from permcomplex.chains import FormalChain
 from permcomplex.cubes import cell_label, cube_boundary
 from permcomplex.permutohedron import (
     boundary,
+    build_perm_complex,
+    build_perm_complex_C,
     face,
     face_dim,
     face_label,
@@ -19,6 +21,7 @@ from permcomplex.projection import (
     verify_su_cai,
 )
 from permcomplex.simplicial import (
+    from_facets,
     full_simplex,
     polygon_boundary,
     random_suite,
@@ -26,7 +29,7 @@ from permcomplex.simplicial import (
 )
 from permcomplex.sumatrix import columns_partition, enumerate_configurations, rows_partition
 
-from conftest import is_snake, matrix, rho_chain
+from conftest import _cell_closure, is_snake, matrix, rho_chain, standard_suite
 
 
 def test_rho_face_vertices():
@@ -240,6 +243,28 @@ def test_verify_image_reports_extra_cells(monkeypatch):
 def test_verify_image_random():
     for K in random_suite(seed=3, count=10, max_m=5):
         assert verify_image(K)["passed"]
+
+
+def test_image_is_closed_under_faces():
+    # the lemma of `verify_image`: the image of a face set closed under
+    # refinement needs no closure
+    complexes = standard_suite() + [skeleton(m, d) for m in range(1, 7) for d in range(m)]
+    face_sets = [build_perm_complex(K).all() for K in complexes]
+    face_sets += [build_perm_complex_C(K).all()
+                  for K in (skeleton(3, 1), from_facets(3, [[1, 2]]))]
+    for faces in face_sets:
+        image = {rho_face(F) for F in faces}
+        assert _cell_closure(image) == image
+
+
+def test_image_of_faces_not_closed_under_refinement_is_not_closed():
+    # Perm^3 without its vertices: the cube vertices (-1, -1, -1) and
+    # (1, 1, 1) lie under the images of the edges F(12|3|4) and F(4|3|12),
+    # but only the vertices F(1|2|3|4) and F(4|3|2|1) map to them
+    faces = [F for F in full_permutohedron(4).all() if len(F) < 4]
+    image = {rho_face(F) for F in faces}
+    assert _cell_closure(image) != image
+    assert _cell_closure(image) - image == {((), ()), ((), (1, 2, 3))}
 
 
 def test_snake_lemma_both_directions():
