@@ -2,7 +2,6 @@
 (co)homology, the bar-construction model, the permutohedron and cube
 diagonals, and the projection between them."""
 
-from .chains import FormalChain
 from .cubes import build_rmac
 from .homology import ChainComplexData, HomologySummary, homology, smith_normal_form
 from .permutohedron import (
@@ -14,7 +13,6 @@ from .permutohedron import (
 from .simplicial import SimplicialComplex, from_facets, full_simplex, polygon_boundary, skeleton
 
 __all__ = [
-    "FormalChain",
     "build_rmac",
     "ChainComplexData",
     "HomologySummary",

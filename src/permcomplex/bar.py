@@ -26,7 +26,6 @@ the Morse complex it eliminates.
 
 from __future__ import annotations
 
-from .chains import FormalChain
 from .homology import ChainComplexData, HomologySummary, complex_from_boundary, homology
 from .permutohedron import face, last_element_matching, partitions_by_count, shuffle_sign
 from .simplicial import SimplicialComplex
@@ -56,9 +55,9 @@ class _Products(dict):
         return product
 
 
-def bar_differential(w: tuple, K: SimplicialComplex) -> FormalChain:
-    """Merge adjacent letters of the word w with bar signs; the terms are
-    plain letter tuples.
+def bar_differential(w: tuple, K: SimplicialComplex) -> dict:
+    """Merge adjacent letters of the word w with bar signs, as {word:
+    coefficient}; the words are plain letter tuples.
 
     Implements d = -sum_i [a_1-bar|...|(a_i-bar)a_{i+1}|...|a_n], where
     a-bar = (-1)^(deg a + 1) a.  deg x_i = 1, so even-degree letters do
@@ -67,16 +66,19 @@ def bar_differential(w: tuple, K: SimplicialComplex) -> FormalChain:
     return _differential(w, _Products(K))
 
 
-def _differential(w: tuple, products: _Products) -> FormalChain:
-    """`bar_differential` of w, its products read from `products`."""
-    result = FormalChain()
+def _differential(w: tuple, products: _Products) -> dict:
+    """`bar_differential` of w, its products read from `products`.  The
+    merges are distinct words, as a letter is a nonempty monomial: the one
+    at i has a longer letter i than w, and every later one keeps letter i
+    of w."""
+    terms = {}
     bar_sign = 1  # product of (-1)^(deg a_j + 1) over j <= i
     for i in range(len(w) - 1):
         bar_sign *= -1 if (len(w[i]) + 1) % 2 else 1
         term = _merge(w, i, bar_sign, products)
         if term is not None:
-            result.add_term(*term)
-    return result
+            terms[term[0]] = term[1]
+    return terms
 
 
 def _merge(w: tuple, i: int, bar_sign: int, products: _Products):

@@ -73,15 +73,14 @@ def _load_json(path: str):
 
 
 def _load_complex(path: str):
+    """The complex in the JSON file at `path` and the sha256 of its bytes.
+    `from_json_dict` raises on what is not a complex on [m] and closes the
+    rest downward, so what it returns needs no further check."""
     data, digest = _load_json(path)
     try:
         K = simplicial.from_json_dict(data)
     except simplicial.InvalidComplexError as exc:
         raise CliError(f"invalid complex in {path}: {exc}", EXIT_BAD_COMPLEX)
-    diagnostics = []
-    if not simplicial.validate(K, diagnostics):
-        raise CliError(f"invalid complex in {path}: {diagnostics[0]}",
-                       EXIT_BAD_COMPLEX)
     return K, digest
 
 
@@ -165,10 +164,10 @@ def cmd_diagonal(args, report):
 def _load_perm_cochain(path: str, X):
     """A cochain on the complex X from a file: a list of {"face": block
     list, "coeff": integer} terms of one degree on faces of X, "coeff"
-    defaulting to 1."""
+    defaulting to 1.  It is returned as {face: coefficient}: the terms on
+    one face add up, and a face whose sum is zero is dropped."""
     data, _ = _load_json(path)
-    from .chains import FormalChain
-    result = FormalChain()
+    result = {}
     degrees = set()
     if not isinstance(data, list):
         raise CliError(f"cochain in {path} is not a list of terms", EXIT_BAD_JSON)
@@ -186,11 +185,12 @@ def _load_perm_cochain(path: str, X):
                            f"{permutohedron.face_label(F)}, which is not "
                            f"a face of Perm(K)", EXIT_BAD_JSON)
         degrees.add(X.m - len(F))
-        result.add_term(F, term.get("coeff", 1))
+        result[F] = result.get(F, 0) + term.get("coeff", 1)
     if len(degrees) > 1:
         raise CliError(f"cochain in {path} mixes degrees {sorted(degrees)}",
                        EXIT_BAD_JSON)
-    return result, (degrees.pop() if degrees else 0)
+    return ({F: c for F, c in result.items() if c},
+            degrees.pop() if degrees else 0)
 
 
 def cmd_cup(args, report):
@@ -202,7 +202,7 @@ def cmd_cup(args, report):
     report["payload"] = {
         "degree": da + db,
         "terms": [{"face": F, "coeff": c}
-                  for F, c in sorted(product)],
+                  for F, c in sorted(product.items())],
     }
     return []
 

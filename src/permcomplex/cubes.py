@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 
-from .chains import FormalChain
 from .simplicial import SimplicialComplex
 
 
@@ -36,17 +35,18 @@ def subsets(elements):
         yield from itertools.combinations(elements, k)
 
 
-def cube_boundary(c: tuple) -> FormalChain:
-    """Leibniz boundary across the tensor coordinates in increasing order:
-    the i-th term picks up (-1)^(number of interval factors before i)."""
+def cube_boundary(c: tuple) -> dict:
+    """Leibniz boundary across the tensor coordinates in increasing order,
+    as {cell: coefficient}: the i-th term picks up (-1)^(number of
+    interval factors before i)."""
     sigma, tau = c
-    result = FormalChain()
+    terms = {}  # each i gives its two ends, and no two i give one rest
     for pos, i in enumerate(sigma):
         sign = -1 if pos % 2 else 1
         rest = sigma[:pos] + sigma[pos + 1:]
-        result.add_term((rest, tuple(sorted(tau + (i,)))), sign)
-        result.add_term((rest, tau), -sign)
-    return result
+        terms[rest, tuple(sorted(tau + (i,)))] = sign
+        terms[rest, tau] = -sign
+    return terms
 
 
 def build_rmac(L: SimplicialComplex) -> dict:

@@ -12,10 +12,11 @@ terms whose blocks are all intervals: `kept_top_terms(n)` builds the
 2^(n-1) of them on the top cell directly, with no configuration matrix,
 and a block with a gap keeps none, so `projection.verify_su_cai`
 interleaves the renamed kept terms over the interval faces alone.
-`su_top_diagonal` and `su_diagonal` collect the terms in a FormalChain
-over (left, right) pairs of faces, as `cai_diagonal` collects the terms
-of `cai_terms` over (left, right) pairs of cube cells, a cell being its
-(sigma, tau) pair; `verify_su_cai` reads `cai_terms` directly.  The
+`su_top_diagonal` and `su_diagonal` return the terms as a chain, a dict
+{(left, right): sign} over pairs of faces, as `cai_diagonal` returns the
+terms of `cai_terms` over pairs of cube cells, a cell being its (sigma,
+tau) pair; each pair is one term, so the dicts are built directly.
+`verify_su_cai` reads `cai_terms` directly.  The
 comultiplicative extension interleaves per-block factors with the Koszul
 sign, which is what makes the SU diagonal a chain map for the boundary
 on tensors, d(a (x) b) = da (x) b + (-1)^dim(a) a (x) db, as the Cai
@@ -28,7 +29,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .chains import FormalChain
 from .cubes import inversion_count
 from .permutohedron import PermComplex
 from .sumatrix import partition_sign, signed_partitions, step_sign
@@ -75,12 +75,10 @@ def _top_cell_terms(m: int) -> tuple:
     return tuple(terms)
 
 
-def su_top_diagonal(m: int) -> FormalChain:
-    """The double sum over configuration matrices for the top cell."""
-    result = FormalChain()
-    for sign, left, right in _top_cell_terms(m):
-        result.add_term((left, right), sign)
-    return result
+def su_top_diagonal(m: int) -> dict:
+    """The double sum over configuration matrices for the top cell, each
+    (left, right) pair once."""
+    return {(left, right): sign for sign, left, right in _top_cell_terms(m)}
 
 
 @lru_cache(maxsize=None)
@@ -194,14 +192,11 @@ def su_terms(F: tuple):
     return interleave(map(_block_terms, F))
 
 
-def su_diagonal(F: tuple) -> FormalChain:
+def su_diagonal(F: tuple) -> dict:
     """Comultiplicative extension of the top-cell diagonal to the face F:
-    the terms of `su_terms` as pairs of faces."""
-    result = FormalChain()
-    terms = result.terms  # su_terms gives each pair once
-    for sign, left, right in su_terms(F):
-        terms[left, right] = sign
-    return result
+    the terms of `su_terms`, which gives each pair once, as pairs of
+    faces."""
+    return {(left, right): sign for sign, left, right in su_terms(F)}
 
 
 def cai_terms(sigma: tuple, tau: tuple):
@@ -215,33 +210,30 @@ def cai_terms(sigma: tuple, tau: tuple):
             yield (sub, tau), (rest, tuple(sorted(sub + tau))), sign
 
 
-def cai_diagonal(c: tuple) -> FormalChain:
+def cai_diagonal(c: tuple) -> dict:
     """Diagonal of a cube cell, dual to the Whitney product: the terms of
-    `cai_terms` as pairs of cells."""
-    result = FormalChain()
-    for left, right, sign in cai_terms(*c):
-        result.add_term((left, right), sign)
-    return result
+    `cai_terms`, one per left cell, as pairs of cells."""
+    return {(left, right): sign for left, right, sign in cai_terms(*c)}
 
 
 # ---------------------------------------------------------------------------
 # cup products
 
-def cup_su(a: FormalChain, b: FormalChain, X: PermComplex,
-           deg_a: int, deg_b: int) -> FormalChain:
+def cup_su(a: dict, b: dict, X: PermComplex, deg_a: int, deg_b: int) -> dict:
     """Product of cochains on a permutohedral complex via the diagonal:
     <a cup b, F> = <a (x) b, su_diagonal(F)>.
 
-    Cochains are FormalChains over face labels (interpreted as duals);
-    their degrees must be supplied since a chain does not know its grading.
+    A cochain is a dict {face: coefficient} (the faces read as their
+    duals); the degrees must be supplied since a dict does not know its
+    grading.  Each face of the product is one value, kept if nonzero.
     """
-    result = FormalChain()
+    result = {}
     m = X.m
     for F in X.faces(deg_a + deg_b):
         value = 0
         for sign, left, right in su_terms(F):
             if m - len(left) == deg_a and m - len(right) == deg_b:
-                value += sign * a[left] * b[right]
+                value += sign * a.get(left, 0) * b.get(right, 0)
         if value:
-            result.add_term(F, value)
+            result[F] = value
     return result

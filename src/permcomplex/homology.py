@@ -351,8 +351,9 @@ class ChainComplexData:
 
 def complex_from_boundary(cells_by_dim: dict, boundary_fn, flow=None) -> ChainComplexData:
     """Assemble a ChainComplexData from graded cells and a boundary map
-    returning FormalChain, straight into sparse columns.  Cell order within
-    a degree is preserved.
+    returning a chain {cell: coefficient}, straight into sparse columns.
+    Cell order within a degree is preserved.  A boundary term outside
+    the cells raises BoundaryError.
 
     With `flow`, the gradient flow of an acyclic matching (Forman, "Morse
     theory for cell complexes", 1998), the cells are the critical cells
@@ -360,42 +361,32 @@ def complex_from_boundary(cells_by_dim: dict, boundary_fn, flow=None) -> ChainCo
     critical cell stands for the (critical cell, coefficient) pairs that
     flow(z) returns, those its gradient paths reach, each coefficient
     times that of z.  A pair whose cell is not critical raises
-    BoundaryError.
+    BoundaryError.  Only then can two terms meet in one entry, so only
+    then are zero entries dropped.
     """
     C = ChainComplexData(cells_by_dim, {})
     for d in C.degrees:
         index = C.index.get(d - 1)
         if index is None:
             continue
-        if flow is not None:
-            columns = []
-            for cell in C.basis[d]:
-                column = {}
-                for z, c in boundary_fn(cell):
-                    i = index.get(z)
-                    if i is not None:
-                        column[i] = column.get(i, 0) + c
-                        continue
+        columns = C.cols[d] = []
+        for cell in C.basis[d]:
+            column = {}
+            for z, c in boundary_fn(cell).items():
+                i = index.get(z)
+                if i is not None:
+                    column[i] = column.get(i, 0) + c
+                elif flow is None:
+                    raise BoundaryError(f"boundary of {cell} leaves the complex at {z}")
+                else:
                     for w, v in flow(z):
                         i = index.get(w)
                         if i is None:
                             raise BoundaryError(f"the gradient flow from {z} ends at "
                                                 f"{w}, which is not a critical cell")
                         column[i] = column.get(i, 0) + c * v
-                columns.append({i: v for i, v in column.items() if v})
-            C.cols[d] = columns
-            continue
-        columns = []
-        for cell in C.basis[d]:
-            column = {}
-            for label, coeff in boundary_fn(cell):
-                i = index.get(label)
-                if i is None:
-                    raise BoundaryError(
-                        f"boundary of {cell} leaves the complex at {label}")
-                column[i] = coeff
-            columns.append(column)
-        C.cols[d] = columns
+            columns.append(column if flow is None
+                           else {i: v for i, v in column.items() if v})
     return C
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .chains import FormalChain
 from .homology import BoundaryError
 from .simplicial import SimplicialComplex, minimal_nonfaces
 
@@ -120,14 +119,13 @@ def _splits(block: tuple) -> tuple:
     return tuple(table)
 
 
-def boundary(F: tuple) -> FormalChain:
-    """Cellular boundary of a permutohedron face.
+def boundary(F: tuple) -> dict:
+    """Cellular boundary of a permutohedron face, as {face: coefficient}.
 
     Splits each block U_j into M | U_j \\ M over proper nonempty M, with
     sign (-1)^(m_1+...+m_{j-1}+|M|) * shuff(M; U_j \\ M), m_i = |U_i| - 1.
     """
-    result = FormalChain()
-    terms = result.terms  # the terms are distinct faces: none cancels
+    terms = {}  # the terms are distinct faces: none cancels
     odd = False  # parity of m_1 + ... + m_{j-1}
     for j, block in enumerate(F):
         if len(block) > 1:
@@ -136,7 +134,7 @@ def boundary(F: tuple) -> FormalChain:
                 terms[head + (M, rest) + tail] = -sign if odd else sign
             if not len(block) % 2:
                 odd = not odd
-    return result
+    return terms
 
 
 class PermComplex:

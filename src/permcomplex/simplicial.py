@@ -63,35 +63,6 @@ def from_facets(m: int, facets, include_all_vertices: bool = True) -> Simplicial
     return SimplicialComplex(m, frozenset(simplices))
 
 
-def validate(K: SimplicialComplex, diagnostics: list | None = None,
-             require_all_vertices: bool = True) -> bool:
-    """Check all invariants; first violation is appended to `diagnostics`."""
-
-    def fail(msg):
-        if diagnostics is not None:
-            diagnostics.append(msg)
-        return False
-
-    if K.m < 1:
-        return fail(f"m = {K.m} < 1")
-    if () not in K.simplices:
-        return fail("empty simplex missing")
-    if require_all_vertices:
-        for i in range(1, K.m + 1):
-            if (i,) not in K.simplices:
-                return fail(f"singleton ({i},) missing")
-    for s in K.simplices:
-        if s != tuple(sorted(set(s))):
-            return fail(f"simplex {s} not canonical")
-        if s and (s[0] < 1 or s[-1] > K.m):
-            return fail(f"simplex {s} outside [1, {K.m}]")
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            if face not in K.simplices:
-                return fail(f"closure violated: {s} present, {face} missing")
-    return True
-
-
 def minimal_nonfaces(K: SimplicialComplex) -> list:
     """Inclusion-minimal subsets of [m] not in K, in lexicographic order.
 

@@ -1,6 +1,9 @@
 """Shared fixtures: the standard suite of simplicial complexes used by the
 intertwining and Tor-consistency tests, a strategy drawing small
-complexes for property tests, and references read off the definitions:
+complexes for property tests, the invariant check of a complex,
+`accumulate`, which sums (label, coefficient) pairs into a chain (a dict
+{label: coefficient} with no zero coefficient, as the program returns
+them), and references read off the definitions:
 the Morse complex by pair elimination, the shifts and closures of
 configuration matrices on row tuples, the cells, cochains and Whitney
 product of the cube, the chain complex of R_L, the closure of a set of
@@ -17,7 +20,6 @@ import pytest
 from hypothesis import strategies as st
 
 from permcomplex import simplicial
-from permcomplex.chains import FormalChain
 from permcomplex.cubes import build_rmac, cube_boundary, inversion_count, subsets
 from permcomplex.homology import ChainComplexData, complex_from_boundary, identity, smith_normal_form, zeros
 from permcomplex.projection import blocks_are_intervals, rho_face, rho_sign
@@ -49,6 +51,48 @@ def complexes(max_m):
     return st.integers(1, max_m).flatmap(lambda m: st.lists(
         st.sets(st.integers(1, m), min_size=1), max_size=6).map(
             lambda facets: simplicial.from_facets(m, facets)))
+
+
+def validate(K: SimplicialComplex, diagnostics: list | None = None,
+             require_all_vertices: bool = True) -> bool:
+    """Check all invariants of a complex; the first violation is appended
+    to `diagnostics`.  Every complex that `from_facets` returns passes, or
+    passes with `require_all_vertices` off when it was built without all
+    vertices."""
+
+    def fail(msg):
+        if diagnostics is not None:
+            diagnostics.append(msg)
+        return False
+
+    if K.m < 1:
+        return fail(f"m = {K.m} < 1")
+    if () not in K.simplices:
+        return fail("empty simplex missing")
+    if require_all_vertices:
+        for i in range(1, K.m + 1):
+            if (i,) not in K.simplices:
+                return fail(f"singleton ({i},) missing")
+    for s in K.simplices:
+        if s != tuple(sorted(set(s))):
+            return fail(f"simplex {s} not canonical")
+        if s and (s[0] < 1 or s[-1] > K.m):
+            return fail(f"simplex {s} outside [1, {K.m}]")
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1 :]
+            if face not in K.simplices:
+                return fail(f"closure violated: {s} present, {face} missing")
+    return True
+
+
+def accumulate(terms) -> dict:
+    """The chain of the (label, coefficient) pairs `terms`: the
+    coefficients of one label add up, and a label whose sum is zero is
+    dropped."""
+    chain = {}
+    for label, coeff in terms:
+        chain[label] = chain.get(label, 0) + coeff
+    return {label: coeff for label, coeff in chain.items() if coeff}
 
 
 def last_position(F):
@@ -182,17 +226,18 @@ def _cell_closure(cells) -> set:
     return closure
 
 
-def cochain_differential(a: tuple, L: SimplicialComplex | None = None) -> FormalChain:
+def cochain_differential(a: tuple, L: SimplicialComplex | None = None) -> dict:
     """Coordinate rule dt* = u* (du* = 0, ddelta* = 0) with Koszul signs;
-    terms leaving R_L (sigma not in L) are dropped when L is given."""
+    terms leaving R_L (sigma not in L) are dropped when L is given.  Each
+    i in tau gives its own term."""
     sigma, tau = a
-    result = FormalChain()
+    result = {}
     for i in tau:
         raised = tuple(sorted(sigma + (i,)))
         if L is not None and raised not in L.simplices:
             continue
         sign = -1 if sum(1 for j in sigma if j < i) % 2 else 1
-        result.add_term((raised, tuple(x for x in tau if x != i)), sign)
+        result[raised, tuple(x for x in tau if x != i)] = sign
     return result
 
 
@@ -222,17 +267,16 @@ def cup_whitney_basis(a: tuple, b: tuple, L: SimplicialComplex | None = None):
     return sign, (sigma, tau)
 
 
-def cup_whitney(a: FormalChain, b: FormalChain,
-                L: SimplicialComplex | None = None) -> FormalChain:
+def cup_whitney(a: dict, b: dict, L: SimplicialComplex | None = None) -> dict:
     """Bilinear extension of the Whitney product to cochain combinations."""
-    result = FormalChain()
-    for x, cx in a:
-        for y, cy in b:
+    terms = []
+    for x, cx in a.items():
+        for y, cy in b.items():
             product = cup_whitney_basis(x, y, L)
             if product is not None:
                 sign, z = product
-                result.add_term(z, sign * cx * cy)
-    return result
+                terms.append((z, sign * cx * cy))
+    return accumulate(terms)
 
 
 def pair(a: tuple, c: tuple) -> int:
@@ -343,18 +387,18 @@ def torus_cup_pairing():
     Cc = cochain_complex(4, L)
     vecs, _ = homology_generators(Cc, -1)
     basis1 = Cc.basis[-1]
-    gens1 = [FormalChain({basis1[i]: v for i, v in enumerate(vec) if v})
-             for vec in vecs]
+    gens1 = [{basis1[i]: v for i, v in enumerate(vec) if v} for vec in vecs]
     chain = rmac_complex(L)
     g2, _ = homology_generators(chain, 2)
     basis2 = chain.basis[2]
-    z = FormalChain({basis2[i]: v for i, v in enumerate(g2[0]) if v})
+    z = {basis2[i]: v for i, v in enumerate(g2[0]) if v}
     M = []
     for a in gens1:
         row = []
         for b in gens1:
             ab = cup_whitney(a, b, L)
-            row.append(sum(co * c2 * pair(x, c) for x, co in ab for c, c2 in z))
+            row.append(sum(co * c2 * pair(x, c) for x, co in ab.items()
+                           for c, c2 in z.items()))
         M.append(row)
     return M
 
@@ -362,56 +406,44 @@ def torus_cup_pairing():
 # ---------------------------------------------------------------------------
 # diagonals: the chain-map and counit identities
 
-def tensor_boundary(chain: FormalChain, boundary_fn, dim) -> FormalChain:
-    """Boundary of a chain of (left, right) pairs; `dim` gives the
-    dimension of a left factor."""
-    result = FormalChain()
-    for (a, b), coeff in chain:
-        for a2, c2 in boundary_fn(a):
-            result.add_term((a2, b), coeff * c2)
+def tensor_boundary(chain: dict, boundary_fn, dim):
+    """The terms of the boundary of a chain of (left, right) pairs, as
+    (pair, coefficient); `dim` gives the dimension of a left factor."""
+    for (a, b), coeff in chain.items():
+        for a2, c2 in boundary_fn(a).items():
+            yield (a2, b), coeff * c2
         sign = -1 if dim(a) % 2 else 1
-        for b2, c2 in boundary_fn(b):
-            result.add_term((a, b2), coeff * sign * c2)
-    return result
+        for b2, c2 in boundary_fn(b).items():
+            yield (a, b2), coeff * sign * c2
 
 
-def chain_map_defect(cell, diagonal_fn, boundary_fn, dim) -> FormalChain:
+def chain_map_defect(cell, diagonal_fn, boundary_fn, dim) -> dict:
     """diagonal(boundary) - boundary(diagonal); zero iff the diagonal is a
     chain map at this cell.  `dim` gives the dimension of a cell."""
-    lhs = FormalChain()
-    for c2, coeff in boundary_fn(cell):
-        for label, c3 in diagonal_fn(c2):
-            lhs.add_term(label, coeff * c3)
+    lhs = ((label, coeff * c3) for c2, coeff in boundary_fn(cell).items()
+           for label, c3 in diagonal_fn(c2).items())
     rhs = tensor_boundary(diagonal_fn(cell), boundary_fn, dim)
-    return lhs - rhs
+    return accumulate(itertools.chain(lhs, ((label, -c) for label, c in rhs)))
 
 
-def counit_defect(cell, diagonal_fn, dim) -> FormalChain:
+def counit_defect(cell, diagonal_fn, dim) -> dict:
     """Collapse each tensor factor through the augmentation (vertices to 1);
     both collapses must return the original cell.  `dim` gives the
     dimension of a cell."""
-    left_collapse = FormalChain()
-    right_collapse = FormalChain()
-    for (a, b), coeff in diagonal_fn(cell):
-        if dim(a) == 0:
-            left_collapse.add_term(b, coeff)
-        if dim(b) == 0:
-            right_collapse.add_term(a, coeff)
-    original = FormalChain.basis(cell)
-    return (left_collapse - original) + (right_collapse - original)
+    diagonal = diagonal_fn(cell).items()
+    left_collapse = ((b, coeff) for (a, b), coeff in diagonal if dim(a) == 0)
+    right_collapse = ((a, coeff) for (a, b), coeff in diagonal if dim(b) == 0)
+    return accumulate(itertools.chain(left_collapse, right_collapse, [(cell, -2)]))
 
 
 # ---------------------------------------------------------------------------
 # the projection and the faces of the permutohedron
 
-def rho_chain(chain: FormalChain) -> FormalChain:
+def rho_chain(chain: dict) -> dict:
     """Induced chain map: faces whose dimension drops are sent to zero,
     the rest to their image cell with the orientation sign."""
-    result = FormalChain()
-    for F, coeff in chain:
-        if blocks_are_intervals(F):
-            result.add_term(rho_face(F), coeff * rho_sign(F))
-    return result
+    return accumulate((rho_face(F), coeff * rho_sign(F))
+                      for F, coeff in chain.items() if blocks_are_intervals(F))
 
 
 def face_vertices(F: tuple) -> list:

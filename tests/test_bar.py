@@ -9,12 +9,11 @@ from permcomplex.bar import (
     phi_inverse,
     tor_ranks,
 )
-from permcomplex.chains import FormalChain
 from permcomplex.homology import HomologySummary, complex_from_boundary, homology
 from permcomplex.permutohedron import boundary, build_perm_complex, face, last_element_matching
 from permcomplex.simplicial import from_facets, full_simplex, polygon_boundary, skeleton
 
-from conftest import complexes, last_position, reduce_pairs, standard_suite
+from conftest import accumulate, complexes, last_position, reduce_pairs, standard_suite
 
 
 def test_barword_rejects_empty_letter():
@@ -71,9 +70,8 @@ def test_bar_differential_squares_to_zero():
     for K in (full_simplex(4), skeleton(4, 1), polygon_boundary([1, 2, 3, 4])):
         for words in component_1_1(K).basis.values():
             for w in words:
-                dd = FormalChain()
-                for v, c in bar_differential(w, K):
-                    dd = dd + c * bar_differential(v, K)
+                dd = accumulate((u, c * c2) for v, c in bar_differential(w, K).items()
+                                for u, c2 in bar_differential(v, K).items())
                 assert not dd
 
 
@@ -81,11 +79,11 @@ def test_phi_intertwines_dual_boundary_and_bar_differential():
     K = skeleton(4, 1)
     X = build_perm_complex(K)
     for F in X.all():
-        dual = FormalChain()
+        dual = {}
         for G in X.faces(X.m - len(F) + 1):
-            c = boundary(G)[F]
+            c = boundary(G).get(F, 0)
             if c:
-                dual.add_term(G, c)
+                dual[G] = c
         assert dual == bar_differential(F, K)
 
 
@@ -188,7 +186,7 @@ def test_bar_matching_is_acyclic(K):
         y = pair[0]
         terms = bar_differential(y, K)
         assert terms[x] in (1, -1)
-        for z, _ in terms:
+        for z in terms:
             # a gradient step continues from z when z is split, like x
             if z != x and (partner(z) or (None, True))[1] is False:
                 assert last_position(z) > last_position(x), (x, y, z)

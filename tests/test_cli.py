@@ -19,6 +19,8 @@ from permcomplex.cli import CliError, _write_json, build_parser, main
 from permcomplex.permutohedron import full_permutohedron
 from permcomplex.sumatrix import ConfigurationAmbiguityError
 
+from conftest import validate
+
 
 @pytest.fixture()
 def k1_path(tmp_path):
@@ -190,6 +192,15 @@ _WEIGHTED_EDGES = [{"face": F, "coeff": 1 + [len(b) for b in F].index(2)} for F 
      "fbce7e93668f227f50c115bd7c5c10c7a382b1369df92e96e3ee36108034b2a1"),
     (["rmac", "--homology", "--complex", {"m": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]}],
      "045702b0427aaa4635db353afd9b997bebe47e480bfe52fcd1eec2272ad7fd48"),
+    # homology through the Morse complex: the 1-skeleton on [5], the
+    # 5-cycle over GF(2), and a doubled complex
+    (["homology", "--complex", _skeleton(5, 2)],
+     "40fd5a4f3b791fd1848370f131df50e7ab37f7cc287da43d7e00d8326d40ee67"),
+    (["homology", "--coeff", "2", "--complex",
+      {"m": 5, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}],
+     "f3edaeaeb3331f5d73e4b1b436e2a761533ee6e2237dfc9359b2721feed909e2"),
+    (["homology", "--doubled", "--complex", {"m": 3, "facets": [[1, 2], [3]]}],
+     "1507585b6b9760bb0fd3b031a1cb54468da67390a5fbd84df74858355564ce27"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
     assert _pinned_run(tmp_path, argv) == (0, digest)
@@ -533,6 +544,24 @@ def _cochain(tmp_path, name, terms):
     return str(path)
 
 
+def test_cochain_terms_on_one_face_add_up(tmp_path):
+    """A cochain file may list a face twice: its coefficients add up, and
+    a face whose sum is 0 is as if it were not listed."""
+    first, rest = _ALL_EDGES[0], _ALL_EDGES[1:]
+    F = first["face"]
+
+    def cup(terms):
+        return _pinned_run(tmp_path, ["cup", "--complex", 4, "--a", terms, "--b", _WEIGHTED_EDGES])
+
+    assert cup(rest + [{"face": F}, {"face": F, "coeff": -1}]) == cup(rest)
+    assert cup(rest + [{"face": F, "coeff": 1}, {"face": F, "coeff": 2}]) == (
+        cup(rest + [{"face": F, "coeff": 3}]))
+    assert len({cup(rest), cup([first] + rest), cup(rest + [{"face": F, "coeff": 3}])}) == 3
+    # the loaded cochain is a chain: no zero coefficient
+    path = _cochain(tmp_path, "a.json", [{"face": F}, {"face": F, "coeff": -1}])
+    assert cli._load_perm_cochain(path, full_permutohedron(4)) == ({}, 1)
+
+
 def test_cup_of_vertex_cochains(tmp_path, capsys, k1_path):
     a = _cochain(tmp_path, "a.json", [{"face": [[1], [2], [3], [4]]}])
     code, report = run(capsys, "cup", "--complex", k1_path, "--a", a, "--b", a)
@@ -615,6 +644,20 @@ def test_cli_input_contract(command, complex_bytes, coeff, face):
         assert isinstance(report["error"], str) and report["payload"] is None
     else:
         assert "error" not in report and report["payload"] is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complex_data)
+@example({"m": 3, "facets": [[3, 1, 1], [], [2]]})
+def test_a_loaded_complex_is_valid(data):
+    """Every complex that the contract draws and `from_json_dict` accepts
+    holds every invariant of a complex, so the CLI checks none again."""
+    try:
+        K = simplicial.from_json_dict(data)
+    except simplicial.InvalidComplexError:
+        return
+    diagnostics = []
+    assert validate(K, diagnostics), diagnostics
 
 
 def _parse(parser, argv):

@@ -1,10 +1,10 @@
-from permcomplex.chains import FormalChain
 from permcomplex.cubes import build_rmac, cube_boundary, inversion_count
 from permcomplex.homology import homology
 from permcomplex.projection import L_of_K
 from permcomplex.simplicial import from_facets, full_simplex, polygon_boundary
 
 from conftest import (
+    accumulate,
     all_cells,
     cochain_complex,
     cochain_differential,
@@ -32,9 +32,8 @@ def test_cube_boundary_interval():
 
 def test_cube_boundary_squares_to_zero():
     for c in all_cells(4):
-        dd = FormalChain()
-        for b, coeff in cube_boundary(c):
-            dd = dd + coeff * cube_boundary(b)
+        dd = accumulate((b2, coeff * c2) for b, coeff in cube_boundary(c).items()
+                        for b2, c2 in cube_boundary(b).items())
         assert not dd
 
 

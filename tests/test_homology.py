@@ -379,6 +379,19 @@ def test_morse_complex_of_full_perm_is_perm_one_down():
         assert C.cols == inner.cols
 
 
+def test_a_boundary_that_leaves_the_cells_is_a_boundary_error():
+    # Perm(full simplex on [3]), the hexagon, without the vertex F(1|2|3):
+    # the first edge in basis order whose boundary holds it is named
+    cells = build_perm_complex(simplicial.full_simplex(3)).by_dim
+    vertex = ((1,), (2,), (3,))
+    cells[0].remove(vertex)
+    edge = next(E for E in cells[1] if vertex in boundary(E))
+    assert edge == ((1,), (2, 3))
+    with pytest.raises(BoundaryError, match=re.escape(
+            f"boundary of {edge} leaves the complex at {vertex}")):
+        complex_from_boundary(cells, boundary)
+
+
 def test_a_flow_that_ends_outside_the_critical_cells_is_a_boundary_error():
     # F(12|4|3) is critical, and the path from F(1|2|4|3) in its boundary
     # moves {4} left past 2 and 1 to F(4|1|2|3), which is left out here

@@ -1,7 +1,6 @@
 import itertools
 
 from permcomplex import diagonals, projection
-from permcomplex.chains import FormalChain
 from permcomplex.cubes import cell_label, cube_boundary
 from permcomplex.permutohedron import (
     boundary,
@@ -70,10 +69,10 @@ def test_rho_chain_commutes_with_boundaries():
     for m in (2, 3, 4, 5):
         for F in full_permutohedron(m).all():
             lhs = rho_chain(boundary(F))
-            rhs = FormalChain()
+            rhs = {}
             G = rho_face(F)
             if blocks_are_intervals(F):
-                rhs = rho_sign(F) * cube_boundary(G)
+                rhs = {c: rho_sign(F) * v for c, v in cube_boundary(G).items()}
             assert lhs == rhs, F
 
 
@@ -104,7 +103,7 @@ def _reference_verify_su_cai(m):
                 lhs[key] = lhs.get(key, 0) + sign * a[1] * b[1]
         c = images[F]
         if c:
-            for key, coeff in diagonals.cai_diagonal(c[0]):
+            for key, coeff in diagonals.cai_diagonal(c[0]).items():
                 lhs[key] = lhs.get(key, 0) - c[1] * coeff
         terms = sorted((cell_label(a), cell_label(b), v)
                        for (a, b), v in lhs.items() if v)

@@ -8,8 +8,9 @@ from permcomplex.simplicial import (
     minimal_nonfaces,
     polygon_boundary,
     skeleton,
-    validate,
 )
+
+from conftest import validate
 
 
 def test_from_facets_closes_downward():
@@ -83,4 +84,4 @@ def test_random_suite_is_deterministic():
     b = simplicial.random_suite(seed=7, count=5)
     assert [K.simplices for K in a] == [K.simplices for K in b]
     for K in a:
-        validate(K)
+        assert validate(K)
