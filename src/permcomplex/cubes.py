@@ -23,9 +23,12 @@ from .simplicial import SimplicialComplex
 
 
 def cell_label(c: tuple) -> str:
-    """The report text of a cell, c(u:12,t:-) for ((1, 2), ())."""
-    s = "".join(map(str, c[0])) or "-"
-    t = "".join(map(str, c[1])) or "-"
+    """The report text of a cell, c(u:12,t:-) for ((1, 2), ()).  When a
+    coordinate has two digits, the coordinates are joined with commas, so
+    ((1, 2, 13), ()) gives c(u:1,2,13,t:-) and ((12, 13), ()) c(u:12,13,t:-)."""
+    sep = "," if any(i > 9 for part in c for i in part) else ""
+    s = sep.join(map(str, c[0])) or "-"
+    t = sep.join(map(str, c[1])) or "-"
     return f"c(u:{s},t:{t})"
 
 

@@ -10,8 +10,9 @@ is one object however many terms hold it.  `su_terms` is `interleave`
 over the per-block factors.  The projection to the cube keeps only the
 terms whose blocks are all intervals: `kept_top_terms(n)` builds the
 2^(n-1) of them on the top cell directly, with no configuration matrix,
-and a block with a gap keeps none, so `projection.verify_su_cai`
-interleaves the renamed kept terms over the interval faces alone.
+and a block with a gap keeps none, so `projection.walk_su_cai`
+interleaves the renamed kept terms over the interval faces alone, and
+`projection.verify_su_cai` over one face per interval block.
 `su_top_diagonal` and `su_diagonal` return the terms as a chain, a dict
 {(left, right): sign} over pairs of faces, as `cai_diagonal` returns the
 terms of `cai_terms` over pairs of cube cells, a cell being its (sigma,
@@ -104,10 +105,16 @@ def _renamed(top: tuple, block: tuple) -> tuple:
                  for sign, left, right in top)
 
 
+@lru_cache(maxsize=None)
+def _interval(a: int, b: int) -> tuple:
+    """The block a, a + 1, ..., b - 1, one object for all terms."""
+    return tuple(range(a, b))
+
+
 def _runs(n: int, starts: tuple) -> tuple:
     """The runs of 1..n that begin at 1 and at each value of `starts`."""
     bounds = (1, *starts, n + 1)
-    return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    return tuple(map(_interval, bounds, bounds[1:]))
 
 
 def kept_top_terms(n: int) -> tuple:
@@ -125,7 +132,8 @@ def kept_top_terms(n: int) -> tuple:
     is 1 then the other values, so c(E) = ((1,) + D, then each other value
     as a singleton), and the sign is partition_sign(step_sign(q, c(E)),
     r(A), c(A)), from the sign calculus alone.  Terms come by q, then D in
-    lexicographic order, which is the order of their matrices.
+    lexicographic order, which is the order of their matrices, and every
+    term holds the one object `_interval` keeps for each of its blocks.
 
     Why these are all the kept terms, each once and with that sign:
     - A configuration matrix A whose rows and columns are all intervals

@@ -45,8 +45,11 @@ def face_dim(F: tuple) -> int:
 
 
 def face_label(F: tuple) -> str:
-    """The label F(12|3) of a face, as reports and errors print it."""
-    return "F(" + "|".join("".join(map(str, b)) for b in F) + ")"
+    """The label F(12|3) of a face, as reports and errors print it.  When
+    an element has two digits, the elements of each block are joined with
+    commas, so the block (1, 2, 13) reads 1,2,13 and (12, 13) 12,13."""
+    sep = "," if any(i > 9 for b in F for i in b) else ""
+    return "F(" + "|".join(sep.join(map(str, b)) for b in F) + ")"
 
 
 def face(m: int, *blocks) -> tuple:

@@ -6,9 +6,14 @@ of I^{m-1}, with interval coordinates sigma = {i : i, i+1 share a block}
 and +1 coordinates tau = {i : i+1 sits in an earlier block than i}.
 Dimension is preserved exactly when every block is a run of consecutive
 integers.
-`verify_su_cai` walks only the faces whose blocks are all such runs:
+Only the faces whose blocks are all such runs matter to the diagonals:
 rho sends every other face to 0, and rho (x) rho every term of its SU
-diagonal, by the snake lemma of `diagonals.kept_top_terms`.
+diagonal, by the snake lemma of `diagonals.kept_top_terms`.  On such a
+face both sides are products over its blocks (the product lemma of
+`verify_su_cai`), so `verify_su_cai` checks one face per interval block,
+m(m - 1)/2 + 1 faces in all, and walks every interval face with
+`walk_su_cai` only when one of them fails.  CI runs the walk itself
+through m = 9 and the check through m = 16.
 The image {rho(F)} of a face set closed under refinement, such as
 Perm(K), is already closed under taking faces (proved at `verify_image`),
 so `verify_image` compares it with R_L as it is.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 from .cubes import build_rmac, cell_label
 from .diagonals import _renamed, cai_terms, interleave, kept_top_terms
@@ -45,7 +51,7 @@ def blocks_are_intervals(F: tuple) -> bool:
     """Whether every block is a run of consecutive integers, which is
     exactly when rho_face keeps the dimension of F: a block of size s
     holds at most s - 1 pairs i, i + 1, and s - 1 exactly when it is an
-    interval (tested through m = 5; `verify_su_cai` walks the faces it
+    interval (tested through m = 5; `walk_su_cai` walks the faces it
     accepts, through m = 9 in CI)."""
     return all(b[-1] - b[0] + 1 == len(b) for b in F)
 
@@ -53,15 +59,16 @@ def blocks_are_intervals(F: tuple) -> bool:
 def rho_sign(F: tuple) -> int:
     """Orientation of the image cell relative to the cube's product
     orientation: the Koszul sign of sorting the interval blocks into
-    their natural order, a block of size s contributing degree s - 1.
-    Solved from the boundary-commutation equations; `verify_su_cai`
-    checks it on every interval face through m = 9 in CI."""
-    degs = [len(b) - 1 for b in F]
-    mins = [b[0] for b in F]
-    e = sum(degs[j] * degs[k]
-            for j in range(len(F))
-            for k in range(j + 1, len(F))
-            if mins[j] > mins[k])
+    their natural order, a block of size s contributing degree s - 1, so
+    singletons play no part.  Solved from the boundary-commutation
+    equations; `walk_su_cai` checks it on every interval face through
+    m = 9 in CI, and the product lemma of `verify_su_cai` is where it
+    factors block by block."""
+    blocks = [(b[0], len(b) - 1) for b in F if len(b) > 1]  # (min, degree)
+    e = sum(dj * dk
+            for j, (aj, dj) in enumerate(blocks)
+            for ak, dk in blocks[j + 1:]
+            if aj > ak)
     return -1 if e % 2 else 1
 
 
@@ -72,11 +79,74 @@ def verify_su_cai(m: int) -> dict:
     """Check (rho (x) rho) Delta_SU = Delta_C(rho) on every face of
     Perm^{m-1}; discrepancies are reported, not raised.
 
-    Faces are checked by dimension, least first, so the first mismatch
-    names a failing face of least dimension.  A mismatch lists only the
-    terms of lhs - rhs, each as its left and right cube cells and its
-    coefficient.  The terms of both sides are keyed by their (sigma, tau)
-    cells.
+    A passing run checks only the probes of `_probes`, m(m - 1)/2 + 1
+    faces: the product lemma below gives every other face from them.
+    When a probe fails (`failing_probes`), `walk_su_cai` checks every
+    interval face, least dimension first, so the first mismatch names a
+    failing face of least dimension; a mismatch lists only the terms of
+    lhs - rhs, each as its left and right cube cells and its coefficient.
+    Either way the report is the one a walk over every face would give.
+    `faces_checked` counts every face, the ordered Bell number of m: a
+    face with a non-interval block is 0 on both sides (see `walk_su_cai`).
+
+    Product lemma.  Let F = (B_1|...|B_p) be an interval face, B_j
+    starting at a_j, and read the top cell of Perm(B_j) through the cube
+    I^{B_j} on the coordinates of its pairs i, i + 1.
+    - rho(F) is the product of the top cells of the cubes I^{B_j}, with
+      each gap coordinate i between two blocks fixed: in tau when the
+      block of i + 1 comes before that of i in F.
+    - A kept term of F is (s, L, R), L = L_1 ... L_p and R = R_1 ... R_p
+      from kept terms (s_j, L_j, R_j) of the blocks, s from `interleave`
+      in F's block order.  The blocks of L_j lie in B_j, so rho_face(L)
+      is rho_face(L_j) on the coordinates of each B_j, and on a gap pair
+      i, i + 1 it reads the order of their blocks in F, as rho(F) does.
+      Sorting the blocks of L, one of L_j passes one of L_k, j < k,
+      exactly when a_j > a_k, so rho_sign(L) is the product of the
+      rho_sign(L_j) times the Koszul sign of F's block order on the
+      degrees l_j of the L_j.  Likewise for R, with degrees r_j.
+    - The Cai terms of rho(F) choose a subset S of its interval
+      coordinates, the union of subsets S_j of each block's.  The gap
+      coordinates of tau stay on both sides, and the sign (-1)^{inv(S,
+      rest)} is the product of the blocks' signs times (-1)^{|S_j|
+      |rest_k|} for each a_k < a_j: the Koszul product of the blocks'
+      terms in coordinate order.
+    So both sides on F are products over the blocks, and it remains to
+    compare their signs on a pair j < k of F's order, with l_j + r_j =
+    |B_j| - 1.  The left side carries l_k r_j from `interleave` and, when
+    a_j > a_k, l_j l_k + r_j r_k from the rho_sign of L and R.  The right
+    side carries, when a_j < a_k, l_k r_j from the Cai sign, and when
+    a_j > a_k, (l_j + r_j)(l_k + r_k) from rho_sign(F) and l_j r_k from
+    the Cai sign.  The exponents agree mod 2, so lhs - rhs on F is
+    X_1 ... X_p - Y_1 ... Y_p under one Koszul rearrangement, X_j and Y_j
+    the two sides on the top cell of B_j, and it vanishes when X_j = Y_j
+    for each j.  A probe holds one block with the other elements as
+    singletons, whose one term (+1, (i), (i)) has degree 0 and whose
+    cube is a point, so its two sides are X_j and Y_j; the vertex probe
+    checks the singletons themselves."""
+    mismatches = walk_su_cai(m) if failing_probes(m) else []
+    return {"m": m, "faces_checked": _ordered_bell(m), "mismatches": mismatches,
+            "passed": not mismatches}
+
+
+def failing_probes(m: int) -> list:
+    """The probes of `_probes(m)` on which lhs - rhs is not 0."""
+    factor = _kept_factor()
+    return [F for F in _probes(m) if _mismatch(F, m, factor, _image) is not None]
+
+
+def _probes(m: int) -> list:
+    """For each interval block B of [m], by size and then start, the face
+    holding B with the other elements as singletons in increasing order.
+    The blocks of one element all give the vertex 1|2|...|m, listed once."""
+    singles = tuple((i,) for i in range(1, m + 1))
+    return [(*singles[:a - 1], tuple(range(a, a + n)), *singles[a + n - 1:])
+            for n in range(1, m + 1) for a in range(1, m - n + 2)
+            if n > 1 or a == 1]
+
+
+def walk_su_cai(m: int) -> list:
+    """The mismatches of (rho (x) rho) Delta_SU = Delta_C(rho) over every
+    interval face of Perm^{m-1}, by dimension, least first.
 
     Only the interval faces are walked, and only the SU terms that
     rho (x) rho keeps are generated.  rho sends a face with a non-interval
@@ -87,41 +157,48 @@ def verify_su_cai(m: int) -> dict:
     gap keeps none (see `kept_top_terms`), so every other face is 0 on
     both sides.  `interleave` of the kept factors gives the surviving
     terms with the signs they have in `su_terms`: the Koszul sign depends
-    only on the degrees of the terms chosen.  `faces_checked` counts
-    every face, the ordered Bell number of m."""
+    only on the degrees of the terms chosen."""
     by_count = partitions_by_count(range(1, m + 1),
                                    lambda block: blocks_are_intervals((block,)))
     faces = [F for p in range(m, 0, -1) for F in by_count[p]]
     # interval face -> (its image cell, rho_sign)
-    images = {F: (rho_face(F), rho_sign(F)) for F in faces}
-    kept = {}  # interval block -> its kept terms, renamed
+    images = {F: _image(F) for F in faces}
+    factor = lru_cache(maxsize=None)(_kept_factor())
+    return [x for F in faces
+            if (x := _mismatch(F, m, factor, images.__getitem__)) is not None]
 
-    def factor(block):
-        terms = kept.get(block)
-        if terms is None:
-            terms = kept[block] = _renamed(kept_top_terms(len(block)), block)
-        return terms
 
-    mismatches = []
-    for F in faces:
-        lhs = {}  # (left cell, right cell) -> coefficient
-        for sign, left, right in interleave(map(factor, F)):
-            (a, sa), (b, sb) = images[left], images[right]
-            key = (a, b)
-            lhs[key] = lhs.get(key, 0) + sign * sa * sb
-        c, s = images[F]  # lhs - rhs
-        for a, b, coeff in cai_terms(*c):
-            key = (a, b)
-            lhs[key] = lhs.get(key, 0) - s * coeff
-        terms = sorted((cell_label(a), cell_label(b), v)
-                       for (a, b), v in lhs.items() if v)
-        if terms:
-            mismatches.append({
-                "face": face_label(F), "dim": m - len(F),
-                "terms": [{"left": a, "right": b, "coeff": coeff}
-                          for a, b, coeff in terms]})
-    return {"m": m, "faces_checked": _ordered_bell(m), "mismatches": mismatches,
-            "passed": not mismatches}
+def _kept_factor():
+    """The map from an interval block to its renamed kept terms, with
+    `kept_top_terms(n)` built once per size n."""
+    top = lru_cache(maxsize=None)(kept_top_terms)
+    return lambda block: _renamed(top(len(block)), block)
+
+
+def _image(F: tuple) -> tuple:
+    """The image cell of the interval face F and its rho_sign."""
+    return rho_face(F), rho_sign(F)
+
+
+def _mismatch(F: tuple, m: int, factor, image):
+    """lhs - rhs on the interval face F as its report entry, None when it
+    is 0.  The terms of both sides are keyed by their (sigma, tau) cells."""
+    lhs = {}  # (left cell, right cell) -> coefficient
+    for sign, left, right in interleave(map(factor, F)):
+        (a, sa), (b, sb) = image(left), image(right)
+        key = (a, b)
+        lhs[key] = lhs.get(key, 0) + sign * sa * sb
+    c, s = image(F)  # lhs - rhs
+    for a, b, coeff in cai_terms(*c):
+        key = (a, b)
+        lhs[key] = lhs.get(key, 0) - s * coeff
+    terms = sorted((cell_label(a), cell_label(b), v)
+                   for (a, b), v in lhs.items() if v)
+    if not terms:
+        return None
+    return {"face": face_label(F), "dim": m - len(F),
+            "terms": [{"left": a, "right": b, "coeff": coeff}
+                      for a, b, coeff in terms]}
 
 
 def _ordered_bell(m: int) -> int:

@@ -1,4 +1,4 @@
-from permcomplex.cubes import build_rmac, cube_boundary, inversion_count
+from permcomplex.cubes import build_rmac, cell_label, cube_boundary, inversion_count
 from permcomplex.homology import homology
 from permcomplex.projection import L_of_K
 from permcomplex.simplicial import from_facets, full_simplex, polygon_boundary
@@ -22,6 +22,14 @@ def test_all_cells_count():
     assert len(all_cells(1)) == 3
     assert len(all_cells(2)) == 9
     assert len(all_cells(4)) == 81
+
+
+def test_cell_labels_tell_two_digit_coordinates_apart():
+    assert cell_label(((1, 2), (3,))) == "c(u:12,t:3)"
+    assert cell_label(((), ())) == "c(u:-,t:-)"
+    assert cell_label(((1, 2, 13), ())) == "c(u:1,2,13,t:-)"
+    assert cell_label(((12, 13), ())) == "c(u:12,13,t:-)"
+    assert cell_label(((1,), (2, 11))) == "c(u:1,t:2,11)"
 
 
 def test_cube_boundary_interval():

@@ -107,6 +107,11 @@ def test_a_face_is_its_block_tuple():
     assert boundary(face(2, [1, 2]))[((2,), (1,))] == 1
     assert face_label(((2, 4), (1,), (3,))) == "F(24|1|3)"
     assert face_label(()) == "F()"
+    # from m = 10 a block's digits no longer tell its elements apart, so
+    # they are joined with commas once an element has two digits
+    assert face_label(((1, 2, 13), (3,))) == "F(1,2,13|3)"
+    assert face_label(((12, 13), (1, 2, 3))) == "F(12,13|1,2,3)"
+    assert face_label(((1, 2, 13),)) != face_label(((12, 13),))
     # the dimension m - p is read off the blocks
     assert face_dim(()) == 0
     for m in range(1, 6):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 from permcomplex import diagonals, projection
 from permcomplex.cubes import cell_label, cube_boundary
@@ -14,10 +15,12 @@ from permcomplex.permutohedron import (
 from permcomplex.projection import (
     L_of_K,
     blocks_are_intervals,
+    failing_probes,
     rho_face,
     rho_sign,
     verify_image,
     verify_su_cai,
+    walk_su_cai,
 )
 from permcomplex.simplicial import (
     from_facets,
@@ -189,6 +192,179 @@ def test_verify_su_cai_names_least_failing_face(monkeypatch):
         "face": "F(12|3|4)", "dim": 1,
         "terms": [{"left": "c(u:-,t:-)", "right": "c(u:1,t:-)", "coeff": 2}]}]
     assert report == _reference_verify_su_cai(4)
+
+
+def test_walk_su_cai_finds_no_mismatch():
+    for m in range(1, 7):
+        assert walk_su_cai(m) == []
+        assert failing_probes(m) == []
+
+
+def test_probes_are_one_face_per_interval_block():
+    assert projection._probes(4) == [
+        ((1,), (2,), (3,), (4,)),
+        ((1, 2), (3,), (4,)), ((1,), (2, 3), (4,)), ((1,), (2,), (3, 4)),
+        ((1, 2, 3), (4,)), ((1,), (2, 3, 4)),
+        ((1, 2, 3, 4),)]
+    for m in range(1, 10):
+        assert len(projection._probes(m)) == m * (m - 1) // 2 + 1
+
+
+def test_a_passing_check_walks_no_face_and_builds_each_size_once(monkeypatch):
+    sizes = []
+    real = projection.kept_top_terms
+
+    def counted(n):
+        sizes.append(n)
+        return real(n)
+
+    def no_walk(m):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(projection, "kept_top_terms", counted)
+    monkeypatch.setattr(projection, "walk_su_cai", no_walk)
+    for m in (1, 6, 9):
+        sizes.clear()
+        report = verify_su_cai(m)
+        assert report["passed"] and report["faces_checked"] == projection._ordered_bell(m)
+        assert sizes == list(range(1, m + 1))
+
+
+def _koszul(pairs) -> int:
+    """(-1)^(sum of d_j d_k over the pairs j < k with x_j > x_k), for
+    (x, d) pairs in order."""
+    e = sum(dj * dk for j, (xj, dj) in enumerate(pairs)
+            for xk, dk in pairs[j + 1:] if xj > xk)
+    return -1 if e % 2 else 1
+
+
+def _shifted(cell, by):
+    return tuple(tuple(i + by for i in part) for part in cell)
+
+
+def _interval_faces(m):
+    return [F for F in full_permutohedron(m).all() if blocks_are_intervals(F)]
+
+
+def test_rho_of_an_interleaved_term_factors_by_blocks():
+    # the first factorisation of the product lemma of verify_su_cai: on an
+    # interval face F, rho_face of a kept term puts each block's rho_face in
+    # the block's coordinates, with the gap coordinates of F, and rho_sign
+    # is the product of the blocks' with the Koszul sign of F's block order
+    for m in range(1, 7):
+        for F in _interval_faces(m):
+            # the gap coordinates i in tau: the block of i + 1 comes first
+            gaps = {b[-1] for j, b in enumerate(F)
+                    if any(b[-1] + 1 in c for c in F[:j])}
+            tops = [diagonals.kept_top_terms(len(b)) for b in F]
+            factors = [diagonals._renamed(top, b) for top, b in zip(tops, F)]
+            for (sign, left, right), choice in zip(diagonals.interleave(factors),
+                                                   itertools.product(*tops)):
+                for side, face_of in ((left, 1), (right, 2)):
+                    parts = [t[face_of] for t in choice]
+                    assert side == tuple(tuple(i + b[0] - 1 for i in block)
+                                         for part, b in zip(parts, F) for block in part)
+                    cells = [_shifted(rho_face(part), b[0] - 1) for part, b in zip(parts, F)]
+                    assert rho_face(side) == (
+                        tuple(sorted(i for c in cells for i in c[0])),
+                        tuple(sorted({i for c in cells for i in c[1]} | gaps)))
+                    degrees = [len(b) - len(part) for part, b in zip(parts, F)]
+                    assert rho_sign(side) == (
+                        math.prod(map(rho_sign, parts))
+                        * _koszul([(b[0], d) for b, d in zip(F, degrees)]))
+                # and interleave's sign is the Koszul product in F's order
+                ls = [len(b) - len(t[1]) for t, b in zip(choice, F)]
+                rs = [len(b) - len(t[2]) for t, b in zip(choice, F)]
+                e = sum(ls[j] * rs[k] for j in range(len(F)) for k in range(j))
+                assert sign == math.prod(t[0] for t in choice) * (-1) ** e
+
+
+def test_cai_of_rho_is_the_koszul_product_of_the_blocks():
+    # the second factorisation: the Cai terms of rho(F) are the products of
+    # one Cai term of each block's cube, in coordinate order, the gap
+    # coordinates of tau on both sides
+    for m in range(1, 7):
+        for F in _interval_faces(m):
+            sigma, tau = rho_face(F)
+            blocks = sorted(F)
+            per_block = [list(diagonals.cai_terms(tuple(range(b[0], b[-1])), ()))
+                         for b in blocks]
+            expected = {}
+            for choice in itertools.product(*per_block):
+                sub = tuple(i for (s, _), _, _ in choice for i in s)
+                rest = tuple(i for _, (r, _), _ in choice for i in r)
+                e = sum(len(choice[j][0][0]) * len(choice[k][1][0])
+                        for j in range(len(choice)) for k in range(j))
+                sign = math.prod(c for _, _, c in choice) * (-1) ** e
+                expected[(sub, tau), (rest, tuple(sorted(sub + tau)))] = sign
+            assert diagonals.cai_diagonal((sigma, tau)) == expected, F
+
+
+def test_a_wrong_kept_sign_fails_the_probes_and_the_walk(monkeypatch):
+    # one sign flipped in kept_top_terms(3) and in the same term of the
+    # full top-cell diagonal on [3], which the reference reads: every probe
+    # of a three-element block fails, and so does the walk
+    term = (((1,), (2, 3)), ((3,), (1, 2)))
+    real_kept, real_top = projection.kept_top_terms, diagonals._top_cell_terms
+
+    def flipped(terms):
+        return tuple((-sign if (left, right) == term else sign, left, right)
+                     for sign, left, right in terms)
+
+    def wrong_kept(n):
+        return flipped(real_kept(n)) if n == 3 else real_kept(n)
+
+    def wrong_top(n):
+        return flipped(real_top(n)) if n == 3 else real_top(n)
+
+    assert term in [(left, right) for _, left, right in real_kept(3)]
+    diagonals._block_terms.cache_clear()
+    monkeypatch.setattr(projection, "kept_top_terms", wrong_kept)
+    monkeypatch.setattr(diagonals, "_top_cell_terms", wrong_top)
+    try:
+        assert failing_probes(6) == [F for F in projection._probes(6)
+                                     if any(len(b) == 3 for b in F)]
+        report = verify_su_cai(6)
+        assert not report["passed"]
+        assert report["mismatches"] == walk_su_cai(6)
+        assert report == _reference_verify_su_cai(6)
+        first = report["mismatches"][0]
+        assert first["dim"] == 2 and first["face"] == "F(1|2|3|456)"
+    finally:
+        monkeypatch.undo()
+        diagonals._block_terms.cache_clear()
+
+
+def test_a_wrong_cai_sign_at_one_coordinate_fails_the_probes_and_the_walk(monkeypatch):
+    # every Cai term whose left cell keeps coordinate 4 as an interval has
+    # its sign flipped: at m = 6 every probe whose block holds 4 and 5
+    # fails, and the report names F(1|2|3|45|6) first
+    real = diagonals.cai_terms
+
+    def wrong(sigma, tau):
+        for left, right, sign in real(sigma, tau):
+            yield left, right, -sign if 4 in left[0] else sign
+
+    monkeypatch.setattr(projection, "cai_terms", wrong)
+    monkeypatch.setattr(diagonals, "cai_terms", wrong)
+    assert failing_probes(6) == [F for F in projection._probes(6)
+                                 if any({4, 5} <= set(b) for b in F)]
+    report = verify_su_cai(6)
+    assert not report["passed"]
+    assert report["mismatches"] == walk_su_cai(6)
+    assert report == _reference_verify_su_cai(6)
+    first = report["mismatches"][0]
+    assert first["dim"] == 1 and first["face"] == "F(1|2|3|45|6)"
+
+
+def test_ordered_bell_counts_the_surjections():
+    # a face of Perm^{m-1} with k blocks is a surjection of [m] onto [k]:
+    # sum over k of k! S(m, k) = sum_k sum_j (-1)^j C(k, j) (k - j)^m
+    for m in range(21):
+        closed = sum((-1) ** j * math.comb(k, j) * (k - j) ** m
+                     for k in range(m + 1) for j in range(k + 1))
+        assert projection._ordered_bell(m) == closed, m
+    assert projection._ordered_bell(16) == 5315654681981355
 
 
 def test_L_of_quadrilaterals_and_complete_graph():
