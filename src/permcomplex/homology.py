@@ -10,12 +10,13 @@ reduces D_d it drops the columns at the unit pivot rows of D_{d+1}
 (clearing, the "twist" of Chen and Kerber): D_{d+1} is unimodular on
 those rows and its pivot columns, so modulo boundaries each such basis
 element is an integer chain on the others, and D_d D_{d+1} = 0 puts its
-column of D_d in the span of the columns that stay.  Candidate
-pivots wait in a heap keyed by Markowitz cost; a key is checked and, if
-the cost has risen, renewed only when its entry reaches the top, so no
-step rescans the matrix.  Dense matrices (lists of rows) appear only at
-the edges: `ChainComplexData.matrix`, the Smith normal form,
-`invariant_factors` and `rank_mod_p`.
+column of D_d in the span of the columns that stay.  The elimination
+is one sweep over the columns in reverse basis order: each column that
+still has entries is pivoted on its unit entry in the shortest row, and
+a column without a unit is skipped and left to the dense Smith normal
+form.  Dense matrices (lists of rows) appear only at the edges:
+`ChainComplexData.matrix`, the Smith normal form, `invariant_factors`
+and `rank_mod_p`.
 
 `complex_from_boundary` is the one assembler.  Given the gradient flow
 of an acyclic matching as a `flow` function, it assembles the Morse
@@ -32,8 +33,6 @@ library jobs.
 """
 
 from __future__ import annotations
-
-from heapq import heapify, heappop, heappush
 
 
 class BoundaryError(ValueError):
@@ -137,21 +136,22 @@ def _eliminate(columns: list, p: int = 0):
     the {row index: entry} dicts `columns`.
 
     Over Z (p = 0) only an entry +-1 is a pivot; over GF(p) entries are
-    reduced mod p and every nonzero entry is one.  Candidate pivots wait in
-    a heap keyed by Markowitz cost (row nnz - 1) * (col nnz - 1), ties broken
-    by (row, col).  The heap is seeded once with every unit entry; after a
-    pivot, only the unit entries its row operations created or changed are
-    pushed.  Keys go stale as the matrix changes, so a popped entry that is
-    gone or no longer a unit is dropped, and one whose cost has risen is
-    pushed back with its new cost; any other is taken.  Every live unit
-    entry keeps a heap item, so an empty heap means no unit pivot is left.
-    Each pivot's column is cleared with exact row operations and its row
-    and column are deleted, which leaves M equivalent to diag(pivots) + the
-    rest.  Only rows not yet pivoted are changed, so on its pivot rows and
-    columns M is a unitriangular matrix times a triangular one with unit
-    diagonal, hence unimodular; `homology` clears by that.  Returns the
-    number of pivots, the leftover block as a dense list of rows (always
-    empty mod p) and the row index of each pivot, in pivot order.
+    reduced mod p and every nonzero entry is one.  One sweep visits each
+    column once, in reverse basis order.  A column that still has entries
+    is pivoted on its unit entry whose row has the fewest entries, ties
+    broken by the least row index.  A column with no unit is skipped: it
+    stays in the leftover block, with whatever units later row operations
+    leave in it, for the dense Smith normal form.  The reverse order was
+    measured, not derived: swept forward, the elimination in `perm tor`
+    on skeleton(8, 1) took 2.1-2.5 s instead of 0.7-1.1 s on a 2-core
+    box.  Each pivot's column is cleared with exact row operations and
+    its row and column are deleted, which leaves M equivalent to
+    diag(pivots) + the rest.  Only rows not yet pivoted are changed, so
+    on its pivot rows and columns M is a unitriangular matrix times a
+    triangular one with unit diagonal, hence unimodular; `homology`
+    clears by that.  Returns the number of pivots, the leftover block as
+    a dense list of rows (always empty mod p) and the row index of each
+    pivot, in pivot order.
     """
     rows = {}             # row index -> {col index: nonzero entry}
     for j, column in enumerate(columns):
@@ -165,22 +165,13 @@ def _eliminate(columns: list, p: int = 0):
         for j in row:
             cols.setdefault(j, set()).add(i)
 
-    queue = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
-             for i, row in rows.items() for j, v in row.items()
-             if p or v == 1 or v == -1]
-    heapify(queue)
     pivot_rows = []
-    while queue:
-        cost, i, j = heappop(queue)
-        prow = rows.get(i)
-        v = prow.get(j) if prow else None
-        if v is None or not (p or v == 1 or v == -1):
+    for j in reversed(range(len(columns))):
+        units = [i for i in cols.get(j, ()) if p or rows[i][j] in (1, -1)]
+        if not units:
             continue
-        now = (len(prow) - 1) * (len(cols[j]) - 1)
-        if now > cost:
-            heappush(queue, (now, i, j))
-            continue
-        del rows[i]
+        i = min(units, key=lambda r: (len(rows[r]), r))
+        prow = rows.pop(i)
         for c in prow:
             cols[c].discard(i)
         inv = pow(prow.pop(j), -1, p) if p else prow.pop(j)
@@ -189,7 +180,6 @@ def _eliminate(columns: list, p: int = 0):
             f = row.pop(j) * inv
             if p:
                 f %= p
-            units = []    # pushed once row k has its final length
             for c, v in prow.items():
                 new = row.get(c, 0) - f * v
                 if p:
@@ -201,13 +191,8 @@ def _eliminate(columns: list, p: int = 0):
                     if c not in row:
                         cols[c].add(k)
                     row[c] = new
-                    if p or new == 1 or new == -1:
-                        units.append(c)
             if not row:
                 del rows[k]
-            r = len(row) - 1
-            for c in units:
-                heappush(queue, (r * (len(cols[c]) - 1), k, c))
         pivot_rows.append(i)
 
     left = sorted(c for c, members in cols.items() if members)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permcomplex import permutohedron, simplicial
+from permcomplex.bar import tor_ranks
 from permcomplex.homology import (
     BoundaryError,
     ChainComplexData,
@@ -198,6 +199,7 @@ def snf_factors(M):
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
+@example([[1, 2], [1, 3]])
 def test_invariant_factors_match_dense_snf(M):
     assert invariant_factors(M) == snf_factors(M)
 
@@ -222,6 +224,7 @@ def test_rank_mod_p_counts_factors_prime_to_p(M):
 @settings(max_examples=150, deadline=None)
 @given(small_matrices, st.randoms(use_true_random=False))
 @example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], random.Random(0))
+@example([[1, 2], [1, 3]], random.Random(0))
 def test_elimination_ignores_row_and_column_order(M, rnd):
     # pivot order follows the row and column labels; the answer must not.
     # Over Z only the factors are invariant: how many unit pivots the
@@ -443,6 +446,21 @@ def test_clearing_leaves_only_pivot_columns(monkeypatch):
     assert homology(C).betti_vector() == [1]
     columns, pivots = map(sum, zip(*seen))
     assert columns == pivots == 2341
+
+
+def test_no_morse_route_leaves_a_dense_residue(monkeypatch):
+    # on the cellular and bar routes the sweep leaves no block without a
+    # unit pivot; a pivot rule that hands one to the dense Smith normal
+    # form fails here
+    module = importlib.import_module("permcomplex.homology")
+
+    def residue(rest):
+        assert not rest, f"a {len(rest)} x {len(rest[0])} dense residue"
+        return []
+    monkeypatch.setattr(module, "_residue_factors", residue)
+    for K in standard_suite() + [simplicial.skeleton(m, d) for m in range(1, 7) for d in range(m)]:
+        homology(_morse_complex(K))
+        tor_ranks(K)
 
 
 def test_full_permutohedron_five_never_densifies(monkeypatch):
