@@ -18,6 +18,16 @@ construction, so a face it builds is not checked.  Blocks from outside
 the program (the CLI's `--face`, cochain files, bar words) go through
 `face` or `face_from_json`, which check that they partition [m].
 
+The doubled complex on [2m] is decided by marks, not by a test per face.
+Each block gets one integer mark: bit k is set when the minimal nonface
+I_k of K lies in the block, bit N + k when its primed copy does, N being
+the number of minimal nonfaces.  A face of Perm^{2m-1} is removed iff
+the OR of its blocks' marks holds both bits of some k.
+`partitions_by_count` ORs the marks along its programme and drops a
+partial partition as soon as its OR does; the OR only grows as blocks
+are added, so dropping early is exact.  The doubled matching decides a
+join of {2m} to a block by the same ORs.
+
 `last_element_matching` pairs each face whose block holds m with one
 other element or more with the facet that splits {m} off to its right.
 The faces left unpaired, the critical ones, are those where {m} is a
@@ -33,7 +43,8 @@ eliminates.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 
 from .homology import BoundaryError
 from .simplicial import SimplicialComplex, minimal_nonfaces
@@ -77,7 +88,7 @@ def shuffle_sign(M, N) -> int:
     return -1 if sum(a > b for a in M for b in N) % 2 else 1
 
 
-def partitions_by_count(elements, block_ok=None) -> dict:
+def partitions_by_count(elements, block_ok=None, marks=None) -> dict:
     """The ordered partitions of `elements` into nonempty blocks accepted
     by `block_ok` (a predicate on increasing tuples, called once per
     subset; default: all), as {p: [blocks, ...]} by the number p of
@@ -86,24 +97,46 @@ def partitions_by_count(elements, block_ok=None) -> dict:
 
     A dynamic programme over the subsets, smallest first: the partitions
     of a subset are its accepted blocks, in lexicographic order, each
-    followed by the partitions of what it leaves, which are built once."""
+    followed by the partitions of what it leaves, which are built once.
+
+    `marks`, a pair (mark, N), drops the partitions whose marks clash.
+    mark(block) is an integer, called once per accepted block.  A
+    partition whose blocks' marks OR to x is dropped when x & (x >> N) is
+    not 0, that is when x holds bit k and bit N + k for some k.  The
+    programme keeps the OR of each partial partition in a table beside
+    the partitions, and drops a partial partition as soon as its OR
+    clashes.  Dropping early is exact: a partition's OR holds the OR of
+    its tail, as blocks are only put in front, so every partition that
+    ends in a clashing tail clashes too.  Dropping only skips entries,
+    so the kept partitions stay in basis order.  Without marks that
+    table holds no OR, so plain partitions pay for none."""
     elements = tuple(sorted(elements))
     n = len(elements)
     blocks = sorted((tuple(e for i, e in enumerate(elements) if mask >> i & 1), mask)
                     for mask in range(1, 1 << n))
-    firsts = [((block,), mask) for block, mask in blocks
+    mark, shift = marks or (None, 0)
+    firsts = [((block,), mask, mark and mark(block)) for block, mask in blocks
               if block_ok is None or block_ok(block)]
     table = [{0: [()]}]  # subset mask -> {p: partitions of that subset}
+    ors = [{0: [0]}]  # with marks, subset mask -> {p: the ORs of those partitions}
     for subset in range(1, 1 << n):
-        by_count = {}
-        for first, mask in firsts:
+        by_count, or_count = {}, {}
+        for first, mask, a in firsts:
             if mask & subset == mask:
                 for p, tails in table[subset ^ mask].items():
                     out = by_count.get(p + 1)
                     if out is None:
                         out = by_count[p + 1] = []
+                    if a is not None:
+                        tail_ors = ors[subset ^ mask][p]
+                        if a:  # the tails whose OR a does not clash with
+                            ok = {b: x for b in set(tail_ors) if not (x := a | b) & x >> shift}
+                            tails = [tail for tail, b in zip(tails, tail_ors) if b in ok]
+                            tail_ors = [ok[b] for b in tail_ors if b in ok]
+                        or_count.setdefault(p + 1, []).extend(tail_ors)
                     out += [first + tail for tail in tails]
         table.append(by_count)
+        ors.append(or_count)
     return table[-1]
 
 
@@ -196,21 +229,23 @@ def build_perm_complex(K: SimplicialComplex) -> PermComplex:
         K.m, partitions_by_count(range(1, K.m + 1), K.simplices.__contains__))
 
 
-def _doubled_keep(K: SimplicialComplex):
-    """The predicate on the faces of Perm^{2m-1} that keeps a face of the
-    doubled complex: no minimal nonface I of K has I inside one block and
-    its primed copy I' inside a (possibly different) block."""
+def _nonface_marks(K: SimplicialComplex) -> tuple:
+    """The marks that decide the doubled complex on [2m], as the pair
+    (mark, N) that `partitions_by_count` takes: N is the number of
+    minimal nonfaces I_0, ..., I_{N-1} of K, and bit k of mark(block) is
+    set when I_k lies in the block, bit N + k when its primed copy
+    I'_k = {i + m : i in I_k} does.  A block's mark is computed once."""
     m = K.m
-    nonfaces = [frozenset(s) for s in minimal_nonfaces(K)]
-    primed = [frozenset(i + m for i in s) for s in nonfaces]
+    nonfaces = minimal_nonfaces(K)
+    N = len(nonfaces)
+    sets = [(sum(1 << i for i in I), 1 << k) for k, I in enumerate(nonfaces)]
+    sets += [(I << m, bit << N) for I, bit in sets]  # i -> i + m
 
-    def keep(blocks) -> bool:
-        block_sets = [frozenset(b) for b in blocks]
-        for I, Ip in zip(nonfaces, primed):
-            if any(I <= b for b in block_sets) and any(Ip <= b for b in block_sets):
-                return False
-        return True
-    return keep
+    @lru_cache(maxsize=None)
+    def mark(block: tuple) -> int:
+        B = sum(1 << i for i in block)
+        return sum(bit for I, bit in sets if I & B == I)
+    return mark, N
 
 
 def build_perm_complex_C(K: SimplicialComplex) -> PermComplex:
@@ -219,13 +254,14 @@ def build_perm_complex_C(K: SimplicialComplex) -> PermComplex:
     Labels 1..m are the original indices, m+1..2m their primed copies.  A
     face of Perm^{2m-1} is removed iff some minimal nonface I of K has I
     inside one block and I' inside a (possibly different) block; checking
-    minimal nonfaces is equivalent to checking all nonfaces.
+    minimal nonfaces is equivalent to checking all nonfaces.  The faces
+    come from one `partitions_by_count` with the marks of
+    `_nonface_marks`: a face is removed iff the OR of its blocks' marks
+    holds both bits of some minimal nonface, and the programme drops a
+    partial partition as soon as it does.
     """
-    keep = _doubled_keep(K)
-    by_count = partitions_by_count(range(1, 2 * K.m + 1))
     return PermComplex.from_partitions(
-        2 * K.m, {p: [blocks for blocks in lists if keep(blocks)]
-                  for p, lists in by_count.items()})
+        2 * K.m, partitions_by_count(range(1, 2 * K.m + 1), marks=_nonface_marks(K)))
 
 
 def last_element_matching(K: SimplicialComplex, doubled: bool = False):
@@ -245,10 +281,16 @@ def last_element_matching(K: SimplicialComplex, doubled: bool = False):
     The critical faces are the ordered partitions of [n - 1] in the
     complex with {n} put first or after a block that cannot take it, so
     the complex itself is never enumerated.  On full Perm that leaves
-    Fubini(n - 1) of the Fubini(n) faces.  A complex K without the vertex
-    m (as `projection.L_of_K` may build) has no block that can hold m, so
-    Perm(K) is empty, and so is its doubled complex, which {m} as a
-    minimal nonface empties: no cell is critical or paired.
+    Fubini(n - 1) of the Fubini(n) faces.  On the doubled complex the
+    partitions of [n - 1] come from `partitions_by_count` with the marks
+    of `_nonface_marks`, and B' takes n iff the OR of the marks of the
+    join's blocks holds no clash: the marks of F's blocks OR the gain of
+    B', the bits that mark(B' u {n}) has and mark(B') lacks.  A gain of 0
+    takes n at once, for F is a face of the complex and the join has its
+    OR.  A complex K without the vertex m (as `projection.L_of_K` may
+    build) has no block that can hold m, so Perm(K) is empty, and so is
+    its doubled complex, which {m} as a minimal nonface empties: no cell
+    is critical or paired.
 
     The move lemma.  A gradient path runs from a face x = (..., A, B',
     {n}, ...) that B' can take, up to its partner y = (..., A, B' u {n},
@@ -287,12 +329,19 @@ def last_element_matching(K: SimplicialComplex, doubled: bool = False):
     n = 2 * K.m if doubled else K.m
     last = (n,)
     if doubled:
-        keep = _doubled_keep(K)
-        partitions = {p: [G for G in lists if keep(G)]
-                      for p, lists in partitions_by_count(range(1, n)).items()}
+        marks = mark, shift = _nonface_marks(K)
+        partitions = partitions_by_count(range(1, n), marks=marks)
+
+        @lru_cache(maxsize=None)
+        def gain(block):  # the marks that joining n to the block adds
+            return mark(block + last) & ~mark(block)
 
         def takes(F, k):  # the block before the singleton {n} at k takes n
-            return keep(F[:k - 1] + (F[k - 1] + last,) + F[k + 1:])
+            x = gain(F[k - 1])
+            if not x:  # the join has the marks of F, a face of the complex
+                return True
+            x = reduce(or_, map(mark, F), x)
+            return not x & x >> shift
     else:
         simplices = K.simplices
         partitions = partitions_by_count(range(1, n), simplices.__contains__)

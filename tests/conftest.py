@@ -4,7 +4,9 @@ complexes for property tests, the invariant check of a complex,
 `accumulate`, which sums (label, coefficient) pairs into a chain (a dict
 {label: coefficient} with no zero coefficient, as the program returns
 them), and references read off the definitions:
-the Morse complex by pair elimination, the shifts and closures of
+the Morse complex by pair elimination, the doubled complex by its
+removal rule and its f-vector by inclusion-exclusion, the shifts and
+closures of
 configuration matrices on row tuples, the cells, cochains and Whitney
 product of the cube, the chain complex of R_L, the closure of a set of
 cube cells under faces, and the oracles the paper's criteria are
@@ -14,7 +16,9 @@ diagonal, the induced chain map of the projection, the vertices of a
 face, ordered and step matrices, and snakes)."""
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import strategies as st
@@ -23,7 +27,7 @@ from permcomplex import simplicial
 from permcomplex.cubes import build_rmac, cube_boundary, inversion_count, subsets
 from permcomplex.homology import ChainComplexData, complex_from_boundary, identity, smith_normal_form, zeros
 from permcomplex.projection import blocks_are_intervals, rho_face, rho_sign
-from permcomplex.simplicial import SimplicialComplex
+from permcomplex.simplicial import SimplicialComplex, minimal_nonfaces
 from permcomplex.sumatrix import _from_flat, _step_tuples
 
 
@@ -135,6 +139,64 @@ def reduce_pairs(C, pairs):
                 if z != x:
                     cobd[z].discard(cell)
     return bd
+
+
+def _doubled_keep(K: SimplicialComplex):
+    """The predicate on the faces of Perm^{2m-1} that keeps a face of the
+    doubled complex: no minimal nonface I of K has I inside one block and
+    its primed copy I' inside a (possibly different) block."""
+    m = K.m
+    nonfaces = [frozenset(s) for s in minimal_nonfaces(K)]
+    primed = [frozenset(i + m for i in s) for s in nonfaces]
+
+    def keep(blocks) -> bool:
+        block_sets = [frozenset(b) for b in blocks]
+        for I, Ip in zip(nonfaces, primed):
+            if any(I <= b for b in block_sets) and any(Ip <= b for b in block_sets):
+                return False
+        return True
+    return keep
+
+
+@lru_cache(maxsize=None)
+def stirling2(n: int, k: int) -> int:
+    """The Stirling number S(n, k) of the second kind: the partitions of
+    an n-set into k nonempty blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def doubled_f_vector(K: SimplicialComplex) -> list:
+    """The f-vector of the doubled complex of K on [2m], by
+    inclusion-exclusion over the sets T of minimal nonfaces, never
+    enumerating a face.  The faces in which each I_k of T and each primed
+    copy I'_k lies inside one block are the ordered partitions of the
+    classes left when each of these sets is merged into one element
+    (overlapping sets merge into one class): with n' classes, p! S(n', p)
+    of them have p blocks, and each counts with sign (-1)^|T|."""
+    m = K.m
+    nonfaces = minimal_nonfaces(K)
+    by_count = {}
+    for r in range(len(nonfaces) + 1):
+        for T in itertools.combinations(nonfaces, r):
+            parent = list(range(2 * m + 1))
+
+            def find(i):
+                while parent[i] != i:
+                    i = parent[i]
+                return i
+            for I in T:
+                for J in (I, [i + m for i in I]):
+                    for i in J[1:]:
+                        parent[find(i)] = find(J[0])
+            classes = len({find(i) for i in range(1, 2 * m + 1)})
+            for p in range(1, classes + 1):
+                by_count[p] = by_count.get(p, 0) + (-1) ** r * math.factorial(p) * stirling2(classes, p)
+    dims = [2 * m - p for p, count in by_count.items() if count]
+    return [by_count.get(2 * m - d, 0) for d in range(max(dims, default=-1) + 1)]
 
 
 def reference_shift(M, i, j, down):

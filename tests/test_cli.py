@@ -201,6 +201,12 @@ _WEIGHTED_EDGES = [{"face": F, "coeff": 1 + [len(b) for b in F].index(2)} for F 
      "f3edaeaeb3331f5d73e4b1b436e2a761533ee6e2237dfc9359b2721feed909e2"),
     (["homology", "--doubled", "--complex", {"m": 3, "facets": [[1, 2], [3]]}],
      "1507585b6b9760bb0fd3b031a1cb54468da67390a5fbd84df74858355564ce27"),
+    # the doubled complex of skeleton(3, 0), whose three minimal nonfaces
+    # are more than either doubled complex above has
+    (["build", "--doubled", "--complex", _skeleton(3, 1)],
+     "483f211525d1950862e2c3c6f21e4e5dbbaaf8099ffb40570ae81c029cddf10f"),
+    (["homology", "--doubled", "--complex", _skeleton(3, 1)],
+     "8fa9d8f1131dfa4cc9c9335f844ed9c49c3b53cc85f5dd4a97a1eda0fd5a081b"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
     assert _pinned_run(tmp_path, argv) == (0, digest)

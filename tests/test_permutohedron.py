@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from permcomplex.bar import phi_inverse
 from permcomplex.diagonals import su_diagonal, su_top_diagonal
 from permcomplex.permutohedron import (
+    PermComplex,
+    _nonface_marks,
     boundary,
     build_perm_complex,
     build_perm_complex_C,
@@ -22,10 +24,11 @@ from permcomplex.permutohedron import (
     shuffle_sign,
     vertex_coordinates,
 )
-from permcomplex.simplicial import from_facets, full_simplex, random_suite, skeleton
+from permcomplex.simplicial import from_facets, full_simplex, polygon_boundary, random_suite, skeleton
 from permcomplex.sumatrix import columns_partition, enumerate_configurations, rows_partition
 
-from conftest import accumulate, complexes, face_vertices, last_position
+from conftest import (_doubled_keep, accumulate, complexes, doubled_f_vector, face_vertices,
+                      last_position, standard_suite, stirling2)
 
 
 def test_face_validation():
@@ -126,14 +129,10 @@ def test_face_counts():
     assert len(full_permutohedron(4).all()) == 75
     assert len(full_permutohedron(5).all()) == 541
     # faces of dimension m - p are the ordered partitions into p blocks:
-    # p! S(m, p), with S(n, k) = k S(n - 1, k) + S(n - 1, k - 1)
-    S = {(0, 0): 1}
-    for n in range(1, 7):
-        for k in range(1, n + 1):
-            S[n, k] = k * S.get((n - 1, k), 0) + S.get((n - 1, k - 1), 0)
+    # p! S(m, p)
     for m in range(1, 7):
         assert full_permutohedron(m).f_vector() == [
-            math.factorial(m - d) * S[m, m - d] for d in range(m)]
+            math.factorial(m - d) * stirling2(m, m - d) for d in range(m)]
 
 
 def test_dimension():
@@ -247,21 +246,13 @@ def _reference_by_count(partitions):
     return {p: sorted(lists) for p, lists in by_count.items()}
 
 
-def _stirling2(n, k):
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
 def test_enumerator_matches_reference_on_every_block():
     for m in range(7):
         by_count = partitions_by_count(range(1, m + 1))
         assert by_count == _reference_by_count(_reference_partitions(range(1, m + 1)))
         if m:
             assert {p: len(lists) for p, lists in by_count.items()} == {
-                p: math.factorial(p) * _stirling2(m, p) for p in range(1, m + 1)}
+                p: math.factorial(p) * stirling2(m, p) for p in range(1, m + 1)}
 
 
 def test_enumerator_matches_reference_under_predicates():
@@ -302,6 +293,90 @@ def test_doubled_complex_matches_reference():
             blocks for blocks in _reference_partitions(range(1, 2 * m + 1)) if keep(blocks))
         assert X.by_dim == {
             2 * m - p: lists for p, lists in want.items()}
+
+
+# the complexes whose doubled complex is checked against the oracles:
+# every face is removed from the last, which lacks the vertex 3
+_DOUBLED = [K for K in standard_suite() if K.m <= 3] + [
+    skeleton(3, 0), from_facets(1, []), from_facets(3, [[1, 2]], include_all_vertices=False)]
+
+
+def _oracle_matching(K):
+    """The doubled matching as `last_element_matching(K, True)` builds it,
+    with every face and every join decided by `_doubled_keep` and the
+    flow coefficients read from `boundary`."""
+    if (K.m,) not in K.simplices:
+        return {}, lambda F: None, lambda F: ()
+    keep = _doubled_keep(K)
+    n = 2 * K.m
+    last = (n,)
+
+    def join(F, k):  # n, a singleton at k, joined to the block before it
+        return F[:k - 1] + (F[k - 1] + last,) + F[k + 1:]
+
+    def takes(F, k):
+        return k > 0 and keep(join(F, k))
+
+    def partner(F):
+        k = last_position(F)
+        if len(F[k]) > 1:
+            return F[:k] + (F[k][:-1], last) + F[k + 1:], False
+        return (join(F, k), True) if takes(F, k) else None
+
+    def flow(F):
+        if last not in F:
+            return ()
+        k, coeff = F.index(last), 1
+        while takes(F, k):
+            terms = boundary(join(F, k))
+            moved = F[:k - 1] + (last, F[k - 1]) + F[k + 1:]
+            coeff *= -terms[F] * terms[moved]
+            F, k = moved, k - 1
+        return ((F, coeff),)
+
+    partitions = partitions_by_count(range(1, n))
+    cells = {n - p - 1: [F for G in lists if keep(G) for k in range(p + 1)
+                         for F in (G[:k] + (last,) + G[k:],) if not takes(F, k)]
+             for p, lists in sorted(partitions.items(), reverse=True)}
+    return {d: fs for d, fs in cells.items() if fs}, partner, flow
+
+
+def test_marks_decide_the_doubled_complex_as_the_oracle_does():
+    for K in _DOUBLED:
+        m = K.m
+        keep = _doubled_keep(K)
+        by_count = partitions_by_count(range(1, 2 * m + 1))
+        want = PermComplex.from_partitions(
+            2 * m, {p: [blocks for blocks in lists if keep(blocks)] for p, lists in by_count.items()})
+        assert build_perm_complex_C(K).by_dim == want.by_dim, sorted(K.simplices)
+
+        # a block's mark is computed once, and block_ok still runs once per subset
+        mark, N = _nonface_marks(K)
+        oks, marked = [], []
+        got = partitions_by_count(range(1, 2 * m + 1), lambda b: oks.append(b) or True,
+                                  (lambda b: marked.append(b) or mark(b), N))
+        assert PermComplex.from_partitions(2 * m, got).by_dim == want.by_dim
+        assert sorted(oks) == sorted(marked) == sorted(
+            s for r in range(1, 2 * m + 1) for s in itertools.combinations(range(1, 2 * m + 1), r))
+
+        cells, partner, flow = last_element_matching(K, True)
+        want_cells, want_partner, want_flow = _oracle_matching(K)
+        assert cells == want_cells, sorted(K.simplices)
+        for F in want.all():
+            assert partner(F) == want_partner(F), F
+            assert flow(F) == want_flow(F), F
+
+
+def test_doubled_f_vector_has_its_closed_form():
+    for K in _DOUBLED:
+        assert build_perm_complex_C(K).f_vector() == doubled_f_vector(K), sorted(K.simplices)
+    # the sizes the closed form gives without enumeration: the edge in [3],
+    # skeleton(3, 0), the 4-cycle, skeleton(4, 1), and at five vertices the
+    # 5-cycle, skeleton(5, 1) and the full simplex, Fubini(10)
+    sizes = [sum(doubled_f_vector(K)) for K in (
+        from_facets(3, [[1, 2]]), skeleton(3, 0), polygon_boundary([1, 2, 3, 4]), skeleton(4, 1),
+        polygon_boundary([1, 2, 3, 4, 5]), skeleton(5, 1), full_simplex(5))]
+    assert sizes == [4_536, 4_464, 536_544, 545_544, 99_564_480, 102_201_840, 102_247_563]
 
 
 def test_bases_are_in_block_order():
