@@ -155,10 +155,26 @@ def cmd_tor(args, report):
 
 def cmd_diagonal(args, report):
     top = diagonals._top_cell_terms(_positive_m(args.m))
-    terms = [{"sign": sign, "left": left, "right": right}
-             for sign, left, right in sorted(top, key=lambda t: (t[1], t[2]))]
+    rank = _ranks(F for _, left, right in top for F in (left, right))
+    width = len(rank)  # above every rank
+    terms = [{"sign": sign, "left": left, "right": right} for sign, left, right
+             in sorted(top, key=lambda t: rank[id(t[1])] * width + rank[id(t[2])])]
     report["payload"] = {"m": args.m, "terms": terms}
     return []
+
+
+def _ranks(faces) -> dict:
+    """{id of a face: its rank among the distinct values of `faces`}, equal
+    faces ranking equal whether or not they are one object.  Sorting by
+    the ranks of (left, right) is sorting by the pairs, whose faces are
+    read once each, not once per comparison."""
+    distinct = sorted({id(F): F for F in faces}.values())
+    rank, r, prior = {}, -1, None
+    for F in distinct:
+        if F != prior:
+            r, prior = r + 1, F
+        rank[id(F)] = r
+    return rank
 
 
 def _load_perm_cochain(path: str, X):
@@ -593,8 +609,24 @@ def _dict_texts(dicts, pad):
     inner = pad + " "
     template = ("{\n" + inner + (",\n" + inner).join(
         [_key(k).replace("%", "%%") + ": %s" for k in keys]) + "\n" + pad + "}")
-    columns = [_texts([*map(itemgetter(k), dicts)], inner) for k in keys]
+    columns = [_column_texts([*map(itemgetter(k), dicts)], inner) for k in keys]
     return map(template.__mod__, zip(*columns))
+
+
+def _column_texts(values, pad):
+    """The texts of `values`, as _texts gives them, a tuple that repeats
+    encoded once, by identity: one object has one text, and tuples that
+    compare equal but hold 1, True and 1.0 are distinct objects.  Only a
+    column of tuples, such as the faces of a diagonal, is looked at for
+    repeats; any other column is encoded value by value."""
+    if type(values[0]) is not tuple:
+        return _texts(values, pad)
+    ids = [*map(id, values)]
+    if len({*ids}) == len(ids):
+        return _texts(values, pad)
+    objects = dict(zip(ids, values))
+    text = dict(zip(objects, _texts([*objects.values()], pad)))
+    return map(text.__getitem__, ids)
 
 
 if __name__ == "__main__":

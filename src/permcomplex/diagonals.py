@@ -4,9 +4,9 @@ and the Cai diagonal on the cube, with the cup products they induce.
 A face is its tuple of blocks, so a term of the SU diagonal is (sign,
 left face, right face): `_top_cell_terms` for the top cell and the
 generator `su_terms` for any face, both as plain block tuples.  The terms
-share their blocks: `_top_cell_terms(m)` holds each distinct block once,
-and `_block_terms` renames each of those once, so a block of a diagonal
-is one object however many terms hold it.  `su_terms` is `interleave`
+share their blocks: `_top_cell_terms(m)` holds each distinct block and
+each distinct face once, and `_block_terms` renames each block once, so
+a block of a diagonal is one object however many terms hold it.  `su_terms` is `interleave`
 over the per-block factors.  The projection to the cube keeps only the
 terms whose blocks are all intervals: `kept_top_terms(n)` builds the
 2^(n-1) of them on the top cell directly, with no configuration matrix,
@@ -41,8 +41,8 @@ def _top_cell_terms(m: int) -> tuple:
     blocks, right blocks), in canonical (q ascending, matrix lex) order:
     the sign is csgn(A, E), the left blocks are c(A) and the right blocks
     r(A), for each q x p configuration matrix A, q + p = m + 1, reached
-    from the step matrix E.  Each distinct block is one object, shared by
-    every term that holds it.
+    from the step matrix E.  Each distinct block and each distinct face is
+    one object, shared by every term that holds it.
 
     One walk of each shape with q <= p gives the terms of two shapes, by
     two exact facts that the sumatrix module docstring proves in full:
@@ -65,7 +65,7 @@ def _top_cell_terms(m: int) -> tuple:
       popcount of the occupancy against a mask built once per move, so
       no partition is built to sign a term."""
     terms, transposed = [], {}
-    share = {}.setdefault  # block -> its one copy
+    share = {}.setdefault  # block or face -> its one copy
     for q in range(1, m + 1):
         p = m - q + 1
         if q > p:

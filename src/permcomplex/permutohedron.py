@@ -103,11 +103,11 @@ def partitions_by_count(elements, block_ok=None, marks=None) -> dict:
     mark(block) is an integer, called once per accepted block.  A
     partition whose blocks' marks OR to x is dropped when x & (x >> N) is
     not 0, that is when x holds bit k and bit N + k for some k.  The
-    programme keeps the OR of each partial partition in a table beside
-    the partitions, and drops a partial partition as soon as its OR
-    clashes.  Dropping early is exact: a partition's OR holds the OR of
-    its tail, as blocks are only put in front, so every partition that
-    ends in a clashing tail clashes too.  Dropping only skips entries,
+    programme keeps the OR of each partial partition of a proper subset
+    in a table beside the partitions, and drops a partial partition as
+    soon as its OR clashes.  Dropping early is exact: a partition's OR
+    holds the OR of its tail, as blocks are only put in front, so every
+    partition that ends in a clashing tail clashes too.  Dropping only skips entries,
     so the kept partitions stay in basis order.  Without marks that
     table holds no OR, so plain partitions pay for none."""
     elements = tuple(sorted(elements))
@@ -119,6 +119,7 @@ def partitions_by_count(elements, block_ok=None, marks=None) -> dict:
               if block_ok is None or block_ok(block)]
     table = [{0: [()]}]  # subset mask -> {p: partitions of that subset}
     ors = [{0: [0]}]  # with marks, subset mask -> {p: the ORs of those partitions}
+    full = (1 << n) - 1
     for subset in range(1, 1 << n):
         by_count, or_count = {}, {}
         for first, mask, a in firsts:
@@ -133,7 +134,8 @@ def partitions_by_count(elements, block_ok=None, marks=None) -> dict:
                             ok = {b: x for b in set(tail_ors) if not (x := a | b) & x >> shift}
                             tails = [tail for tail, b in zip(tails, tail_ors) if b in ok]
                             tail_ors = [ok[b] for b in tail_ors if b in ok]
-                        or_count.setdefault(p + 1, []).extend(tail_ors)
+                        if subset != full:  # no partition has the full set as a tail
+                            or_count.setdefault(p + 1, []).extend(tail_ors)
                     out += [first + tail for tail in tails]
         table.append(by_count)
         ors.append(or_count)

@@ -16,7 +16,7 @@ codes is the order of the flat entry tuples; its occupancy is the bitmask
 with bit n - 1 - k set when cell k is full (n = qp), so a cell's bit
 sits at the place of its digit.  A shift adds to the code, toggles two
 bits of the occupancy, and is judged by masks built once per shape
-(`_moves`).  The walk rests on two exact facts, proved here.
+(`_moves`).  The walk rests on three exact facts, proved here.
 
 Transposition.  M -> M^T maps the q x p ordered matrices onto the p x q
 ones, and the step matrices onto the step matrices: rows and columns
@@ -58,12 +58,31 @@ counts the entries of column j above row i and b those of column j+1
 below it.  None of the four cell sets holds the source or the target,
 so each count is a popcount of the occupancy, before the move or after,
 against a mask built once per move.
+
+Roots.  The walk starts at each step matrix E with csgn(E, E) and
+csgn(E^T, E^T), read off the permutation w of [m] that `_steps` reads
+along E's support.  The rows of E, bottom up, are the ascending runs of
+w, and its columns, left to right, are the descending runs of w, each
+sorted.  So the word of r(E) is w, and the word of c(E) reversed is w
+reversed, with C(m, 2) - inv(w) inversions.  In r(E), block k of q has
+weight q - k, which is the 0-based index from the top of its row; in
+c(E) reversed, block k of p has weight p - k, the 0-based index of its
+column.  In csgn(E, E) the factor sgn2(c(E)) of the step sign cancels
+that of the matrix, leaving (-1)^{q(q-1)/2} rsgn(c(E)) sgn1(r(E)), whose
+exponent is q(q-1)/2 + sum_{c(E)} C(|b|, 2) + inv(w) + the sizes of the
+rows of odd index.  c(E^T) and r(E^T) are r(E) and c(E) reversed, and
+rsgn does not see the order of the blocks, so the exponent of
+csgn(E^T, E^T) is p(p-1)/2 + sum_{r(E)} C(|b|, 2) + C(m, 2) - inv(w) + the
+sizes of the columns of odd index.  Both need only the parity of inv(w)
+and the sizes of the rows and the columns, which the pass over w counts
+as it places the entries.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import gt, lshift
 
 
 def _from_flat(flat: tuple, p: int) -> tuple:
@@ -145,37 +164,6 @@ def _moves(q: int, p: int) -> tuple:
     return W, F, tuple(down), tuple(right), down_from, right_from
 
 
-def _shifted(code: int, occ: int, move: tuple, W: int):
-    """The value v that `move` carries and the code after it, or None when
-    the shift is inadmissible: the source is empty or the target full, the
-    source's line would empty, or v would break the order of the target's
-    line, whose nearest full cells before and after the target hold its
-    largest smaller and least larger values."""
-    _, _, target, donor, before, after, _, _, source, to, _, _ = move
-    v = code >> source & (1 << W) - 1
-    if not v or occ & target or not occ & donor:
-        return None
-    x = occ & before
-    if x and code >> W * (x & -x).bit_length() - W & (1 << W) - 1 > v:
-        return None
-    x = occ & after
-    if x and code >> W * x.bit_length() - W & (1 << W) - 1 < v:
-        return None
-    return v, code + (v << to) - (v << source)
-
-
-def _code(M: tuple, W: int) -> int:
-    """The entries of M as W-bit digits, the first one most significant."""
-    code = 0
-    for v in itertools.chain.from_iterable(M):
-        code = code << W | v
-    return code
-
-
-def _occupancy(M: tuple) -> int:
-    return _code([[v > 0 for v in row] for row in M], 1)
-
-
 def _decode(code: int, q: int, p: int) -> tuple:
     """The q x p matrix whose code is `code`."""
     W = (q + p - 1).bit_length()
@@ -184,32 +172,62 @@ def _decode(code: int, q: int, p: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _steps(m: int) -> tuple:
-    """The flat step matrices with q + p - 1 = m, one tuple for each q.
+    """The roots of the walks with q + p - 1 = m, one tuple for each q:
+    each q x p step matrix E as (code, tcode, occupancy, signs), the codes
+    of E and of E^T, the occupancy of E, and the bits of csgn(E, E) < 0
+    (bit 0) and csgn(E^T, E^T) < 0 (bit 1).
 
     The support of a step matrix is a lattice path of q + p - 1 cells from
     the lower-left corner to the upper-right one, each step going up or
     right.  Rows increase to the right and columns downwards, so the
     values read along the path fall at each up step and rise at each right
-    step: each permutation of [m] with q - 1 descents gives one step
+    step: each permutation w of [m] with q - 1 descents gives one step
     matrix of q rows, and every step matrix arises so.  One pass over the
-    permutations, in lexicographic order, fills every shape."""
+    permutations, in lexicographic order, fills every shape, and takes
+    the signs from the parity of inv(w) and the sizes of the rows and the
+    columns, as the module docstring proves (Roots)."""
     by_q = [[] for _ in range(m)]
     for w in itertools.permutations(range(1, m + 1)):
-        falls = [y < x for x, y in zip(w, w[1:])]
-        q = sum(falls) + 1
-        p = m + 1 - q
-        flat = [0] * (q * p)
-        k = (q - 1) * p
-        flat[k] = w[0]
-        for fall, y in zip(falls, w[1:]):
-            k += -p if fall else 1
-            flat[k] = y
-        by_q[q - 1].append(tuple(flat))
+        q, places, tplaces, occ, signs = _path(tuple(map(gt, w, w[1:])))
+        inv = sum(itertools.starmap(gt, itertools.combinations(w, 2)))
+        by_q[q - 1].append((sum(map(lshift, w, places)), sum(map(lshift, w, tplaces)), occ,
+                            signs ^ 3 if inv & 1 else signs))
     return tuple(map(tuple, by_q))
 
 
-def _step_tuples(q: int, p: int) -> tuple:
-    """The flat q x p step matrices."""
+@lru_cache(maxsize=None)
+def _path(falls: tuple) -> tuple:
+    """The support of the step matrices whose permutations w fall where
+    `falls` does, as (q, places, tplaces, occupancy, signs): the places
+    of the digits of w's values in the code of E and in that of E^T, the
+    occupancy of E, and its sign bits for an even inv(w), an odd one
+    flipping both (module docstring, Roots)."""
+    m = len(falls) + 1
+    W = m.bit_length()
+    q = sum(falls) + 1
+    p = m + 1 - q
+    n = q * p
+    rows, columns = [0] * q, [0] * p
+    places, tplaces, occ = [], [], 0
+    i, j = q - 1, -1  # one step left of the lower-left cell
+    for fall in (False, *falls):
+        if fall:
+            i -= 1
+        else:
+            j += 1
+        rows[i] += 1
+        columns[j] += 1
+        places.append(W * (n - 1 - i * p - j))
+        tplaces.append(W * (n - 1 - j * q - i))
+        occ |= 1 << n - 1 - i * p - j
+    sign = q * (q - 1) // 2 + sum([c * (c - 1) // 2 for c in columns]) + sum(rows[1::2])
+    tsign = (p * (p - 1) // 2 + sum([r * (r - 1) // 2 for r in rows]) + m * (m - 1) // 2
+             + sum(columns[1::2]))
+    return q, places, tplaces, occ, sign & 1 | (tsign & 1) << 1
+
+
+def _roots(q: int, p: int) -> tuple:
+    """The roots of the walk of the q x p shape, as `_steps` gives them."""
     return _steps(q + p - 1)[q - 1]
 
 
@@ -222,9 +240,10 @@ class ConfigurationAmbiguityError(RuntimeError):
     case known to occur."""
 
 
-def _walk(q: int, p: int, steps) -> dict:
+def _walk(q: int, p: int, roots) -> dict:
     """{code of A: its record} for the q x p configuration matrices A
-    reached from the flat matrices `steps`, each a step matrix E.
+    reached from `roots`, each a step matrix E as (code of E, code of E^T,
+    occupancy of E, the bits of csgn(E, E) < 0 and csgn(E^T, E^T) < 0).
 
     Closure of each step matrix under admissible shifts with the
     monotonicity constraints (down-shift row indices and right-shift
@@ -235,8 +254,15 @@ def _walk(q: int, p: int, steps) -> dict:
     mixed shape, e.g. ((1,0,3),(0,2,4)) at 2 x 3) which break the
     compatibility of the diagonal with the boundary.
 
+    This is the one place the shift rule is run.  A shift is tried only
+    from a full source whose target is neither full nor vacated, masks
+    that cover all the shifts from a state at once.  It is admissible
+    unless the source's line would empty, or its value v would break the
+    order of the target's line, whose nearest full cells before and after
+    the target hold its largest smaller and least larger values.
+
     The record of A is index << (Wn + 2) | tcode << 2 | signs: the index
-    of E in `steps`, the code of A^T, and the bits of csgn(A, E) < 0 (bit
+    of E in `roots`, the code of A^T, and the bits of csgn(A, E) < 0 (bit
     0) and csgn(A^T, E^T) < 0 (bit 1), carried through each shift as the
     module docstring proves.  A state is (code, record, occupancy,
     vacated cells, floor = least down-shift row << F | least right-shift
@@ -244,16 +270,13 @@ def _walk(q: int, p: int, steps) -> dict:
     for A or for A^T, raises ConfigurationAmbiguityError naming both."""
     W, F, down, right, down_from, right_from = _moves(q, p)
     n = q * p
-    columns = (1 << F) - 1
+    columns, digit = (1 << F) - 1, (1 << W) - 1
     found = {}
     setdefault = found.setdefault
-    for index, E in enumerate(steps):
-        M = _from_flat(E, p)
-        code = _code(M, W)
-        record = index << W * n + 2 | _code(_transpose(M), W) << 2 | _own_signs(M)
-        occ = _occupancy(M)
+    for index, (code, tcode, occ, signs) in enumerate(roots):
+        record = index << W * n + 2 | tcode << 2 | signs
         if setdefault(code, record) != record:
-            _judge(q, p, steps, code, found[code], record)
+            _judge(q, p, roots, code, found[code], record)
         seen = set()
         stack = [(code, record, occ, 0, 0)]
         while stack:
@@ -264,12 +287,18 @@ def _walk(q: int, p: int, steps) -> dict:
                 while sources:
                     bit = sources & -sources
                     sources ^= bit
-                    move = moves[bit.bit_length()]
-                    shifted = _shifted(code, occ, move, W)
-                    if shifted is None:
+                    (line, keep, target, donor, before, after, sign, tsign,
+                     origin, place, torigin, tplace) = moves[bit.bit_length()]
+                    if not occ & donor:
                         continue
-                    v, moved = shifted
-                    line, keep, target, _, _, _, sign, tsign, _, _, source, to = move
+                    v = code >> origin & digit
+                    x = occ & before
+                    if x and code >> W * (x & -x).bit_length() - W & digit > v:
+                        continue
+                    x = occ & after
+                    if x and code >> W * x.bit_length() - W & digit < v:
+                        continue
+                    moved = code + (v << place) - (v << origin)
                     gone, low = vacated | bit, floor & keep | line
                     state = (moved, gone, low)
                     if state in seen:
@@ -277,14 +306,14 @@ def _walk(q: int, p: int, steps) -> dict:
                     seen.add(state)
                     flips = (3 ^ ((occ & sign).bit_count() & 1)
                              ^ ((occ & tsign).bit_count() & 1) << 1)
-                    carried = record + (v << to) - (v << source) ^ flips
+                    carried = record + (v << tplace) - (v << torigin) ^ flips
                     if setdefault(moved, carried) != carried:
-                        _judge(q, p, steps, moved, found[moved], carried)
+                        _judge(q, p, roots, moved, found[moved], carried)
                     stack.append((moved, carried, occ ^ bit ^ target, gone, low))
     return found
 
 
-def _judge(q: int, p: int, steps, code: int, prior: int, record: int):
+def _judge(q: int, p: int, roots, code: int, prior: int, record: int):
     """Raise ConfigurationAmbiguityError when the records of one matrix
     from two step matrices hold different signs, naming the matrix and
     both step matrices, transposed when only the signs of A^T differ."""
@@ -292,7 +321,7 @@ def _judge(q: int, p: int, steps, code: int, prior: int, record: int):
         return
     W = (q + p - 1).bit_length()
     A = _decode(code, q, p)
-    first, second = (_from_flat(steps[r >> W * q * p + 2], p) for r in (prior, record))
+    first, second = (_decode(roots[r >> W * q * p + 2][0], q, p) for r in (prior, record))
     if not (prior ^ record) & 1:
         A, first, second = map(_transpose, (A, first, second))
     raise ConfigurationAmbiguityError(
@@ -309,9 +338,9 @@ def enumerate_configurations(q: int, p: int) -> tuple:
         pairs = enumerate_configurations.__wrapped__(p, q)
         sources = {E: _transpose(E) for _, E in pairs}
         return tuple(sorted((_transpose(A), sources[E]) for A, E in pairs))
-    steps = _step_tuples(q, p)
-    found = _walk(q, p, steps)
-    sources = [_from_flat(E, p) for E in steps]
+    roots = _roots(q, p)
+    found = _walk(q, p, roots)
+    sources = [_decode(code, q, p) for code, _, _, _ in roots]
     index = (q + p - 1).bit_length() * q * p + 2
     return tuple((_decode(code, q, p), sources[found[code] >> index]) for code in sorted(found))
 
@@ -338,23 +367,34 @@ def signed_partitions(q: int, p: int, share) -> tuple:
     the order of A, and the same for the p x q ones, q <= p, from one walk
     of the q x p shape: the p x q matrices are the transposes A^T, their
     triples (csgn(A^T, E^T), r(A) reversed, c(A) reversed), in the order
-    of A^T; none of them when q = p.  `share` maps a block to its one copy,
-    so each distinct block is one object."""
-    found = _walk(q, p, _step_tuples(q, p))
+    of A^T; none of them when q = p.  `share` maps a block or a face to
+    its one copy, so each distinct block and each distinct face, reversed
+    ones included, is one object."""
+    found = _walk(q, p, _roots(q, p))
     W = (q + p - 1).bit_length()
     lines = _Lines(W, share)
     rows = range(0, W * q * p, W * p)  # r(A): the rows from the bottom up
     columns = range(W * q * (p - 1), -1, -W * q)  # c(A): the rows of A^T from the top
     row, column, codes = (1 << W * p) - 1, (1 << W * q) - 1, (1 << W * q * p) - 1
+    flips = {}  # id of a face -> the one copy of its reversal
+
+    def flip(F: tuple) -> tuple:
+        R = flips.get(id(F))
+        if R is None:
+            R = F[::-1]
+            R = flips[id(F)] = share(R, R)
+        return R
+
     terms, transposed = [], {}
     for code in sorted(found):
         record = found[code]
         tcode = record >> 2 & codes
         left = tuple([lines[tcode >> s & column] for s in columns])
         right = tuple([lines[code >> s & row] for s in rows])
+        left, right = share(left, left), share(right, right)
         terms.append((-1 if record & 1 else 1, left, right))
         if q < p:
-            transposed[tcode] = (-1 if record & 2 else 1, right[::-1], left[::-1])
+            transposed[tcode] = (-1 if record & 2 else 1, flip(right), flip(left))
     return terms, [transposed[tcode] for tcode in sorted(transposed)]
 
 
@@ -399,18 +439,6 @@ def partition_sign(step: int, rA: tuple, cA: tuple) -> int:
     """csgn of a configuration matrix A from its step factor and the
     blocks of r(A) and c(A)."""
     return step * sgn1(rA) * sgn2(cA)
-
-
-def _own_signs(E: tuple) -> int:
-    """The bits of csgn(E, E) < 0 (bit 0) and csgn(E^T, E^T) < 0 (bit 1).
-    In csgn(E, E) the factor sgn2(c(E)) of the step sign cancels that of
-    the matrix, leaving (-1)^{q(q-1)/2} rsgn(c(E)) sgn1(r(E)); c(E^T) and
-    r(E^T) are r(E) and c(E) reversed."""
-    q, p = len(E), len(E[0])
-    cE, rE = columns_partition(E), rows_partition(E)
-    sign = (q * (q - 1) // 2 + (rsgn(cE) < 0) + (sgn1(rE) < 0)) & 1
-    tsign = (p * (p - 1) // 2 + (rsgn(rE) < 0) + (sgn1(cE[::-1]) < 0)) & 1
-    return sign | tsign << 1
 
 
 def csgn(A: tuple, E: tuple) -> int:

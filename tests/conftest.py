@@ -13,7 +13,8 @@ cube cells under faces, and the oracles the paper's criteria are
 checked against (homology generators and the torus cup pairing, the
 cochain dual, the chain-map and counit defects of a
 diagonal, the induced chain map of the projection, the vertices of a
-face, ordered and step matrices, and snakes)."""
+face, ordered and step matrices, the roots of the configuration walk by
+the general sign formula, and snakes)."""
 
 import itertools
 import math
@@ -28,7 +29,7 @@ from permcomplex.cubes import build_rmac, cube_boundary, inversion_count, subset
 from permcomplex.homology import ChainComplexData, complex_from_boundary, identity, smith_normal_form, zeros
 from permcomplex.projection import blocks_are_intervals, rho_face, rho_sign
 from permcomplex.simplicial import SimplicialComplex, minimal_nonfaces
-from permcomplex.sumatrix import _from_flat, _step_tuples
+from permcomplex.sumatrix import _decode, _roots, _transpose, csgn
 
 
 def standard_suite():
@@ -557,7 +558,36 @@ def is_step(M: tuple) -> bool:
 
 def enumerate_step_matrices(q: int, p: int) -> list:
     """All q x p step matrices."""
-    return [_from_flat(E, p) for E in _step_tuples(q, p)]
+    return [_decode(code, q, p) for code, _, _, _ in _roots(q, p)]
+
+
+def _code(M: tuple, W: int) -> int:
+    """The entries of M as W-bit digits, the first one most significant."""
+    code = 0
+    for v in itertools.chain.from_iterable(M):
+        code = code << W | v
+    return code
+
+
+def _occupancy(M: tuple) -> int:
+    """The bitmask of the full cells of M, cell 0 most significant."""
+    return _code([[v > 0 for v in row] for row in M], 1)
+
+
+def _own_signs(E: tuple) -> int:
+    """The bits of csgn(E, E) < 0 (bit 0) and csgn(E^T, E^T) < 0 (bit 1),
+    by the general sign formula."""
+    T = _transpose(E)
+    return (csgn(E, E) < 0) | (csgn(T, T) < 0) << 1
+
+
+def root(M: tuple) -> tuple:
+    """The root record of the walk for the matrix M, as `sumatrix._steps`
+    gives it for a step matrix, read off the definitions: (code of M, code
+    of M^T, occupancy of M, `_own_signs(M)`).  M need not be a step
+    matrix."""
+    W = (len(M) + len(M[0]) - 1).bit_length()
+    return _code(M, W), _code(_transpose(M), W), _occupancy(M), _own_signs(M)
 
 
 def is_snake(M) -> bool:

@@ -259,6 +259,14 @@ _json_values = st.recursive(
 
 # one int tuple held many times, at several indents, as faces share blocks
 _shared = (1, 2)
+# objects that dicts of one key set hold in one column, repeated across the
+# dicts: tuples that compare equal but are written differently, empty
+# containers, and repeats that hold repeats
+_ones = [(1,), (True,), (1.0,)]
+_empty = ([], {}, ())
+_inner = (_shared, _shared, (True, 2))
+_outer = (_inner, _shared, _inner, ())
+_row = {"f": _outer, "g": _inner}
 
 
 @given(_json_values)
@@ -269,11 +277,38 @@ _shared = (1, 2)
           [_shared, (3,), _shared], [(3,), _shared], [_shared, (True, 2)]])
 @example({"a": [[_shared, _shared]], "b": [_shared, _shared], "c": [[[_shared]]]})
 @example({"a": [float("nan"), float("inf"), -float("inf")], "": [[], {}, ()]})
+@example([{"sign": 1 - 2 * (i % 2), "left": _shared, "right": (_shared,)} for i in range(7)])
+@example([{"a": x, "b": t} for x, t in zip([1, True, 1.0] * 3, _ones * 3)])
+@example([{"a": t, "b": (t, t)} for t in [_ones[1], *_ones, [1], _ones[0]]])
+@example([{"a": _empty[0], "b": _empty[1], "c": _empty[2]}] * 4 + [{"a": [], "b": {}, "c": ()}])
+@example([{"r": _outer, "s": [_row, _row], "t": _inner} for _ in range(3)]
+         + [{"r": _inner, "s": [_row], "t": (_outer, _outer)}] * 2)
 @example(["\u00e9\x00\n\x1f\"\\\u2028\U0001f600", ("tuple", (1, 2)), {"\x7f": {}}])
 def test_writer_writes_the_bytes_of_json_dumps(value):
     pieces = []
     _write_json(value, pieces.append)
     assert "".join(pieces) == json.dumps(value, indent=1, sort_keys=True)
+
+
+def test_ranks_order_faces_by_value():
+    # equal faces rank equal whether or not they are one object, so the
+    # diagonal sorted by ranks is the diagonal sorted by its faces
+    faces = [((2,), (1,)), tuple([(1, 2)]), ((1,), (2,)), tuple([(1, 2)]), ((2,), (1,))]
+    assert faces[1] is not faces[3]
+    rank = cli._ranks(faces)
+    assert rank[id(faces[1])] == rank[id(faces[3])] == 1  # after ((1,), (2,))
+    assert sorted(faces, key=lambda F: rank[id(F)]) == sorted(faces)
+
+
+def test_diagonal_terms_are_sorted_by_their_faces(capsys):
+    # the ranks of the left and the right face order the terms as the
+    # pairs of faces do, even where there are more faces than terms
+    for m in range(1, 6):
+        code, report = run(capsys, "diagonal", "--m", str(m))
+        terms = [[t["left"], t["right"]] for t in report["payload"]["terms"]]
+        pairs = [[list(map(list, left)), list(map(list, right))]
+                 for _, left, right in diagonals._top_cell_terms(m)]
+        assert code == 0 and terms == sorted(pairs), m
 
 
 def test_writer_streams():

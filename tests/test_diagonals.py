@@ -183,6 +183,21 @@ def test_diagonal_blocks_are_shared():
         assert _blocks_are_shared(_block_terms(block)), block
 
 
+def _faces_are_shared(terms):
+    """Whether each distinct face of the terms, left or right, is one
+    object."""
+    faces = [F for t in terms for F in t[1:3]]
+    return len(set(map(id, faces))) == len(set(faces))
+
+
+def test_diagonal_faces_are_shared():
+    # the reversed faces of the transposed shapes too; m = 6 has 1 007
+    # distinct left faces among its 4 802 terms
+    for m in range(1, 7):
+        assert _faces_are_shared(_top_cell_terms(m)), m
+    assert len({id(t[1]) for t in _top_cell_terms(6)}) == 1007
+
+
 def test_su_terms_are_the_terms_of_su_diagonal():
     for m in range(1, 6):
         for G in full_permutohedron(m).all():

@@ -1,19 +1,17 @@
 import itertools
 import math
 import re
+from unittest import mock
 
 import pytest
 
 from permcomplex import diagonals, sumatrix
 from permcomplex.sumatrix import (
     ConfigurationAmbiguityError,
-    _code,
     _decode,
-    _from_flat,
     _moves,
-    _occupancy,
-    _shifted,
-    _step_tuples,
+    _roots,
+    _steps,
     _transpose,
     _walk,
     columns_partition,
@@ -23,17 +21,24 @@ from permcomplex.sumatrix import (
 )
 
 from conftest import (enumerate_step_matrices, is_ordered, is_step, matrix, reference_closure,
-                      reference_shift)
+                      reference_shift, root)
 
 
 def shift(M, i, j, down):
-    """D_{i,j} (down) or R_{i,j} of M by the walk's `_shifted` on int
-    codes, or M when the shift is inadmissible."""
+    """D_{i,j} (down) or R_{i,j} of M as `_walk` takes it, or M when the
+    walk does not: the walk from M with every source but cell (i, j)
+    masked off in that direction reaches M and at most the one matrix
+    that the shift gives."""
     q, p = len(M), len(M[0])
-    W, _, downs, rights, _, _ = _moves(q, p)
-    move = (downs if down else rights)[q * p - ((i - 1) * p + j - 1)]
-    shifted = move and _shifted(_code(M, W), _occupancy(M), move, W)
-    return _decode(shifted[1], q, p) if shifted else M
+    W, F, downs, rights, down_from, right_from = _moves(q, p)
+    bit = 1 << q * p - 1 - ((i - 1) * p + j - 1)
+    only = (tuple(mask & bit if down else 0 for mask in down_from),
+            tuple(0 if down else mask & bit for mask in right_from))
+    with mock.patch.object(sumatrix, "_moves", lambda *shape: (W, F, downs, rights, *only)):
+        found = _walk(q, p, (root(M),))
+    shifted = [code for code in found if _decode(code, q, p) != M]
+    assert len(found) == len(shifted) + 1 and len(shifted) <= 1
+    return _decode(shifted[0], q, p) if shifted else M
 
 
 def test_is_ordered():
@@ -102,6 +107,21 @@ def test_step_matrices_match_brute_force():
         for q in range(1, m + 1):
             p = m + 1 - q
             assert set(enumerate_step_matrices(q, p)) == _brute_force_step_matrices(q, p)
+
+
+def _roots_match_the_general_formula(m):
+    """Whether each root that `_steps(m)` yields is the record of its step
+    matrix by the general formula: its codes and occupancy read off the
+    matrix, and csgn(E, E) and csgn(E^T, E^T) by the sign calculus."""
+    return all(E == root(_decode(E[0], q, m + 1 - q))
+               for q, roots in enumerate(_steps(m), 1) for E in roots)
+
+
+def test_roots_match_the_general_formula():
+    # the roots read their signs off the permutation (module docstring,
+    # Roots); CI runs m = 7 and 8 as well
+    for m in range(1, 7):
+        assert _roots_match_the_general_formula(m), m
 
 
 def test_shifts_match_reference_rule():
@@ -184,14 +204,15 @@ def test_known_multi_source_configuration_sign_agrees():
 
 
 def _injected(monkeypatch, q, p, pick):
-    """Hand the walk of the q x p shape one more source: a configuration
+    """Hand the walk of the q x p shape one more root: a configuration
     matrix A of a step matrix E, the first pair that `pick(A, E)`
-    accepts.  The walk from E reaches A with csgn(A, E), the one from A
-    with csgn(A, A).  Returns (A, E)."""
+    accepts, its record read off the general sign formula, as A is no
+    step matrix.  The walk from E reaches A with csgn(A, E), the one from
+    A with csgn(A, A).  Returns (A, E)."""
     A, E = next((A, E) for A, E in enumerate_configurations(q, p) if A != E and pick(A, E))
-    steps = _step_tuples(q, p) + (sum(A, ()),)
-    monkeypatch.setattr(sumatrix, "_step_tuples",
-                        lambda *shape: steps if shape == (q, p) else _step_tuples(*shape))
+    roots = _roots(q, p) + (root(A),)
+    monkeypatch.setattr(sumatrix, "_roots",
+                        lambda *shape: roots if shape == (q, p) else _roots(*shape))
     return A, E
 
 
@@ -233,7 +254,7 @@ def test_step_configurations_are_disjoint():
     for m in range(1, 7):
         for q in range(1, m + 1):
             p = m + 1 - q
-            closures = [_walk(q, p, (E,)) for E in _step_tuples(q, p)]
+            closures = [_walk(q, p, (E,)) for E in _roots(q, p)]
             union = set().union(*closures)
             assert sum(map(len, closures)) == len(union)
             assert len(union) == len(enumerate_configurations(q, p))
@@ -248,8 +269,8 @@ def test_closure_of_the_transpose_is_the_transpose():
         for q in range(1, (m + 1) // 2 + 1):
             p = m + 1 - q
             transposed = {}
-            for E in _step_tuples(q, p):
-                M = _from_flat(E, p)
+            for E in _roots(q, p):
+                M = _decode(E[0], q, p)
                 closure = reference_closure(M)
                 assert {_decode(code, q, p) for code in _walk(q, p, (E,))} == closure
                 transposed[_transpose(M)] = reference_closure(_transpose(M))
