@@ -88,6 +88,32 @@ def test_rmac_homology_of_the_octagon(tmp_path, capsys):
     assert all(not g["torsion"] for g in report["payload"]["groups"])
 
 
+def braid_arrangement(m):
+    """Exit code and payload of `perm homology --doubled` on skeleton(m, 0),
+    and the coefficients of prod_{j < m} (1 + j t).  Every pair is a
+    minimal nonface, so the complex arrangement is the braid arrangement
+    {z_i = z_j} and its complement the configuration space of m points in
+    C, whose integer cohomology is free with that Poincare polynomial
+    (Arnold, "The cohomology ring of the colored braid group", 1969)."""
+    want = [1]
+    for j in range(1, m):
+        want = [a + j * b for a, b in zip(want + [0], [0] + want)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "k.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(_skeleton(m, 1)))
+        code = main(["--out", str(out), "homology", "--doubled", "--complex", str(path)])
+        return code, json.loads(out.read_text())["payload"], want
+
+
+@pytest.mark.parametrize("m, poincare", [(2, [1, 1]), (3, [1, 3, 2])])
+def test_doubled_vertices_give_the_braid_arrangement(m, poincare):
+    code, payload, want = braid_arrangement(m)
+    assert want == poincare
+    assert code == 0
+    assert payload["betti"] == want
+    assert all(not g["torsion"] for g in payload["groups"])
+
+
 def test_project_bar_notation(capsys, k1_path):
     code, report = run(capsys, "project", "--complex", k1_path,
                        "--face", "12|34")
@@ -128,6 +154,21 @@ def test_projection_of_one_vertex_is_an_invalid_complex(tmp_path, capsys, argv):
     assert report["payload"] is None
 
 
+@pytest.mark.parametrize("argv", [["project"], ["verify", "--theorem", "image"]])
+def test_projection_of_two_vertices_is_a_valid_complex(tmp_path, capsys, argv):
+    # the least m the projection applies to: L(K) on [1], three image cells
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps({"m": 2, "facets": [[1, 2]]}))
+    code, report = run(capsys, *argv, "--complex", str(path))
+    assert code == 0
+    if argv == ["project"]:
+        assert report["payload"]["L"] == {"facets": [[1]], "m": 1}
+    else:
+        assert report["payload"]["passed"] is True
+        assert report["payload"]["L"] == [[1]]
+        assert report["payload"]["image_cells"] == 3
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["homology", "--complex", str(tmp_path / "nope.json")]) == 3
     capsys.readouterr()
@@ -149,6 +190,10 @@ def _skeleton(m, k):
 _EDGES = full_permutohedron(4).faces(1)
 _ALL_EDGES = [{"face": F} for F in _EDGES]
 _WEIGHTED_EDGES = [{"face": F, "coeff": 1 + [len(b) for b in F].index(2)} for F in _EDGES]
+
+
+_RP2 = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+        [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
 
 
 # sha256 of whole reports, so that any change to their bytes is deliberate;
@@ -207,6 +252,10 @@ _WEIGHTED_EDGES = [{"face": F, "coeff": 1 + [len(b) for b in F].index(2)} for F 
      "483f211525d1950862e2c3c6f21e4e5dbbaaf8099ffb40570ae81c029cddf10f"),
     (["homology", "--doubled", "--complex", _skeleton(3, 1)],
      "8fa9d8f1131dfa4cc9c9335f844ed9c49c3b53cc85f5dd4a97a1eda0fd5a081b"),
+    # R_L of the 6-vertex RP^2, 576 cells, Betti [1, 0, 31] and H_2 torsion
+    # [2]: its elimination leaves a dense residue
+    (["rmac", "--homology", "--complex", {"m": 6, "facets": _RP2}],
+     "0769308af6165f231c71784da3bc222b4b1492d320d1260f346e74737f499a9e"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):
     assert _pinned_run(tmp_path, argv) == (0, digest)

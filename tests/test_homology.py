@@ -32,7 +32,14 @@ from permcomplex.permutohedron import (
     last_element_matching,
 )
 
-from conftest import cochain_dual, homology_generators, reduce_pairs, standard_suite
+from conftest import (
+    cochain_dual,
+    homology_generators,
+    integer_inverse,
+    reduce_pairs,
+    rmac_complex,
+    standard_suite,
+)
 
 
 def reassemble(M, result):
@@ -71,6 +78,25 @@ def test_snf_divisibility_and_transforms():
         assert reassemble(M, result)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-5, 5), min_size=cols, max_size=cols), max_size=7)))
+@example([])
+@example([[], [], []])
+def test_snf_contract_on_every_shape(M):
+    # a list of no rows is the 0 x 0 matrix; rows of length 0 are n x 0
+    rows, cols = len(M), len(M[0]) if M else 0
+    S, D, T = smith_normal_form(M)
+    assert reassemble(M, (S, D, T))
+    assert len(S) == rows and len(T) == cols
+    integer_inverse(S)  # raises unless S is unimodular
+    integer_inverse(T)
+    assert all(D[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    diag = [D[i][i] for i in range(min(rows, cols))]
+    assert all(d >= 0 for d in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+
+
 def test_rank_mod_p():
     M = [[2, 0], [0, 3]]
     assert rank_mod_p(M, 2) == 1
@@ -96,6 +122,12 @@ def test_homology_circle():
     h = homology(circle_complex())
     assert h.betti_vector() == [1, 1]
     assert h.torsion(0) == [] and h.torsion(1) == []
+
+
+def test_betti_vector_starts_at_degree_zero():
+    # H_1 = Z and nothing in degree 0: the vector still starts at degree 0
+    h = homology(ChainComplexData({1: ["e"], 0: []}, {}))
+    assert h.betti_vector() == [0, 1]
 
 
 def test_summary_equality():
@@ -461,6 +493,25 @@ def test_no_morse_route_leaves_a_dense_residue(monkeypatch):
     for K in standard_suite() + [simplicial.skeleton(m, d) for m in range(1, 7) for d in range(m)]:
         homology(_morse_complex(K))
         tor_ranks(K)
+
+
+def test_rmac_of_the_six_vertex_projective_plane_reaches_the_dense_residue(monkeypatch):
+    # R_L of the 6-vertex RP^2 is the one program-built input whose sweep
+    # leaves a block without a unit pivot: a 48 x 1 column holding its 2
+    module = importlib.import_module("permcomplex.homology")
+    residue_factors, shapes = module._residue_factors, []
+
+    def recorded(rest):
+        if rest:
+            shapes.append((len(rest), len(rest[0])))
+        return residue_factors(rest)
+    monkeypatch.setattr(module, "_residue_factors", recorded)
+    L = simplicial.from_facets(6, [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+                                   [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]])
+    h = homology(rmac_complex(L))
+    assert shapes == [(48, 1)]
+    assert h.betti_vector() == [1, 0, 31]
+    assert [h.torsion(d) for d in range(3)] == [[], [], [2]]
 
 
 def test_full_permutohedron_five_never_densifies(monkeypatch):
