@@ -14,9 +14,12 @@ column of D_d in the span of the columns that stay.  The elimination
 is one sweep over the columns in reverse basis order: each column that
 still has entries is pivoted on its unit entry in the shortest row, and
 a column without a unit is skipped and left to the dense Smith normal
-form.  Dense matrices (lists of rows) appear only at the edges:
-`ChainComplexData.matrix`, the Smith normal form, `invariant_factors`
-and `rank_mod_p`.
+form.  One loop, `_diagonalize`, brings a dense block to that form in
+place.  `smith_normal_form` runs it on M bordered by identities, so that
+the row and column operations build S and T; the residue the sweep
+leaves is diagonalised bare, with no transforms.  Dense matrices (lists
+of rows) appear only at the edges: `ChainComplexData.matrix`, the Smith
+normal form, `invariant_factors` and `rank_mod_p`.
 
 `complex_from_boundary` is the one assembler.  Given the gradient flow
 of an acyclic matching as a `flow` function, it assembles the Morse
@@ -45,90 +48,73 @@ class BoundaryError(ValueError):
 def zeros(rows: int, cols: int) -> list:
     return [[0] * cols for _ in range(rows)]
 
-def identity(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def smith_normal_form(M: list):
-    """Compute unimodular S, T and diagonal D with S * M * T = D.
+def _diagonalize(B: list, rows: int, cols: int) -> None:
+    """Bring the top-left rows x cols block of B to Smith normal form in
+    place: diagonal, nonnegative, each entry dividing the next.
 
-    Diagonal entries are nonnegative and each divides the next.  Each step
-    pivots on a nonzero entry of least absolute value.
+    Each row operation acts on a whole row of B and each column operation
+    on a whole column, so whatever borders the block rides along.  Each
+    step pivots on a nonzero entry of least absolute value.
     """
-    D = [list(row) for row in M]
-    rows = len(D)
-    cols = len(D[0]) if D else 0
-    S = identity(rows)
-    T = identity(cols)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        S[i], S[j] = S[j], S[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in T:
-            row[i], row[j] = row[j], row[i]
-
     def add_row(src, dst, q):  # row dst += q * row src
-        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
-        S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
-
-    def add_col(src, dst, q):
-        for row in D:
-            row[dst] += q * row[src]
-        for row in T:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        S[i] = [-x for x in S[i]]
-
-    def select_pivot(k):
-        candidates = [(i, j) for i in range(k, rows) for j in range(k, cols)
-                      if D[i][j] != 0]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda ij: abs(D[ij[0]][ij[1]]))
+        B[dst] = [a + q * b for a, b in zip(B[dst], B[src])]
 
     k = 0
     while k < min(rows, cols):
-        pos = select_pivot(k)
-        if pos is None:
+        candidates = [(i, j) for i in range(k, rows) for j in range(k, cols) if B[i][j]]
+        if not candidates:
             break
+        pos = min(candidates, key=lambda ij: abs(B[ij[0]][ij[1]]))
         # clear row and column k; the least nonzero remainder becomes the
         # pivot at once, since reducing by a larger pivot first lets the
         # entries grow exponentially
         while True:
-            swap_rows(k, pos[0])
-            swap_cols(k, pos[1])
+            B[k], B[pos[0]] = B[pos[0]], B[k]
+            for row in B:
+                row[k], row[pos[1]] = row[pos[1]], row[k]
             for i in range(k + 1, rows):
-                if D[i][k] != 0:
-                    add_row(k, i, -(D[i][k] // D[k][k]))
+                if B[i][k] != 0:
+                    add_row(k, i, -(B[i][k] // B[k][k]))
             for j in range(k + 1, cols):
-                if D[k][j] != 0:
-                    add_col(k, j, -(D[k][j] // D[k][k]))
-            rest = ([(i, k) for i in range(k + 1, rows) if D[i][k] != 0]
-                    + [(k, j) for j in range(k + 1, cols) if D[k][j] != 0])
+                if B[k][j] != 0:
+                    q = -(B[k][j] // B[k][k])
+                    for row in B:
+                        row[j] += q * row[k]
+            rest = ([(i, k) for i in range(k + 1, rows) if B[i][k] != 0]
+                    + [(k, j) for j in range(k + 1, cols) if B[k][j] != 0])
             if not rest:
                 break
-            pos = min(rest, key=lambda ij: abs(D[ij[0]][ij[1]]))
+            pos = min(rest, key=lambda ij: abs(B[ij[0]][ij[1]]))
         # enforce divisibility of the remaining block by the pivot
         bad = next((i for i in range(k + 1, rows)
-                    if any(D[i][j] % D[k][k] for j in range(k + 1, cols))), None)
+                    if any(B[i][j] % B[k][k] for j in range(k + 1, cols))), None)
         if bad is not None:
             add_row(bad, k, 1)
             continue
         k += 1
 
     for i in range(min(rows, cols)):
-        if D[i][i] < 0:
-            negate_row(i)
-    return S, D, T
+        if B[i][i] < 0:
+            B[i] = [-x for x in B[i]]
+
+
+def smith_normal_form(M: list):
+    """Compute unimodular S, T and diagonal D with S * M * T = D.
+
+    Diagonal entries are nonnegative and each divides the next.  M is
+    diagonalised bordered as [[M, I], [I, 0]]: the row operations build S
+    in the right border and the column operations build T in the bottom.
+    """
+    rows, cols = len(M), len(M[0]) if M else 0
+    B = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(M)]
+    B += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
+    _diagonalize(B, rows, cols)
+    return ([row[cols:] for row in B[:rows]], [row[:cols] for row in B[:rows]],
+            [row[:cols] for row in B[rows:]])
 
 
 def _eliminate(columns: list, p: int = 0):
@@ -211,11 +197,11 @@ def _columns(M: list, ncols: int) -> list:
 
 
 def _residue_factors(rest: list) -> list:
-    """Nonzero invariant factors of the dense block `_eliminate` leaves."""
-    if not rest:
-        return []
-    _, D, _ = smith_normal_form(rest)
-    return [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
+    """Nonzero invariant factors of the dense block `_eliminate` leaves,
+    diagonalised in place, with no transforms."""
+    rows, cols = len(rest), len(rest[0]) if rest else 0
+    _diagonalize(rest, rows, cols)
+    return [rest[i][i] for i in range(min(rows, cols)) if rest[i][i]]
 
 
 def _factors(columns: list) -> list:
@@ -283,8 +269,6 @@ class ChainComplexData:
 
     def __init__(self, basis: dict, diff: dict):
         self.basis = {d: list(labels) for d, labels in basis.items()}
-        self.index = {d: {label: i for i, label in enumerate(labels)}
-                      for d, labels in self.basis.items()}
         self.cols = {d: M if M and isinstance(M[0], dict)
                      else _columns(M, self.dim(d)) for d, M in diff.items()}
 
@@ -351,9 +335,9 @@ def complex_from_boundary(cells_by_dim: dict, boundary_fn, flow=None) -> ChainCo
     """
     C = ChainComplexData(cells_by_dim, {})
     for d in C.degrees:
-        index = C.index.get(d - 1)
-        if index is None:
+        if d - 1 not in C.basis:
             continue
+        index = {label: i for i, label in enumerate(C.basis[d - 1])}
         columns = C.cols[d] = []
         for cell in C.basis[d]:
             column = {}

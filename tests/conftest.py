@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from permcomplex import simplicial
 from permcomplex.cubes import build_rmac, cube_boundary, inversion_count, subsets
-from permcomplex.homology import ChainComplexData, complex_from_boundary, identity, smith_normal_form, zeros
+from permcomplex.homology import ChainComplexData, complex_from_boundary, smith_normal_form, zeros
 from permcomplex.projection import blocks_are_intervals, rho_face, rho_sign
 from permcomplex.simplicial import SimplicialComplex, minimal_nonfaces
 from permcomplex.sumatrix import _decode, _roots, _transpose, csgn
@@ -350,6 +350,10 @@ def pair(a: tuple, c: tuple) -> int:
 
 # ---------------------------------------------------------------------------
 # homology generators, the cochain dual and the torus cup pairing
+
+def identity(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
 
 def integer_inverse(U: list) -> list:
     """Inverse of a unimodular integer matrix (exact, via Fractions)."""

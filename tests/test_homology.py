@@ -201,20 +201,6 @@ def test_euler_characteristic():
     assert rp2_complex().euler_characteristic() == 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-                min_size=3, max_size=3))
-def test_snf_transforms_are_unimodular(M):
-    S, D, T = smith_normal_form(M)
-    U, V = S, T
-    def det3(A):
-        return (A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-                - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-                + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
-    assert det3(U) in (1, -1)
-    assert det3(V) in (1, -1)
-
-
 # ---------------------------------------------------------------------------
 # the sparse elimination engine against the dense Smith normal form
 
@@ -496,8 +482,8 @@ def test_no_morse_route_leaves_a_dense_residue(monkeypatch):
 
 
 def test_rmac_of_the_six_vertex_projective_plane_reaches_the_dense_residue(monkeypatch):
-    # R_L of the 6-vertex RP^2 is the one program-built input whose sweep
-    # leaves a block without a unit pivot: a 48 x 1 column holding its 2
+    # R_L of the 6-vertex RP^2 is a program-built input whose sweep leaves
+    # a block without a unit pivot: a 48 x 1 column holding the 2 of H_2
     module = importlib.import_module("permcomplex.homology")
     residue_factors, shapes = module._residue_factors, []
 
