@@ -8,7 +8,8 @@ the Morse complex by pair elimination, the doubled complex by its
 removal rule and its f-vector by inclusion-exclusion, the shifts and
 closures of
 configuration matrices on row tuples, the cells, cochains and Whitney
-product of the cube, the chain complex of R_L, the closure of a set of
+product of the cube, the chain complex of R_L and the 6-vertex RP^2
+that it is run on, the closure of a set of
 cube cells under faces, and the oracles the paper's criteria are
 checked against (homology generators and the torus cup pairing, the
 cochain dual, the chain-map and counit defects of a
@@ -277,6 +278,11 @@ def all_cells(m: int) -> list:
 def rmac_complex(L: SimplicialComplex) -> ChainComplexData:
     """The chain complex of the real moment-angle complex R_L."""
     return complex_from_boundary(build_rmac(L), cube_boundary)
+
+
+# the facets of the 6-vertex triangulation of RP^2
+RP2_FACETS = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+              [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
 
 
 def _cell_closure(cells) -> set:

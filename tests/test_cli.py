@@ -19,7 +19,7 @@ from permcomplex.cli import CliError, _write_json, build_parser, main
 from permcomplex.permutohedron import full_permutohedron
 from permcomplex.sumatrix import ConfigurationAmbiguityError
 
-from conftest import validate
+from conftest import RP2_FACETS, validate
 
 
 @pytest.fixture()
@@ -192,10 +192,6 @@ _ALL_EDGES = [{"face": F} for F in _EDGES]
 _WEIGHTED_EDGES = [{"face": F, "coeff": 1 + [len(b) for b in F].index(2)} for F in _EDGES]
 
 
-_RP2 = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
-        [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]]
-
-
 # sha256 of whole reports, so that any change to their bytes is deliberate;
 # an integer stands for the full simplex on that many vertices, a list for
 # a cochain file
@@ -254,7 +250,7 @@ _RP2 = [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
      "8fa9d8f1131dfa4cc9c9335f844ed9c49c3b53cc85f5dd4a97a1eda0fd5a081b"),
     # R_L of the 6-vertex RP^2, 576 cells, Betti [1, 0, 31] and H_2 torsion
     # [2]: its elimination leaves a dense residue
-    (["rmac", "--homology", "--complex", {"m": 6, "facets": _RP2}],
+    (["rmac", "--homology", "--complex", {"m": 6, "facets": RP2_FACETS}],
      "0769308af6165f231c71784da3bc222b4b1492d320d1260f346e74737f499a9e"),
 ])
 def test_report_bytes_are_pinned(tmp_path, argv, digest):

@@ -33,6 +33,7 @@ from permcomplex.permutohedron import (
 )
 
 from conftest import (
+    RP2_FACETS,
     cochain_dual,
     homology_generators,
     integer_inverse,
@@ -492,9 +493,7 @@ def test_rmac_of_the_six_vertex_projective_plane_reaches_the_dense_residue(monke
             shapes.append((len(rest), len(rest[0])))
         return residue_factors(rest)
     monkeypatch.setattr(module, "_residue_factors", recorded)
-    L = simplicial.from_facets(6, [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
-                                   [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]])
-    h = homology(rmac_complex(L))
+    h = homology(rmac_complex(simplicial.from_facets(6, RP2_FACETS)))
     assert shapes == [(48, 1)]
     assert h.betti_vector() == [1, 0, 31]
     assert [h.torsion(d) for d in range(3)] == [[], [], [2]]
