@@ -4,8 +4,9 @@ All linear algebra is exact, in Python integers throughout.  A chain
 complex holds each boundary matrix as sparse columns, one {row index:
 nonzero coefficient} dict per column, from assembly through the d o d
 check to elimination.  `homology` reduces the boundary matrices from the
-top degree down by sparse unit-pivot elimination and runs the dense
-Smith normal form only on the block that has no unit pivot.  Before it
+top degree down by `_eliminate`, sparse unit-pivot elimination that
+runs the dense Smith normal form only on the block that has no unit
+pivot and returns the invariant factors and the pivot rows.  Before it
 reduces D_d it drops the columns at the unit pivot rows of D_{d+1}
 (clearing, the "twist" of Chen and Kerber): D_{d+1} is unimodular on
 those rows and its pivot columns, so modulo boundaries each such basis
@@ -16,10 +17,11 @@ still has entries is pivoted on its unit entry in the shortest row, and
 a column without a unit is skipped and left to the dense Smith normal
 form.  One loop, `_diagonalize`, brings a dense block to that form in
 place.  `smith_normal_form` runs it on M bordered by identities, so that
-the row and column operations build S and T; the residue the sweep
-leaves is diagonalised bare, with no transforms.  Dense matrices (lists
-of rows) appear only at the edges: `ChainComplexData.matrix`, the Smith
-normal form, `invariant_factors` and `rank_mod_p`.
+the row and column operations build S and T; `_eliminate` diagonalises
+the residue its sweep leaves bare, with no transforms, so how a leftover
+block becomes invariant factors is decided in one place.  Dense matrices
+(lists of rows) appear only at the edges: `ChainComplexData.matrix`, the
+Smith normal form, `invariant_factors` and `rank_mod_p`.
 
 `complex_from_boundary` is the one assembler.  Given the gradient flow
 of an acyclic matching as a `flow` function, it assembles the Morse
@@ -135,21 +137,22 @@ def _eliminate(columns: list, p: int = 0):
     diag(pivots) + the rest.  Only rows not yet pivoted are changed, so
     on its pivot rows and columns M is a unitriangular matrix times a
     triangular one with unit diagonal, hence unimodular; `homology`
-    clears by that.  Returns the number of pivots, the leftover block as
-    a dense list of rows (always empty mod p) and the row index of each
-    pivot, in pivot order.
+    clears by that.  The leftover block is then brought to Smith normal
+    form in place by `_diagonalize`, with no transforms.  Returns the
+    nonzero invariant factors, one 1 per unit pivot followed by the
+    nonzero diagonal of the finished block (always empty mod p, so over
+    GF(p) there are rank-many 1s), and the row index of each pivot, in
+    pivot order.
     """
     rows = {}             # row index -> {col index: nonzero entry}
+    cols = {}             # col index -> set of row indices
     for j, column in enumerate(columns):
         for i, v in column.items():
             if p:
                 v %= p
             if v:
                 rows.setdefault(i, {})[j] = v
-    cols = {}             # col index -> set of row indices
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
+                cols.setdefault(j, set()).add(i)
 
     pivot_rows = []
     for j in reversed(range(len(columns))):
@@ -183,7 +186,9 @@ def _eliminate(columns: list, p: int = 0):
 
     left = sorted(c for c, members in cols.items() if members)
     rest = [[row.get(c, 0) for c in left] for row in rows.values()]
-    return len(pivot_rows), rest, pivot_rows
+    _diagonalize(rest, len(rest), len(left))
+    diagonal = (rest[i][i] for i in range(min(len(rest), len(left))))
+    return [1] * len(pivot_rows) + [f for f in diagonal if f], pivot_rows
 
 
 def _columns(M: list, ncols: int) -> list:
@@ -196,29 +201,15 @@ def _columns(M: list, ncols: int) -> list:
     return columns
 
 
-def _residue_factors(rest: list) -> list:
-    """Nonzero invariant factors of the dense block `_eliminate` leaves,
-    diagonalised in place, with no transforms."""
-    rows, cols = len(rest), len(rest[0]) if rest else 0
-    _diagonalize(rest, rows, cols)
-    return [rest[i][i] for i in range(min(rows, cols)) if rest[i][i]]
-
-
-def _factors(columns: list) -> list:
-    """Nonzero invariant factors of a matrix given by sparse columns."""
-    pivots, rest, _ = _eliminate(columns)
-    return [1] * pivots + _residue_factors(rest)
-
-
 def invariant_factors(M: list) -> list:
     """Nonzero invariant factors of M: one 1 per unit pivot, then the Smith
     normal form of the block the unit pivots leave behind."""
-    return _factors(_columns(M, len(M[0]) if M else 0))
+    return _eliminate(_columns(M, len(M[0]) if M else 0))[0]
 
 
 def rank_mod_p(M: list, p: int) -> int:
     """Rank of an integer matrix over the prime field GF(p)."""
-    return _eliminate(_columns(M, len(M[0]) if M else 0), p)[0]
+    return len(_eliminate(_columns(M, len(M[0]) if M else 0), p)[0])
 
 
 # Miller-Rabin on the 13 primes 2..41 is exact below the least strong
@@ -422,8 +413,7 @@ def homology(C: ChainComplexData, coefficients="Z") -> HomologySummary:
             continue
         cleared = set(rows_of.get(d, ()))
         columns = [c for j, c in enumerate(C.cols.get(d, ())) if j not in cleared]
-        pivots, rest, rows_of[d - 1] = _eliminate(columns, p)
-        factors[d] = [1] * pivots + _residue_factors(rest)
+        factors[d], rows_of[d - 1] = _eliminate(columns, p)
     data = {}
     for d in C.degrees:
         out_rank = len(factors.get(d, []))

@@ -8,8 +8,9 @@ the Morse complex by pair elimination, the doubled complex by its
 removal rule and its f-vector by inclusion-exclusion, the shifts and
 closures of
 configuration matrices on row tuples, the cells, cochains and Whitney
-product of the cube, the chain complex of R_L and the 6-vertex RP^2
-that it is run on, the closure of a set of
+product of the cube, the chain complex of R_L, its homology by
+Hochster's sum over full subcomplexes, and the 6-vertex RP^2 that both
+are run on, the closure of a set of
 cube cells under faces, and the oracles the paper's criteria are
 checked against (homology generators and the torus cup pairing, the
 cochain dual, the chain-map and counit defects of a
@@ -27,7 +28,8 @@ from hypothesis import strategies as st
 
 from permcomplex import simplicial
 from permcomplex.cubes import build_rmac, cube_boundary, inversion_count, subsets
-from permcomplex.homology import ChainComplexData, complex_from_boundary, smith_normal_form, zeros
+from permcomplex.homology import (ChainComplexData, HomologySummary, complex_from_boundary, homology,
+                                  invariant_factors, smith_normal_form, zeros)
 from permcomplex.projection import blocks_are_intervals, rho_face, rho_sign
 from permcomplex.simplicial import SimplicialComplex, minimal_nonfaces
 from permcomplex.sumatrix import _decode, _roots, _transpose, csgn
@@ -278,6 +280,38 @@ def all_cells(m: int) -> list:
 def rmac_complex(L: SimplicialComplex) -> ChainComplexData:
     """The chain complex of the real moment-angle complex R_L."""
     return complex_from_boundary(build_rmac(L), cube_boundary)
+
+
+def hochster_homology(L: SimplicialComplex) -> HomologySummary:
+    """H_*(R_L; Z) by its full subcomplexes: H_p(R_L) is the sum over
+    J of [m] of the reduced homology H~_{p-1}(L_J) of the full subcomplex
+    L_J, from the stable splitting of polyhedral products (Bahri,
+    Bendersky, Cohen and Gitler, "The polyhedral product functor", Adv.
+    Math. 2010).  Each H~ is `homology` of the augmented simplicial chain
+    complex of L_J, whose degree -1 holds the empty simplex, so J = {}
+    gives H_0 and a vertex of [m] that L lacks needs no special case.  The
+    torsion of a degree is that of the direct sum, the invariant factors
+    of all the summands' torsion together.  Both sides run the one
+    eliminator, so this checks the cube construction (`build_rmac` and
+    `cube_boundary`), not the eliminator."""
+    def boundary(s):
+        return {s[:i] + s[i + 1:]: (-1) ** i for i in range(len(s))}
+
+    betti, torsion = {}, {}
+    for J in subsets(range(1, L.m + 1)):
+        cells = {}
+        for s in L.simplices_sorted():
+            if set(s).issubset(J):
+                cells.setdefault(len(s) - 1, []).append(s)
+        for d, (b, t) in homology(complex_from_boundary(cells, boundary)).data.items():
+            betti[d + 1] = betti.get(d + 1, 0) + b
+            torsion.setdefault(d + 1, []).extend(t)
+    data = {}
+    for p, b in betti.items():
+        t = torsion[p]
+        diagonal = [[f * (i == j) for j in range(len(t))] for i, f in enumerate(t)]
+        data[p] = (b, [f for f in invariant_factors(diagonal) if f > 1])
+    return HomologySummary(data)
 
 
 # the facets of the 6-vertex triangulation of RP^2

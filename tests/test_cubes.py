@@ -1,15 +1,17 @@
 from permcomplex.cubes import build_rmac, cell_label, cube_boundary, inversion_count
 from permcomplex.homology import homology
 from permcomplex.projection import L_of_K
-from permcomplex.simplicial import from_facets, full_simplex, polygon_boundary
+from permcomplex.simplicial import from_facets, full_simplex, polygon_boundary, random_suite, skeleton
 
 from conftest import (
+    RP2_FACETS,
     accumulate,
     all_cells,
     cochain_complex,
     cochain_differential,
     cochain_dual,
     cup_whitney_basis,
+    hochster_homology,
     pair,
     rmac_complex,
     standard_suite,
@@ -70,6 +72,22 @@ def test_rmac_is_its_definition():
         assert len(flat) == len(set(flat))
         assert set(flat) == {c for c in all_cells(L.m) if c[0] in L.simplices}
         assert all(len(c[0]) == d for d, cs in cells.items() for c in cs)
+
+
+def test_rmac_homology_is_the_hochster_sum():
+    # the 6-vertex RP^2 (whose Z/2 in H_2 comes from J = [6]), the 5-cycle,
+    # 40 random complexes on up to 7 vertices, the standard suite, and
+    # L(K) of the suite and of every skeleton with m <= 6, where L(K) may
+    # miss vertices
+    suite = standard_suite()
+    complexes = ([from_facets(6, RP2_FACETS), polygon_boundary(range(1, 6))]
+                 + random_suite(seed=7, count=40, max_m=7) + suite
+                 + [L_of_K(K) for K in suite]
+                 + [L_of_K(skeleton(m, d)) for m in range(2, 7) for d in range(m)])
+    assert any(L.m > 1 and (L.m,) not in L.simplices for L in complexes)
+    for L in complexes:
+        assert homology(rmac_complex(L)) == hochster_homology(L), L
+    assert hochster_homology(complexes[0]).torsion(2) == [2]
 
 
 def test_rmac_of_a_polygon_is_an_orientable_surface():

@@ -16,7 +16,6 @@ from permcomplex.homology import (
     PRIME_TEST_BOUND,
     _columns,
     _eliminate,
-    _factors,
     complex_from_boundary,
     homology,
     invariant_factors,
@@ -232,6 +231,19 @@ def test_invariant_factors_torsion_cases(M, factors):
     assert invariant_factors(M) == snf_factors(M) == factors
 
 
+@pytest.mark.parametrize("M", [[], [[], []], [[0, 0]]])
+def test_empty_shapes_have_no_factors_and_rank_zero(M):
+    # small_matrices never draws an empty side
+    assert invariant_factors(M) == []
+    assert [rank_mod_p(M, p) for p in (2, 3, 5)] == [0, 0, 0]
+
+
+def test_eliminating_no_entries_gives_no_factors_and_no_pivot_rows():
+    for p in (0, 2):
+        assert _eliminate([], p) == ([], [])
+        assert _eliminate([{}, {}], p) == ([], [])
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_matrices)
 def test_rank_mod_p_counts_factors_prime_to_p(M):
@@ -254,10 +266,10 @@ def test_elimination_ignores_row_and_column_order(M, rnd):
     A = _columns(M, len(cols))
     B = _columns([[M[i][j] for j in cols] for i in rows], len(cols))
     factors = snf_factors(M)
-    assert _factors(A) == _factors(B) == factors
+    assert _eliminate(A)[0] == _eliminate(B)[0] == factors
     for p in (2, 3, 5):
         rank = sum(1 for f in factors if f % p)
-        assert _eliminate(A, p)[0] == _eliminate(B, p)[0] == rank
+        assert len(_eliminate(A, p)[0]) == len(_eliminate(B, p)[0]) == rank
 
 
 @pytest.mark.parametrize("coefficients", [4, 1, 0, -2])
@@ -458,7 +470,7 @@ def test_clearing_leaves_only_pivot_columns(monkeypatch):
 
     def counted(columns, p=0):
         result = eliminate(columns, p)
-        seen.append((len(columns), result[0]))
+        seen.append((len(columns), len(result[0])))
         return result
     monkeypatch.setattr(module, "_eliminate", counted)
     C = complex_from_boundary(full_permutohedron(6).by_dim, boundary)
@@ -473,10 +485,9 @@ def test_no_morse_route_leaves_a_dense_residue(monkeypatch):
     # form fails here
     module = importlib.import_module("permcomplex.homology")
 
-    def residue(rest):
-        assert not rest, f"a {len(rest)} x {len(rest[0])} dense residue"
-        return []
-    monkeypatch.setattr(module, "_residue_factors", residue)
+    def residue(B, rows, cols):
+        assert not (rows and cols), f"a {rows} x {cols} dense residue"
+    monkeypatch.setattr(module, "_diagonalize", residue)
     for K in standard_suite() + [simplicial.skeleton(m, d) for m in range(1, 7) for d in range(m)]:
         homology(_morse_complex(K))
         tor_ranks(K)
@@ -484,19 +495,26 @@ def test_no_morse_route_leaves_a_dense_residue(monkeypatch):
 
 def test_rmac_of_the_six_vertex_projective_plane_reaches_the_dense_residue(monkeypatch):
     # R_L of the 6-vertex RP^2 is a program-built input whose sweep leaves
-    # a block without a unit pivot: a 48 x 1 column holding the 2 of H_2
+    # a block without a unit pivot: a 48 x 1 column holding the 2 of H_2.
+    # By universal coefficients the 2 gives one more Betti number in
+    # degrees 2 and 3 over GF(2) and none over GF(3), where every pivot is
+    # a unit and no block is left.
     module = importlib.import_module("permcomplex.homology")
-    residue_factors, shapes = module._residue_factors, []
+    diagonalize, shapes = module._diagonalize, []
 
-    def recorded(rest):
-        if rest:
-            shapes.append((len(rest), len(rest[0])))
-        return residue_factors(rest)
-    monkeypatch.setattr(module, "_residue_factors", recorded)
-    h = homology(rmac_complex(simplicial.from_facets(6, RP2_FACETS)))
+    def recorded(B, rows, cols):
+        if rows and cols:
+            shapes.append((rows, cols))
+        diagonalize(B, rows, cols)
+    monkeypatch.setattr(module, "_diagonalize", recorded)
+    C = rmac_complex(simplicial.from_facets(6, RP2_FACETS))
+    h = homology(C)
     assert shapes == [(48, 1)]
     assert h.betti_vector() == [1, 0, 31]
     assert [h.torsion(d) for d in range(3)] == [[], [], [2]]
+    assert homology(C, 2).betti_vector() == [1, 0, 32, 1]
+    assert homology(C, 3).betti_vector() == [1, 0, 31]
+    assert shapes == [(48, 1)]
 
 
 def test_full_permutohedron_five_never_densifies(monkeypatch):

@@ -248,6 +248,17 @@ def test_conflicting_transposed_sources_raise_naming_both(monkeypatch):
         diagonals._top_cell_terms.__wrapped__(4)
 
 
+def test_agreeing_sources_do_not_raise(monkeypatch):
+    # a matrix reached from two step matrices whose signs agree, on A and
+    # on A^T, is no conflict: the walk keeps the first record, so the
+    # enumeration and the top-cell terms are those without the extra root
+    terms = diagonals._top_cell_terms.__wrapped__(5)
+    _injected(monkeypatch, 3, 3, lambda A, E: csgn(A, A) == csgn(A, E)
+              and not _transposed_sign_differs(A, E))
+    assert sumatrix.enumerate_configurations.__wrapped__(3, 3) == enumerate_configurations(3, 3)
+    assert diagonals._top_cell_terms.__wrapped__(5) == terms
+
+
 def test_step_configurations_are_disjoint():
     # no configuration matrix is reached from two step matrices, so the
     # ConfigurationAmbiguityError sign check never has a conflict to judge
